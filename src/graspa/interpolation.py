@@ -8,6 +8,14 @@ of 1e4 or more; the common scale cancels in the quotient.  A monomial
 (Vandermonde) path is kept for low degrees as an independent cross-check --
 for shifted node sets the mapped monomial basis is numerically unusable
 beyond toy sizes, so it is guarded, never the production path.
+
+The quotient terms ``w_j / (s - s_j)`` are formed by one private kernel,
+``_quotient_blocks``, shared with the Lebesgue-function and basis-matrix code
+in ``stability``: it fills a single reused buffer of about 512 KiB one block
+of evaluation points at a time, so evaluating m points at n nodes needs
+O(m + block * n) memory rather than O(m * n).  Each row is reduced exactly as
+in the unblocked formula, so per-point Lebesgue values do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ __all__ = [
 ]
 
 VANDERMONDE_MAX_DEGREE = 12
+_BLOCK_BYTES = 512 * 1024  # byte budget of the quotient kernel's row buffer
+_NO_HITS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
 
 def _node_array(nodes) -> np.ndarray:
@@ -79,6 +89,66 @@ class Interpolant:
         return int(self.nodes.size)
 
 
+def _node_images(nodes, chain: MapChain | None) -> tuple[np.ndarray, np.ndarray]:
+    """Mapped images of the nodes, which must be finite and distinct, and
+    the permutation that sorts them.  ``chain=None`` is the identity map.
+    """
+    x = _node_array(nodes)
+    s = np.asarray(chain(x), dtype=float) if chain is not None else x.astype(float)
+    if not np.all(np.isfinite(s)):
+        raise EvaluationError("map produced non-finite node images")
+    order = np.argsort(s, kind="stable")
+    if np.any(np.diff(s[order]) <= 0):
+        raise ValueError("map is not injective on the nodes: mapped nodes collide")
+    return s, order
+
+
+def _eval_points(x, chain: MapChain | None) -> np.ndarray:
+    """Mapped images of the evaluation points x, flattened to 1-D."""
+    pts = np.asarray(x, dtype=float).ravel()
+    s = np.asarray(chain(pts), dtype=float) if chain is not None else pts
+    if not np.all(np.isfinite(s)):
+        raise EvaluationError("map produced non-finite values at evaluation points")
+    return s
+
+
+def _shaped(out: np.ndarray, x):
+    """Per-point results in the shape of x; a scalar x gives a float."""
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
+def _block_rows(n: int) -> int:
+    """Evaluation points per block of the quotient kernel, for n nodes."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
+def _quotient_blocks(s, mapped_nodes, weights):
+    """Yield (rows, t, hit_row, hit_col) over blocks of the points s.
+
+    ``t[k, j] = weights[j] / (s[rows][k] - mapped_nodes[j])``, computed in
+    place in one buffer that is reused for the next block, so a caller must be
+    done with ``t`` (and may overwrite it) before advancing.  ``rows`` is the
+    slice of s in the block; ``hit_row`` (indices into s) and ``hit_col``
+    (indices into mapped_nodes) list the zero differences, where a point's
+    image equals a mapped node exactly -- those rows of ``t`` hold
+    infinities, so callers replace them, and iterate under
+    ``np.errstate(divide="ignore", invalid="ignore")``.
+    """
+    m, n = s.size, mapped_nodes.size
+    block = _block_rows(n)
+    buf = np.empty((min(block, m), n))
+    for lo in range(0, m, block):
+        rows = slice(lo, min(lo + block, m))
+        sr = s[rows]
+        t = buf[:sr.size]
+        np.subtract(sr[:, None], mapped_nodes[None, :], out=t)
+        zero = t == 0.0
+        # locating the zeros costs far more than detecting them; most blocks have none
+        hit_row, hit_col = np.nonzero(zero) if zero.any() else _NO_HITS
+        np.divide(weights, t, out=t)
+        yield rows, t, lo + hit_row, hit_col
+
+
 def build_interpolant(nodes, values, chain: MapChain | None = None) -> Interpolant:
     """Construct the interpolant of (nodes, values) in the mapped variable.
 
@@ -94,13 +164,8 @@ def build_interpolant(nodes, values, chain: MapChain | None = None) -> Interpola
         raise ValueError(f"got {f.size} values for {x.size} nodes")
     if not np.all(np.isfinite(f)):
         raise ValueError("sample values must be finite")
-    s = np.asarray(chain(x), dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise EvaluationError("map produced non-finite node images")
-    order = np.argsort(s, kind="stable")
+    s, order = _node_images(x, chain)
     x, s, f = x[order].copy(), s[order].copy(), f[order].copy()
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("map is not injective on the nodes: mapped nodes collide")
     w = barycentric_weights(s)
     for arr in (x, s, f, w):
         arr.setflags(write=False)
@@ -111,21 +176,19 @@ def eval_interpolant(interp: Interpolant, x):
     """Evaluate via the quotient barycentric form in s = S(x).
 
     A point whose image coincides bit-exactly with a mapped node returns the
-    stored sample value, making the interpolation conditions exact.
+    stored sample value, making the interpolation conditions exact.  The
+    result has the shape of x (a float for scalar x).
     """
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.atleast_1d(np.asarray(interp.chain(pts), dtype=float))
-    if not np.all(np.isfinite(s)):
-        raise EvaluationError("map produced non-finite values at evaluation points")
-    diff = s[:, None] - interp.mapped_nodes[None, :]
-    hit_row, hit_col = np.nonzero(diff == 0.0)
+    s = _eval_points(x, interp.chain)
+    out = np.empty(s.size)
+    blocks = _quotient_blocks(s, interp.mapped_nodes, interp.weights)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = interp.weights / diff
-        out = (t @ interp.values) / t.sum(axis=1)
-    out[hit_row] = interp.values[hit_col]
+        for rows, t, hit_row, hit_col in blocks:
+            out[rows] = (t @ interp.values) / t.sum(axis=1)
+            out[hit_row] = interp.values[hit_col]
     if not np.all(np.isfinite(out)):
         raise EvaluationError("barycentric evaluation lost finiteness")
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return _shaped(out, x)
 
 
 def vandermonde_coefficients(nodes, values, chain: MapChain | None = None) -> np.ndarray:
@@ -147,10 +210,7 @@ def vandermonde_coefficients(nodes, values, chain: MapChain | None = None) -> np
             f"({VANDERMONDE_MAX_DEGREE}); use build_interpolant for the "
             "barycentric path"
         )
-    s = np.asarray(chain(x), dtype=float)
-    if np.unique(s).size != s.size:
-        raise ValueError("map is not injective on the nodes: mapped nodes collide")
-    vmat = np.vander(s, increasing=True)
+    vmat = np.vander(_node_images(x, chain)[0], increasing=True)
     try:
         return np.linalg.solve(vmat, f)
     except np.linalg.LinAlgError as exc:

@@ -1,13 +1,17 @@
 """Lebesgue-function analysis for mapped bases and infinite-shift predictions.
 
 The Lebesgue function of a mapped Lagrange basis is computed through the same
-capacity-scaled barycentric representation used for interpolation, so the two
-paths share their numerical behaviour.  For piecewise-shifted bases the
-module also evaluates what the Lebesgue constant tends to as the shift grows
-without bound: per-subinterval classical constants for the balanced odd and
-equal-cardinality multi-cut splits, and the residual-augmented maximum for
-the even split.  Those predictions come from closed forms; brute-force
-large-shift evaluation is only ever a test oracle.
+capacity-scaled barycentric representation used for interpolation, and its
+quotient terms come from the same blocked kernel, so the two paths share
+their numerical behaviour.  Evaluation points are processed in row blocks of
+about 512 KiB, so memory is O(m + block * n) for m points and n nodes; each
+per-point Lebesgue value is the same as an unblocked evaluation would give.
+For piecewise-shifted bases the module also evaluates what the Lebesgue
+constant tends to as the shift grows without bound: per-subinterval classical
+constants for the balanced odd and equal-cardinality multi-cut splits, and
+the residual-augmented maximum for the even split.  Those predictions come
+from closed forms; brute-force large-shift evaluation is only ever a test
+oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import numpy as np
 
 from .domain import NodePartition, NodeSet, PiecewiseDomain
 from .exceptions import EvaluationError, PredictionUnavailableError
-from .interpolation import barycentric_weights
+from .interpolation import (_eval_points, _node_array, _node_images,
+                            _quotient_blocks, _shaped, barycentric_weights)
 from .maps import MapChain
 
 __all__ = [
@@ -66,33 +71,23 @@ class LimitQuantities:
     r_samples: np.ndarray | None = None
 
 
-def _mapped_node_images(nodes, chain: MapChain | None) -> np.ndarray:
-    x = nodes.nodes if isinstance(nodes, NodeSet) else np.asarray(nodes, dtype=float)
-    s = np.asarray(chain(x), dtype=float) if chain is not None else x.astype(float)
-    if not np.all(np.isfinite(s)):
-        raise EvaluationError("map produced non-finite node images")
-    if np.unique(s).size != s.size:
-        raise ValueError("map is not injective on the nodes: mapped nodes collide")
-    return s
-
-
 def lebesgue_function(nodes, chain: MapChain | None, x):
-    """Sum of absolute mapped Lagrange basis values at x; exactly 1 at nodes."""
-    s_nodes = _mapped_node_images(nodes, chain)
+    """Sum of absolute mapped Lagrange basis values at x; exactly 1 at nodes.
+
+    The result has the shape of x (a float for scalar x).
+    """
+    s_nodes, _ = _node_images(nodes, chain)
     w = barycentric_weights(s_nodes)
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.atleast_1d(np.asarray(chain(pts), dtype=float)) if chain is not None else pts
-    if not np.all(np.isfinite(s)):
-        raise EvaluationError("map produced non-finite values at evaluation points")
-    diff = s[:, None] - s_nodes[None, :]
-    hit_row = np.nonzero(np.any(diff == 0.0, axis=1))[0]
+    s = _eval_points(x, chain)
+    lam = np.empty(s.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = w / diff
-        lam = np.abs(t).sum(axis=1) / np.abs(t.sum(axis=1))
-    lam[hit_row] = 1.0
+        for rows, t, hit_row, _ in _quotient_blocks(s, s_nodes, w):
+            den = np.abs(t.sum(axis=1))
+            lam[rows] = np.abs(t, out=t).sum(axis=1) / den
+            lam[hit_row] = 1.0
     if not np.all(np.isfinite(lam)):
         raise EvaluationError("Lebesgue function evaluation lost finiteness")
-    return float(lam[0]) if np.ndim(x) == 0 else lam
+    return _shaped(lam, x)
 
 
 def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarray:
@@ -104,7 +99,7 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
     (max(2000, 100 * node count) points per subinterval), an explicit
     per-subinterval count, or a ready-made array of points.
     """
-    x = nodes.nodes if isinstance(nodes, NodeSet) else np.asarray(nodes, dtype=float)
+    x = _node_array(nodes)
     if isinstance(grid_spec, str):
         if grid_spec != "auto":
             raise ValueError(f"unknown grid spec {grid_spec!r}")
@@ -152,17 +147,16 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a nonempty 1-D sequence")
-    s_nodes = _mapped_node_images(nodes, chain)
+    s_nodes, _ = _node_images(nodes, chain)
     w = barycentric_weights(s_nodes)
     s = np.asarray(chain(g), dtype=float) if chain is not None else g
-    diff = s[None, :] - s_nodes[:, None]
-    hit_node, hit_col = np.nonzero(diff == 0.0)
+    mat = np.empty((s_nodes.size, s.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = w[:, None] / diff
-        mat = np.abs(t / t.sum(axis=0)[None, :])
-    for i, j in zip(hit_node, hit_col):
-        mat[:, j] = 0.0
-        mat[i, j] = 1.0
+        for rows, t, hit_row, hit_col in _quotient_blocks(s, s_nodes, w):
+            np.divide(t, t.sum(axis=1)[:, None], out=t)
+            mat[:, rows] = np.abs(t, out=t).T
+            mat[:, hit_row] = 0.0
+            mat[hit_col, hit_row] = 1.0
     if not np.all(np.isfinite(mat)):
         raise EvaluationError("Lagrange matrix evaluation lost finiteness")
     return mat

@@ -21,6 +21,7 @@ from .domain import (
 )
 from .exceptions import EvaluationError, PredictionUnavailableError
 from .experiments import (
+    METHODS,
     ExperimentConfig,
     ExperimentResult,
     CellResult,
@@ -40,9 +41,7 @@ from .interpolation import (
     vandermonde_coefficients,
 )
 from .maps import (
-    AffineFromReferenceMap,
-    AffineToReferenceMap,
-    IdentityMap,
+    CHAIN_NAMES,
     KteMap,
     MapChain,
     MkteMap,
@@ -56,6 +55,7 @@ from .maps import (
     map_from_dict,
     mkte,
     mkte_chain,
+    named_chain,
     sgibbs,
     sgibbs_chain,
     vn_correction,

@@ -24,15 +24,12 @@ import numpy as np
 from .domain import Interval, PiecewiseDomain, bg_chebyshev_nodes, equispaced_nodes, \
     partition_nodes
 from .exceptions import EvaluationError
-from .experiments import ExperimentConfig, FIGURE_IDS, FUNCTIONS, build_figure, \
-    method_chain, run_comparison
+from .experiments import DEFAULT_KAPPA, ExperimentConfig, FIGURE_IDS, FUNCTIONS, \
+    METHODS, build_figure, method_chain, run_comparison, sweep_table
 from .interpolation import build_interpolant
-from .maps import KteMap, MapChain, MkteMap
+from .maps import CHAIN_NAMES, named_chain
 from .stability import lagrange_matrix, lebesgue_constant
 from .svgplot import write_line_svg
-
-_MAP_CHOICES = ("identity", "kte", "sgibbs", "mkte", "graspa", "graspa+vn")
-_METHOD_CHOICES = ("classical", "sgibbs", "graspa", "graspa+vn")
 
 
 def _fmt(v: float) -> str:
@@ -67,23 +64,6 @@ def _parse_interval(text: str) -> Interval:
     return Interval(parts[0], parts[1])
 
 
-def _named_chain(name: str, domain: PiecewiseDomain, kappa: float, alpha: float,
-                 n: int | None) -> MapChain:
-    if name == "identity":
-        return MapChain()
-    if name == "kte":
-        return MapChain((KteMap(alpha),))
-    if name == "mkte":
-        return MapChain((MkteMap(alpha, domain),))
-    if name == "sgibbs":
-        return method_chain("sgibbs", domain, kappa)
-    if name == "graspa":
-        return method_chain("graspa", domain, kappa)
-    if name == "graspa+vn":
-        return method_chain("graspa+vn", domain, kappa, n)
-    raise ValueError(f"unknown map {name!r}")
-
-
 def _balance_gate(nodes, domain: PiecewiseDomain, strict: bool) -> bool:
     """Warn (or fail under --strict) when the per-subinterval counts are off."""
     if not domain.cuts:
@@ -108,7 +88,7 @@ def _cmd_nodes(args) -> int:
         domain = PiecewiseDomain(interval, _parse_cuts(args.cuts))
         if not _balance_gate(nodes, domain, args.strict):
             return 2
-        chain = _named_chain(args.map, domain, args.kappa, args.alpha, args.n)
+        chain = named_chain(args.map, domain, args.kappa, args.alpha, args.n)
         header.append("mapped")
         cols.append(np.asarray(chain(nodes.nodes)))
     path = _out_dir(args) / "nodes.csv"
@@ -120,7 +100,7 @@ def _cmd_nodes(args) -> int:
 def _cmd_map(args) -> int:
     interval = _parse_interval(args.interval)
     domain = PiecewiseDomain(interval, _parse_cuts(args.cuts))
-    chain = _named_chain(args.map, domain, args.kappa, args.alpha, args.n)
+    chain = named_chain(args.map, domain, args.kappa, args.alpha, args.n)
     grid = np.linspace(interval.a, interval.b, args.grid)
     path = _out_dir(args) / "map.csv"
     _write_csv(path, ["x", "mapped"], np.column_stack([grid, chain(grid)]))
@@ -203,19 +183,11 @@ def _cmd_experiment(args) -> int:
         config = ExperimentConfig.from_json_dict(json.load(fh))
     result = run_comparison(config)
     flagged = sum(not c.ok for c in result.cells)
-    header = ["n"]
-    for tag in ("rmae", "lambda"):
-        header += [f"{tag}_{m.replace('+', '_')}" for m in config.methods]
-    rows = []
-    for n in config.n_values:
-        row = [float(n)]
-        for fieldname in ("rmae", "lebesgue"):
-            row += [getattr(result.cell(m, n), fieldname) for m in config.methods]
-        rows.append(row)
-    path = out / f"{cfg_path.stem}.csv"
-    _write_csv(path, header, np.asarray(rows))
-    print(path)
-    if flagged * 2 > len(result.cells):
+    failed = flagged * 2 > len(result.cells)
+    # a mostly-NaN sweep has nothing to plot: its CSV is still written
+    _write_figure_outputs((sweep_table(cfg_path.stem, result, ("rmae", "lebesgue")),),
+                          out, args.svg and not failed)
+    if failed:
         print(f"error: {flagged}/{len(result.cells)} cells overflowed",
               file=sys.stderr)
         return 3
@@ -242,18 +214,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default="-1,1")
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--map", choices=_MAP_CHOICES, default=None)
+    p.add_argument("--map", choices=CHAIN_NAMES, default=None)
     p.add_argument("--cuts", default=None)
-    p.add_argument("--kappa", type=float, default=10000.0)
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p.add_argument("--alpha", type=float, default=1.0)
     _add_common(p)
     p.set_defaults(func=_cmd_nodes)
 
     p = sub.add_parser("map", help="sample a named map on a uniform grid")
-    p.add_argument("--map", choices=_MAP_CHOICES, required=True)
+    p.add_argument("--map", choices=CHAIN_NAMES, required=True)
     p.add_argument("--interval", default="-1,1")
     p.add_argument("--cuts", default=None)
-    p.add_argument("--kappa", type=float, default=10000.0)
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--n", type=int, default=None,
                    help="degree (needed by graspa+vn)")
@@ -263,32 +235,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interp", help="interpolate a benchmark function once")
     p.add_argument("--function", choices=tuple(FUNCTIONS), default="f1")
-    p.add_argument("--method", choices=_METHOD_CHOICES, default="graspa")
+    p.add_argument("--method", choices=METHODS, default="graspa")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cuts", default=None,
                    help="comma list; defaults to the function's jumps")
-    p.add_argument("--kappa", type=float, default=10000.0)
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p.add_argument("--grid", type=int, default=332)
     _add_common(p)
     p.set_defaults(func=_cmd_interp)
 
     p = sub.add_parser("lebesgue", help="Lebesgue function and constant")
-    p.add_argument("--method", choices=_METHOD_CHOICES, default="classical")
+    p.add_argument("--method", choices=METHODS, default="classical")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--interval", default="-1,1")
     p.add_argument("--cuts", default=None)
-    p.add_argument("--kappa", type=float, default=10000.0)
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p.add_argument("--grid", default="auto",
                    help="'auto' or per-subinterval point count")
     _add_common(p)
     p.set_defaults(func=_cmd_lebesgue)
 
     p = sub.add_parser("lagmatrix", help="absolute mapped-basis matrix on a grid")
-    p.add_argument("--method", choices=_METHOD_CHOICES, default="graspa")
+    p.add_argument("--method", choices=METHODS, default="graspa")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--interval", default="-1,1")
     p.add_argument("--cuts", default=None)
-    p.add_argument("--kappa", type=float, default=10000.0)
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p.add_argument("--grid", type=int, default=100)
     _add_common(p)
     p.set_defaults(func=_cmd_lagmatrix)

@@ -126,10 +126,6 @@ class NodeSet:
     def __len__(self) -> int:
         return int(self.nodes.size)
 
-    @property
-    def degree(self) -> int:
-        return len(self) - 1
-
 
 @dataclass(frozen=True, eq=False)
 class NodePartition:

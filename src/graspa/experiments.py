@@ -4,12 +4,16 @@ Two discontinuous targets are built in: a single-jump function mixing a
 Runge-type bump with a trigonometric branch, and a three-jump variant adding
 a kink.  ``run_comparison`` sweeps (method, degree) cells -- plain
 interpolation, the bare S-Gibbs shift, and the GRASPA map with or without the
-even-split node correction -- collecting the relative maximum absolute error
-and the Lebesgue constant for each cell.  Everything is deterministic.
+even-split node correction, each a chain from :func:`maps.named_chain` --
+collecting the relative maximum absolute error and the Lebesgue constant for
+each cell.  :func:`sweep_table` turns a sweep into the one CSV-able table
+that both the figures and JSON-config runs write.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +21,9 @@ import numpy as np
 from .domain import Interval, PiecewiseDomain, equispaced_nodes
 from .exceptions import EvaluationError
 from .interpolation import build_interpolant
-from .maps import MapChain, MkteMap, SGibbsMap, VnMap
-from .stability import lebesgue_constant, lebesgue_grid, lebesgue_function, lagrange_matrix
+from .maps import MapChain, named_chain
+from .stability import (_constant_grid, lebesgue_constant, lebesgue_function,
+                        lebesgue_grid, lagrange_matrix)
 
 __all__ = [
     "DEFAULT_KAPPA",
@@ -35,6 +40,7 @@ __all__ = [
     "run_comparison",
     "FigureOutput",
     "FIGURE_IDS",
+    "sweep_table",
     "build_figure",
 ]
 
@@ -92,23 +98,43 @@ def method_chain(method: str, domain: PiecewiseDomain, kappa: float,
     shift after the piecewise stretch, graspa+vn = the same preceded by the
     even-split node correction (needs the degree).
     """
-    if method == "classical":
-        return MapChain()
-    if method == "sgibbs":
-        return MapChain((SGibbsMap(kappa, domain),))
-    if method == "graspa":
-        return MapChain((MkteMap(1.0, domain), SGibbsMap(kappa, domain)))
-    if method == "graspa+vn":
-        if n is None:
-            raise ValueError("graspa+vn requires the degree n")
-        return MapChain((VnMap(int(n), domain), MkteMap(1.0, domain),
-                         SGibbsMap(kappa, domain)))
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return named_chain("identity" if method == "classical" else method, domain, kappa,
+                       n=n)
+
+
+def _number(value, what: str) -> float:
+    """A real number, or a string holding one; bools and None are refused."""
+    if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    number = _number(value, what)
+    if not number.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _vector(value, what: str) -> tuple:
+    if np.ndim(value) != 1:
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep description; cuts default to the chosen function's own jumps."""
+    """Sweep description on [-1, 1]; cuts default to the function's own jumps.
+
+    Fields are normalised on construction: degrees and grid sizes to ints
+    (integral floats and numeric strings pass, fractions and bools do not),
+    the shift and the cuts to floats, the lists to tuples.
+    """
 
     function: str = "f1"
     cuts: tuple[float, ...] | None = None
@@ -117,71 +143,56 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("classical", "sgibbs", "graspa")
     rmae_grid: int = RMAE_GRID_SIZE
     lebesgue_grid: str | int = "auto"
-    interval: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if self.function not in FUNCTIONS:
+        if self.function not in tuple(FUNCTIONS):
             raise ValueError(f"unknown function {self.function!r}")
         cuts = self.cuts if self.cuts is not None else FUNCTIONS[self.function][1]
-        object.__setattr__(self, "cuts", tuple(float(c) for c in cuts))
-        n_values = tuple(int(n) for n in self.n_values)
+        object.__setattr__(self, "cuts",
+                           tuple(_number(c, "a cut") for c in _vector(cuts, "cuts")))
+        n_values = tuple(_integer(n, "a degree") for n in _vector(self.n_values, "n"))
         if not n_values:
             n_values = (13, 29, 41) if self.function == "f2" else (11, 23, 51)
         if any(n < 1 for n in n_values):
             raise ValueError("all degrees must be >= 1")
         object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "kappa", _number(self.kappa, "kappa"))
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
+        object.__setattr__(self, "methods", _vector(self.methods, "methods"))
         if not self.methods:
             raise ValueError("need at least one method")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+        object.__setattr__(self, "rmae_grid", _integer(self.rmae_grid, "rmae_grid"))
         if self.rmae_grid < 2:
             raise ValueError("the error grid needs at least 2 points")
-        object.__setattr__(self, "interval",
-                           (float(self.interval[0]), float(self.interval[1])))
-        self.domain()  # validates interval/cut consistency
+        if self.lebesgue_grid != "auto":
+            object.__setattr__(self, "lebesgue_grid",
+                               _integer(self.lebesgue_grid, "lebesgue_grid"))
+        self.domain()  # validates the cuts against the interval
 
     def domain(self) -> PiecewiseDomain:
-        return PiecewiseDomain(Interval(*self.interval), self.cuts)
+        return PiecewiseDomain(Interval(-1.0, 1.0), self.cuts)
 
-    _JSON_KEYS = {"function", "cuts", "kappa", "n", "methods", "rmae_grid",
-                  "lebesgue_grid"}
+    # JSON key -> field
+    _JSON_FIELDS = {"function": "function", "cuts": "cuts", "kappa": "kappa",
+                    "n": "n_values", "methods": "methods", "rmae_grid": "rmae_grid",
+                    "lebesgue_grid": "lebesgue_grid"}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - cls._JSON_KEYS
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {data!r}")
+        unknown = set(data) - set(cls._JSON_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "function" in data:
-            kwargs["function"] = data["function"]
-        if "cuts" in data:
-            kwargs["cuts"] = tuple(data["cuts"])
-        if "n" in data:
-            kwargs["n_values"] = tuple(data["n"])
-        if "kappa" in data:
-            kwargs["kappa"] = float(data["kappa"])
-        if "methods" in data:
-            kwargs["methods"] = tuple(data["methods"])
-        if "rmae_grid" in data:
-            kwargs["rmae_grid"] = int(data["rmae_grid"])
-        if "lebesgue_grid" in data:
-            spec = data["lebesgue_grid"]
-            kwargs["lebesgue_grid"] = spec if spec == "auto" else int(spec)
-        return cls(**kwargs)
+        return cls(**{cls._JSON_FIELDS[key]: value for key, value in data.items()})
 
     def to_json_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "cuts": list(self.cuts),
-            "kappa": self.kappa,
-            "n": list(self.n_values),
-            "methods": list(self.methods),
-            "rmae_grid": self.rmae_grid,
-            "lebesgue_grid": self.lebesgue_grid,
-        }
+        out = {key: getattr(self, name) for key, name in self._JSON_FIELDS.items()}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in out.items()}
 
 
 @dataclass(frozen=True)
@@ -219,23 +230,22 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
     """
     fn = FUNCTIONS[config.function][0]
     domain = config.domain()
-    grid = np.linspace(config.interval[0], config.interval[1], config.rmae_grid)
+    grid = np.linspace(domain.interval.a, domain.interval.b, config.rmae_grid)
     truth = fn(grid)
-    denom = float(np.max(np.abs(truth)))
-    lebesgue_grid(domain, equispaced_nodes(config.n_values[0],
-                                           Interval(*config.interval)),
-                  config.lebesgue_grid)  # reject bad grid specs up front
+    # reject grids too coarse for a Lebesgue constant up front, at the smallest
+    # degree, where the grid has the fewest points
+    _constant_grid(domain, equispaced_nodes(min(config.n_values), domain.interval),
+                   config.lebesgue_grid)
     cells = []
     samples = {}
     for n in config.n_values:
-        nodes = equispaced_nodes(n, Interval(*config.interval))
+        nodes = equispaced_nodes(n, domain.interval)
         fvals = fn(nodes.nodes)
         for method in config.methods:
             chain = method_chain(method, domain, config.kappa, n)
             try:
-                interp = build_interpolant(nodes, fvals, chain)
-                approx = interp(grid)
-                err = float(np.max(np.abs(truth - approx)) / denom)
+                approx = build_interpolant(nodes, fvals, chain)(grid)
+                err = rmae(lambda _: approx, truth, grid)
                 rep = lebesgue_constant(nodes, chain, domain, config.lebesgue_grid)
                 cells.append(CellResult(method, n, err, rep.lebesgue_constant))
                 samples[(method, n)] = approx
@@ -290,18 +300,24 @@ def _lambda_function_table(name, function, n, methods):
 _FIELD_TAG = {"lebesgue": "lambda", "rmae": "rmae"}
 
 
-def _sweep_table(name, function, n_list, methods, fields):
-    config = ExperimentConfig(function=function, n_values=tuple(n_list),
-                              methods=tuple(methods))
-    result = run_comparison(config)
+def sweep_table(name: str, result: ExperimentResult, fields) -> FigureOutput:
+    """One row per degree: ``n``, then for each field ("rmae" or "lebesgue")
+    one column per method, in the config's order."""
+    config = result.config
     header = ["n"]
-    cols = [np.asarray(n_list, dtype=float)]
+    cols = [np.asarray(config.n_values, dtype=float)]
     for fieldname in fields:
-        for m in methods:
+        for m in config.methods:
             header.append(f"{_FIELD_TAG[fieldname]}_{_COLUMN_TAG[m]}")
             cols.append(np.array(
-                [getattr(result.cell(m, n), fieldname) for n in n_list]))
+                [getattr(result.cell(m, n), fieldname) for n in config.n_values]))
     return FigureOutput(name, tuple(header), np.column_stack(cols), logy=True)
+
+
+def _sweep_figure(name, function, n_list, methods, fields):
+    config = ExperimentConfig(function=function, n_values=tuple(n_list),
+                              methods=tuple(methods))
+    return sweep_table(name, run_comparison(config), fields)
 
 
 def _interpolant_table(name, function, n, methods):
@@ -337,16 +353,16 @@ def build_figure(fig_id: str) -> tuple[FigureOutput, ...]:
     if fig_id == "fig1":
         return (_lambda_function_table("fig1", "f1", 23, three),)
     if fig_id == "fig2":
-        return (_sweep_table("fig2", "f1", ODD_SWEEP, three, ("lebesgue",)),)
+        return (_sweep_figure("fig2", "f1", ODD_SWEEP, three, ("lebesgue",)),)
     if fig_id == "fig3":
         return (_interpolant_table("fig3", "f1", 23, three),)
     if fig_id == "fig3bis":
-        return (_sweep_table("fig3bis", "f1", ODD_SWEEP, three, ("rmae",)),)
+        return (_sweep_figure("fig3bis", "f1", ODD_SWEEP, three, ("rmae",)),)
     if fig_id == "fig4":
         return (_matrix_table("fig4", "f1", 50, "graspa"),
                 _matrix_table("fig4_vn", "f1", 50, "graspa+vn"))
     if fig_id == "fig5":
-        return (_sweep_table("fig5", "f1", EVEN_SWEEP,
+        return (_sweep_figure("fig5", "f1", EVEN_SWEEP,
                              ("classical", "sgibbs", "graspa+vn"),
                              ("lebesgue", "rmae")),)
     if fig_id == "fig6":
@@ -354,10 +370,10 @@ def build_figure(fig_id: str) -> tuple[FigureOutput, ...]:
     if fig_id == "fig7":
         return (_interpolant_table("fig7", "f2", 29, three),)
     if fig_id == "fig8":
-        return (_sweep_table("fig8", "f2", F2_SWEEP, three, ("lebesgue",)),)
+        return (_sweep_figure("fig8", "f2", F2_SWEEP, three, ("lebesgue",)),)
     if fig_id == "fig8bis":
-        return (_sweep_table("fig8bis", "f2", F2_SWEEP, three, ("rmae",)),)
+        return (_sweep_figure("fig8bis", "f2", F2_SWEEP, three, ("rmae",)),)
     if fig_id == "fig9":
-        return (_sweep_table("fig9", "f2", F2_LONG_SWEEP, ("graspa",),
+        return (_sweep_figure("fig9", "f2", F2_LONG_SWEEP, ("graspa",),
                              ("lebesgue",)),)
     raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")

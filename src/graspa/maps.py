@@ -7,8 +7,10 @@ piecewise conjugation (MKTE), and a node-correction map for the even
 equispaced split.  The full GRASPA map is the shift composed with MKTE.
 
 A :class:`MapChain` is plain data (a tuple of atomic maps applied
-left-to-right) so that experiment configurations can be serialized and
-logged; every atom is injective on its declared domain.
+left-to-right, empty for the identity) so that experiment configurations can
+be serialized and logged; every atom is injective on its declared domain.
+:func:`named_chain` is the one table from a map name (``CHAIN_NAMES``) to
+its atoms; the GRASPA helpers and the experiment methods are views of it.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ __all__ = [
     "mkte",
     "vn_correction",
     "graspa_map",
-    "IdentityMap",
     "KteMap",
     "SGibbsMap",
     "MkteMap",
     "VnMap",
-    "AffineToReferenceMap",
-    "AffineFromReferenceMap",
     "MapChain",
+    "CHAIN_NAMES",
+    "named_chain",
     "sgibbs_chain",
     "mkte_chain",
     "graspa_chain",
@@ -141,33 +142,9 @@ def vn_correction(n: int, domain: PiecewiseDomain, x):
     return _unwrap(x, out)
 
 
-def graspa_map(kappa: float, domain: PiecewiseDomain, x, with_vn: bool = False,
-               n: int | None = None):
-    """GRASPA map: S-Gibbs shift composed with MKTE at alpha = 1.
-
-    With ``with_vn`` the node-correction map is applied first (requires the
-    degree ``n`` and the correction's supported domain).
-    """
-    y = x
-    if with_vn:
-        if n is None:
-            raise ValueError("with_vn requires the degree n")
-        y = vn_correction(n, domain, y)
-    return sgibbs(kappa, domain, mkte(1.0, domain, y))
-
-
 # ---------------------------------------------------------------------------
 # Atomic maps as data, and their composition
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdentityMap:
-    def __call__(self, x):
-        return _unwrap(x, np.asarray(x, dtype=float))
-
-    def to_dict(self) -> dict:
-        return {"kind": "identity"}
-
 
 @dataclass(frozen=True)
 class KteMap:
@@ -230,32 +207,6 @@ class VnMap:
 
 
 @dataclass(frozen=True)
-class AffineToReferenceMap:
-    sub: int
-    domain: PiecewiseDomain
-
-    def __call__(self, x):
-        return affine_to_reference(x, self.sub, self.domain)
-
-    def to_dict(self) -> dict:
-        return {"kind": "affine_to_reference", "sub": self.sub,
-                "domain": self.domain.to_dict()}
-
-
-@dataclass(frozen=True)
-class AffineFromReferenceMap:
-    sub: int
-    domain: PiecewiseDomain
-
-    def __call__(self, u):
-        return affine_from_reference(u, self.sub, self.domain)
-
-    def to_dict(self) -> dict:
-        return {"kind": "affine_from_reference", "sub": self.sub,
-                "domain": self.domain.to_dict()}
-
-
-@dataclass(frozen=True)
 class MapChain:
     """Composition of atomic maps, applied left-to-right; empty = identity."""
 
@@ -269,9 +220,6 @@ class MapChain:
             raise EvaluationError("map chain produced non-finite values")
         return _unwrap(x, out)
 
-    def then(self, atom) -> "MapChain":
-        return MapChain(self.maps + (atom,))
-
     def to_dict(self) -> dict:
         return {"maps": [m.to_dict() for m in self.maps]}
 
@@ -283,39 +231,65 @@ class MapChain:
 def map_from_dict(data: dict):
     """Rebuild an atomic map from its JSON descriptor."""
     kind = data["kind"]
-    if kind == "identity":
-        return IdentityMap()
     if kind == "kte":
         return KteMap(float(data.get("alpha", 1.0)))
-    if kind not in ("sgibbs", "mkte", "vn", "affine_to_reference",
-                    "affine_from_reference"):
+    if kind not in ("sgibbs", "mkte", "vn"):
         raise ValueError(f"unknown map kind {kind!r}")
     dom = PiecewiseDomain.from_dict(data["domain"])
     if kind == "sgibbs":
         return SGibbsMap(float(data["kappa"]), dom)
     if kind == "mkte":
         return MkteMap(float(data.get("alpha", 1.0)), dom)
-    if kind == "vn":
-        return VnMap(int(data["n"]), dom)
-    if kind == "affine_to_reference":
-        return AffineToReferenceMap(int(data["sub"]), dom)
-    return AffineFromReferenceMap(int(data["sub"]), dom)
+    return VnMap(int(data["n"]), dom)
+
+
+# name -> atoms(domain, kappa, alpha, n); GRASPA itself is defined at alpha = 1
+_CHAINS = {
+    "identity": lambda dom, kappa, alpha, n: (),
+    "kte": lambda dom, kappa, alpha, n: (KteMap(alpha),),
+    "mkte": lambda dom, kappa, alpha, n: (MkteMap(alpha, dom),),
+    "sgibbs": lambda dom, kappa, alpha, n: (SGibbsMap(kappa, dom),),
+    "graspa": lambda dom, kappa, alpha, n: (MkteMap(1.0, dom), SGibbsMap(kappa, dom)),
+    "graspa+vn": lambda dom, kappa, alpha, n: (VnMap(int(n), dom), MkteMap(1.0, dom),
+                                               SGibbsMap(kappa, dom)),
+}
+CHAIN_NAMES = tuple(_CHAINS)
+
+
+def named_chain(name: str, domain: PiecewiseDomain, kappa: float, alpha: float = 1.0,
+                n: int | None = None) -> MapChain:
+    """Map chain by name: the identity, a single stretch or shift, or GRASPA.
+
+    ``kappa`` is the S-Gibbs shift and ``alpha`` the stretch parameter of
+    ``kte``/``mkte``; graspa+vn prepends the even-split node correction and
+    needs the degree ``n``.
+    """
+    if name not in CHAIN_NAMES:
+        raise ValueError(f"unknown map {name!r}; expected one of {CHAIN_NAMES}")
+    if name == "graspa+vn" and n is None:
+        raise ValueError("graspa+vn requires the degree n")
+    return MapChain(_CHAINS[name](domain, kappa, alpha, n))
 
 
 def sgibbs_chain(kappa: float, domain: PiecewiseDomain) -> MapChain:
-    return MapChain((SGibbsMap(kappa, domain),))
+    return named_chain("sgibbs", domain, kappa)
 
 
 def mkte_chain(alpha: float, domain: PiecewiseDomain) -> MapChain:
-    return MapChain((MkteMap(alpha, domain),))
+    return named_chain("mkte", domain, None, alpha)
 
 
 def graspa_chain(kappa: float, domain: PiecewiseDomain, with_vn: bool = False,
                  n: int | None = None) -> MapChain:
     """S-Gibbs shift after MKTE(1), optionally preceded by the node correction."""
-    atoms: tuple = (MkteMap(1.0, domain), SGibbsMap(kappa, domain))
-    if with_vn:
-        if n is None:
-            raise ValueError("with_vn requires the degree n")
-        atoms = (VnMap(int(n), domain),) + atoms
-    return MapChain(atoms)
+    return named_chain("graspa+vn" if with_vn else "graspa", domain, kappa, n=n)
+
+
+def graspa_map(kappa: float, domain: PiecewiseDomain, x, with_vn: bool = False,
+               n: int | None = None):
+    """GRASPA map of x: :func:`graspa_chain` applied to x.
+
+    With ``with_vn`` the node-correction map is applied first (requires the
+    degree ``n`` and the correction's supported domain).
+    """
+    return graspa_chain(kappa, domain, with_vn, n)(x)

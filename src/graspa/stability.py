@@ -47,8 +47,6 @@ class StabilityReport:
     grid: np.ndarray
     lebesgue_values: np.ndarray
     lebesgue_constant: float
-    predicted_limit: float | None = None
-    method: str = "mapped-barycentric"
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +123,23 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
     return np.unique(np.concatenate(pieces))
 
 
+# the fewest points a grid may resolve to for a Lebesgue-constant maximum
+_MIN_GRID_POINTS = 1000
+
+
+def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec) -> np.ndarray:
+    """:func:`lebesgue_grid`, refused when too coarse for a Lebesgue constant."""
+    grid = lebesgue_grid(domain, nodes, grid_spec)
+    if grid.size < _MIN_GRID_POINTS:
+        raise ValueError(f"grid resolves to {grid.size} points; "
+                         f"need at least {_MIN_GRID_POINTS}")
+    return grid
+
+
 def lebesgue_constant(nodes, chain: MapChain | None, domain: PiecewiseDomain,
                       grid_spec="auto") -> StabilityReport:
     """Maximum of the mapped Lebesgue function over a dense grid."""
-    grid = lebesgue_grid(domain, nodes, grid_spec)
-    if grid.size < 1000:
-        raise ValueError(f"grid resolves to {grid.size} points; need at least 1000")
+    grid = _constant_grid(domain, nodes, grid_spec)
     vals = lebesgue_function(nodes, chain, grid)
     grid.setflags(write=False)
     vals.setflags(write=False)

@@ -119,11 +119,13 @@ def test_experiment_json_config(tmp_path):
            "lebesgue_grid": "auto"}
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["experiment", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    assert main(["experiment", str(cfg_path), "--svg",
+                 "--out-dir", str(tmp_path)]) == 0
     header, rows = read_csv(tmp_path / "sweep.csv")
     assert header == ["n", "rmae_classical", "rmae_graspa",
                       "lambda_classical", "lambda_graspa"]
     assert len(rows) == 2
+    assert (tmp_path / "sweep.svg").read_text().startswith("<svg")
 
 
 def test_experiment_numerical_failure_exits_3(tmp_path):
@@ -131,16 +133,36 @@ def test_experiment_numerical_failure_exits_3(tmp_path):
            "kappa": 1e300}
     cfg_path = tmp_path / "collapse.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["experiment", str(cfg_path), "--out-dir", str(tmp_path)]) == 3
+    assert main(["experiment", str(cfg_path), "--svg",
+                 "--out-dir", str(tmp_path)]) == 3
     header, rows = read_csv(tmp_path / "collapse.csv")
     assert all(np.isnan(v) for row in rows for v in row[1:])
+    assert not (tmp_path / "collapse.svg").exists()
 
 
 def test_experiment_rejects_bad_target(tmp_path):
     assert main(["experiment", "fig99", "--out-dir", str(tmp_path)]) == 2
     bad = tmp_path / "bad.json"
-    bad.write_text('{"function": "f1", "unknown_key": 1}')
-    assert main(["experiment", str(bad), "--out-dir", str(tmp_path)]) == 2
+    for text in ('{"function": "f1", "unknown_key": 1}', '{"n": 5}', '{"cuts": 0.0}',
+                 '{"kappa": null}', '{"n": [5.7]}', '{"n": [true]}', '[]',
+                 '{"methods": "graspa"}', '{"rmae_grid": null}'):
+        bad.write_text(text)
+        assert main(["experiment", str(bad), "--out-dir", str(tmp_path)]) == 2, text
+        assert not (tmp_path / "bad.csv").exists()
+
+
+def test_experiment_coarse_lebesgue_grid_exits_2(tmp_path, capsys):
+    # a per-subinterval count that resolves below the 1000-point floor is a
+    # config error, not a numerical failure of the cells; 480 per side passes
+    # at degree 51 (1010 points) but not at 11 (969), so the check must use
+    # the smallest degree, not the first
+    cfg_path = tmp_path / "coarse.json"
+    for text in ('{"function": "f1", "n": [11], "lebesgue_grid": 300}',
+                 '{"function": "f1", "n": [51, 11], "lebesgue_grid": 480}'):
+        cfg_path.write_text(text)
+        assert main(["experiment", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        assert "need at least 1000" in capsys.readouterr().err
+        assert not (tmp_path / "coarse.csv").exists()
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

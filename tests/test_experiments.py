@@ -68,6 +68,14 @@ def test_config_validation():
         ExperimentConfig(methods=("classical", "resample"))
     with pytest.raises(ValueError):
         ExperimentConfig(n_values=(0,))
+    for bad in ({"n_values": 5}, {"n_values": (5.7,)}, {"n_values": (True,)},
+                {"cuts": 0.0}, {"kappa": None}, {"kappa": True},
+                {"methods": "graspa"}, {"rmae_grid": 33.5}, {"lebesgue_grid": "x"}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+    cfg = ExperimentConfig(n_values=(11.0, "23"), kappa=500, lebesgue_grid="300")
+    assert cfg.n_values == (11, 23) and cfg.lebesgue_grid == 300
+    assert cfg.kappa == 500.0 and isinstance(cfg.kappa, float)
     cfg = ExperimentConfig(function="f2")
     assert cfg.cuts == (-0.5, 0.0, 0.5)
     assert cfg.n_values == (13, 29, 41)   # the 4j+1 schedule is the default
@@ -81,6 +89,8 @@ def test_config_json_roundtrip():
     assert again == cfg
     with pytest.raises(ValueError):
         ExperimentConfig.from_json_dict({"function": "f1", "grid": 10})
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_json_dict([])
 
 
 def test_vn_misuse_is_a_hard_error():

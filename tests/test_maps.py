@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from graspa import (
+    CHAIN_NAMES,
+    METHODS,
     Interval,
     KteMap,
     MapChain,
@@ -18,9 +20,13 @@ from graspa import (
     graspa_map,
     kte,
     map_from_dict,
+    method_chain,
     mkte,
+    mkte_chain,
+    named_chain,
     partition_nodes,
     sgibbs,
+    sgibbs_chain,
     vn_correction,
 )
 
@@ -206,8 +212,9 @@ def test_chain_applies_left_to_right():
 
 
 def test_chain_serialization_roundtrip():
+    named = tuple(named_chain(name, DOM1, 250.0, alpha=0.7, n=8) for name in CHAIN_NAMES)
     for chain in (MapChain(), MapChain((KteMap(0.7),)), graspa_chain(250.0, DOM3),
-                  graspa_chain(10000.0, DOM1, with_vn=True, n=8)):
+                  graspa_chain(10000.0, DOM1, with_vn=True, n=8)) + named:
         again = MapChain.from_dict(chain.to_dict())
         assert again == chain
         x = np.linspace(-1, 1, 17)
@@ -215,5 +222,27 @@ def test_chain_serialization_roundtrip():
 
 
 def test_map_from_dict_rejects_unknown_kind():
+    for kind in ("nope", "identity", "affine_to_reference"):
+        with pytest.raises(ValueError):
+            map_from_dict({"kind": kind})
+
+
+def test_named_chain_table():
+    assert CHAIN_NAMES == ("identity", "kte", "mkte", "sgibbs", "graspa", "graspa+vn")
     with pytest.raises(ValueError):
-        map_from_dict({"kind": "nope"})
+        named_chain("graspa+vn", DOM1, 1e4)  # needs the degree
+    with pytest.raises(ValueError):
+        named_chain("classical", DOM1, 1e4)  # a method name, not a map name
+    # the methods and the older helpers are views of the same table
+    for m in METHODS:
+        name = "identity" if m == "classical" else m
+        assert (method_chain(m, DOM1, 1e4, 8).to_dict()
+                == named_chain(name, DOM1, 1e4, n=8).to_dict())
+    assert named_chain("identity", DOM1, 1e4) == MapChain()
+    assert sgibbs_chain(1e4, DOM3) == named_chain("sgibbs", DOM3, 1e4)
+    assert mkte_chain(0.7, DOM3) == named_chain("mkte", DOM3, 1e4, alpha=0.7)
+    assert graspa_chain(1e4, DOM3) == named_chain("graspa", DOM3, 1e4)
+    assert (graspa_chain(1e4, DOM1, with_vn=True, n=8)
+            == named_chain("graspa+vn", DOM1, 1e4, n=8))
+    with pytest.raises(ValueError):
+        method_chain("resample", DOM1, 1e4)

@@ -70,6 +70,7 @@ from .stability import (
     lebesgue_constant,
     lebesgue_function,
     lebesgue_grid,
+    lebesgue_max,
     limit_lebesgue_prediction,
 )
 

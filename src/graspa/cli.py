@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .exceptions import EvaluationError
 from .experiments import DEFAULT_KAPPA, ExperimentConfig, FIGURE_IDS, FUNCTIONS, \
     METHODS, build_figure, method_chain, run_comparison, sweep_table
 from .interpolation import build_interpolant
-from .maps import CHAIN_NAMES, named_chain
+from .maps import _ALPHA_CHAINS, CHAIN_NAMES, named_chain
 from .stability import lagrange_matrix, lebesgue_constant
 from .svgplot import write_line_svg
 
@@ -76,6 +77,15 @@ def _balance_gate(nodes, domain: PiecewiseDomain, strict: bool) -> bool:
     return not strict
 
 
+def _map_chain(args, domain: PiecewiseDomain):
+    """The --map chain; an --alpha the chain would ignore is an error."""
+    if args.alpha != 1.0 and args.map not in _ALPHA_CHAINS:
+        raise ValueError(f"--alpha applies only to {' and '.join(_ALPHA_CHAINS)}; "
+                         f"the {args.map} chain does not take it (GRASPA fixes "
+                         "alpha = 1)")
+    return named_chain(args.map, domain, args.kappa, args.alpha, args.n)
+
+
 def _cmd_nodes(args) -> int:
     interval = _parse_interval(args.interval)
     if args.kind == "equispaced":
@@ -88,7 +98,7 @@ def _cmd_nodes(args) -> int:
         domain = PiecewiseDomain(interval, _parse_cuts(args.cuts))
         if not _balance_gate(nodes, domain, args.strict):
             return 2
-        chain = named_chain(args.map, domain, args.kappa, args.alpha, args.n)
+        chain = _map_chain(args, domain)
         header.append("mapped")
         cols.append(np.asarray(chain(nodes.nodes)))
     path = _out_dir(args) / "nodes.csv"
@@ -100,7 +110,7 @@ def _cmd_nodes(args) -> int:
 def _cmd_map(args) -> int:
     interval = _parse_interval(args.interval)
     domain = PiecewiseDomain(interval, _parse_cuts(args.cuts))
-    chain = named_chain(args.map, domain, args.kappa, args.alpha, args.n)
+    chain = _map_chain(args, domain)
     grid = np.linspace(interval.a, interval.b, args.grid)
     path = _out_dir(args) / "map.csv"
     _write_csv(path, ["x", "mapped"], np.column_stack([grid, chain(grid)]))
@@ -202,6 +212,9 @@ def _add_common(p, *, out_dir=True):
                    help="treat balance-condition warnings as errors")
 
 
+# built once per process: parsing does not change the parser, and nothing in it
+# depends on the environment ($GRASPA_OUT_DIR is read when a command runs)
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graspa",
@@ -217,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", choices=CHAIN_NAMES, default=None)
     p.add_argument("--cuts", default=None)
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=1.0,
+                   help="stretch parameter of kte and mkte")
     _add_common(p)
     p.set_defaults(func=_cmd_nodes)
 
@@ -226,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default="-1,1")
     p.add_argument("--cuts", default=None)
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=1.0,
+                   help="stretch parameter of kte and mkte")
     p.add_argument("--n", type=int, default=None,
                    help="degree (needed by graspa+vn)")
     p.add_argument("--grid", type=int, default=100)

@@ -22,8 +22,8 @@ from .domain import Interval, PiecewiseDomain, equispaced_nodes
 from .exceptions import EvaluationError
 from .interpolation import build_interpolant
 from .maps import MapChain, named_chain
-from .stability import (_constant_grid, lebesgue_constant, lebesgue_function,
-                        lebesgue_grid, lagrange_matrix)
+from .stability import (_constant_grid, lebesgue_function, lebesgue_grid,
+                        lebesgue_max, lagrange_matrix)
 
 __all__ = [
     "DEFAULT_KAPPA",
@@ -122,8 +122,12 @@ def _integer(value, what: str) -> int:
 
 
 def _vector(value, what: str) -> tuple:
-    if np.ndim(value) != 1:
-        raise ValueError(f"{what} must be a list, got {value!r}")
+    try:
+        flat = np.ndim(value) == 1
+    except ValueError:  # numpy refuses ragged nesting such as [1, [2]]
+        flat = False
+    if not flat:
+        raise ValueError(f"{what} must be a flat list, got {value!r}")
     return tuple(value)
 
 
@@ -246,8 +250,8 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
             try:
                 approx = build_interpolant(nodes, fvals, chain)(grid)
                 err = rmae(lambda _: approx, truth, grid)
-                rep = lebesgue_constant(nodes, chain, domain, config.lebesgue_grid)
-                cells.append(CellResult(method, n, err, rep.lebesgue_constant))
+                lam = lebesgue_max(nodes, chain, domain, config.lebesgue_grid)
+                cells.append(CellResult(method, n, err, lam))
                 samples[(method, n)] = approx
             except (EvaluationError, ValueError) as exc:
                 cells.append(CellResult(method, n, float("nan"), float("nan"),

@@ -81,8 +81,9 @@ def kte(alpha: float, x):
 def sgibbs(kappa: float, domain: PiecewiseDomain, x):
     """S-Gibbs shift: adds (tau - 1) kappa on subinterval tau.
 
-    Injective for every kappa > 0 thanks to the left-closed membership rule;
-    globally increasing once kappa exceeds the interval width.
+    Strictly increasing for every kappa > 0, since x grows and the added
+    shift never falls; the images of adjacent subintervals lie kappa apart
+    at the cut (the left-closed membership rule sends the cut itself left).
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
@@ -254,6 +255,8 @@ _CHAINS = {
                                                SGibbsMap(kappa, dom)),
 }
 CHAIN_NAMES = tuple(_CHAINS)
+# the chains whose stretch takes alpha; the others do not read it
+_ALPHA_CHAINS = ("kte", "mkte")
 
 
 def named_chain(name: str, domain: PiecewiseDomain, kappa: float, alpha: float = 1.0,
@@ -261,8 +264,9 @@ def named_chain(name: str, domain: PiecewiseDomain, kappa: float, alpha: float =
     """Map chain by name: the identity, a single stretch or shift, or GRASPA.
 
     ``kappa`` is the S-Gibbs shift and ``alpha`` the stretch parameter of
-    ``kte``/``mkte``; graspa+vn prepends the even-split node correction and
-    needs the degree ``n``.
+    ``kte``/``mkte`` (the other chains do not read it; GRASPA fixes alpha =
+    1); graspa+vn prepends the even-split node correction and needs the
+    degree ``n``.
     """
     if name not in CHAIN_NAMES:
         raise ValueError(f"unknown map {name!r}; expected one of {CHAIN_NAMES}")

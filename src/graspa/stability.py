@@ -6,6 +6,20 @@ quotient terms come from the same blocked kernel, so the two paths share
 their numerical behaviour.  Evaluation points are processed in row blocks of
 about 512 KiB, so memory is O(m + block * n) for m points and n nodes; each
 per-point Lebesgue value is the same as an unblocked evaluation would give.
+
+:func:`lebesgue_max` returns the same grid maximum as :func:`lebesgue_constant`
+without evaluating every grid point.  Between two consecutive nodes the
+Lebesgue function has exactly one local maximum (Brutman, J. Inequal. Appl.
+1997), and every named chain is increasing, so the grid splits at the nodes
+into cells on which the function is unimodal; a coarse pass over each cell
+and a fine pass around its best coarse points (all within rounding error of
+the best) find the cell's maximum.  Every value it evaluates has the bits the
+dense grid gives it, so the two maxima are equal.  Where
+16 (n+1) u (lambda + 1) reaches 1 (u the unit roundoff) the computed values
+are noise on both paths: the search then looks around the best coarse point
+alone, and may pick another grid point than the dense sweep, or miss a dense
+sample that cancelled to a non-finite value.
+
 For piecewise-shifted bases the module also evaluates what the Lebesgue
 constant tends to as the shift grows without bound: per-subinterval classical
 constants for the balanced odd and equal-cardinality multi-cut splits, and
@@ -32,6 +46,7 @@ __all__ = [
     "lebesgue_function",
     "lebesgue_grid",
     "lebesgue_constant",
+    "lebesgue_max",
     "lagrange_matrix",
     "limit_lebesgue_prediction",
     "even_split_residual_sum",
@@ -125,6 +140,7 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
 
 # the fewest points a grid may resolve to for a Lebesgue-constant maximum
 _MIN_GRID_POINTS = 1000
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u, for rounding-error bounds
 
 
 def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec) -> np.ndarray:
@@ -145,6 +161,67 @@ def lebesgue_constant(nodes, chain: MapChain | None, domain: PiecewiseDomain,
     vals.setflags(write=False)
     return StabilityReport(grid=grid, lebesgue_values=vals,
                            lebesgue_constant=float(vals.max()))
+
+
+def lebesgue_max(nodes, chain: MapChain | None, domain: PiecewiseDomain,
+                 grid_spec="auto") -> float:
+    """``lebesgue_constant(...).lebesgue_constant`` without the dense sweep.
+
+    The maximum over the same grid, found by searching each cell between
+    consecutive nodes in two passes instead of evaluating every point (see
+    the module docstring); the same bits wherever lambda has a correct digit.
+    """
+    return _cell_search_max(nodes, chain, _constant_grid(domain, nodes, grid_spec))
+
+
+def _cell_search_max(nodes, chain: MapChain | None, grid: np.ndarray) -> float:
+    """Largest Lebesgue-function value over the sorted grid, found cell by cell.
+
+    The nodes split the grid into cells, a point equal to a node closing the
+    cell on its left.  An increasing chain maps each cell between two
+    consecutive mapped nodes, where the Lebesgue function is unimodal (a cell
+    that spans a cut maps to both sides of the shift's jump, still in order).
+    Stage 1 evaluates every k-th point of each cell and its last point; the
+    cell's maximum then lies within k points of its best stage-1 point, which
+    stage 2 evaluates, with k = ceil(sqrt(largest cell / 2)) balancing the
+    two stages.  Rounding error eps can make the computed values of a
+    flat-topped cell rise and fall more than once, so stage 2 covers every
+    stage-1 point within 4 eps of its cell's best: one of them lies within k
+    points of the computed maximum.  Where 4 eps reaches lambda itself no
+    digit is right, and only the dense grid would reproduce its noise; such a
+    cell gets the window of its best point alone.  Cell ends are always
+    evaluated: each |w_j / (s - s_j)| is convex on a cell, so a term that
+    overflows somewhere on it overflows at an end, and the dense grid's
+    EvaluationError still fires.  If the chain does not keep the nodes in
+    order, every point is evaluated.
+    """
+    x = _node_array(nodes)
+    _, order = _node_images(x, chain)
+    if np.any(order != np.arange(order.size)):
+        return float(lebesgue_function(x, chain, grid).max())
+    cell = np.searchsorted(x, grid, side="left")
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    sizes = np.diff(starts, append=grid.size)
+    ends = starts + sizes
+    k = int(np.ceil(np.sqrt(sizes.max() / 2.0)))
+    owner = np.repeat(np.arange(starts.size), sizes)
+    coarse = (np.arange(grid.size) - starts[owner]) % k == 0
+    coarse[ends - 1] = True
+    first = np.flatnonzero(coarse)
+    lam = lebesgue_function(x, chain, grid[first])
+    # |computed - exact| <= eps = 4 (n+1) u lambda (lambda + 1) to first
+    # order: the sums and quotients, and the weights' own rounding
+    best = np.maximum.reduceat(lam, np.searchsorted(first, starts))
+    with np.errstate(over="ignore"):
+        four_eps = 16.0 * x.size * _UNIT_ROUNDOFF * best * (best + 1.0)
+    four_eps[four_eps >= best] = 0.0  # no correct digit: the best point alone
+    near = first[lam >= (best - four_eps)[owner[first]]]
+    window = np.zeros(grid.size + 1, dtype=np.intp)
+    np.add.at(window, np.maximum(near - k, starts[owner[near]]), 1)
+    np.add.at(window, np.minimum(near + k, ends[owner[near]] - 1) + 1, -1)
+    second = np.flatnonzero((np.cumsum(window[:-1]) > 0) & ~coarse)
+    lam2 = lebesgue_function(x, chain, grid[second])
+    return float(max(lam.max(), lam2.max(initial=-np.inf)))
 
 
 def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
@@ -203,7 +280,7 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
 def _classical_max(part: np.ndarray, grid: np.ndarray) -> float:
     if grid.size == 0:
         raise ValueError("empty subinterval grid")
-    return float(np.max(lebesgue_function(NodeSet(part), None, grid)))
+    return _cell_search_max(part, None, grid)
 
 
 def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,

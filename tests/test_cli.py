@@ -145,7 +145,7 @@ def test_experiment_rejects_bad_target(tmp_path):
     bad = tmp_path / "bad.json"
     for text in ('{"function": "f1", "unknown_key": 1}', '{"n": 5}', '{"cuts": 0.0}',
                  '{"kappa": null}', '{"n": [5.7]}', '{"n": [true]}', '[]',
-                 '{"methods": "graspa"}', '{"rmae_grid": null}'):
+                 '{"methods": "graspa"}', '{"rmae_grid": null}', '{"n": [1, [2]]}'):
         bad.write_text(text)
         assert main(["experiment", str(bad), "--out-dir", str(tmp_path)]) == 2, text
         assert not (tmp_path / "bad.csv").exists()
@@ -169,6 +169,29 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("GRASPA_OUT_DIR", str(tmp_path))
     assert main(["nodes", "--n", "2"]) == 0
     assert (tmp_path / "nodes.csv").exists()
+
+
+def test_out_dir_env_var_read_on_every_call(tmp_path, monkeypatch):
+    # the parser is built once per process; the environment is not baked in
+    for sub in ("a", "b"):
+        monkeypatch.setenv("GRASPA_OUT_DIR", str(tmp_path / sub))
+        assert main(["nodes", "--n", "2"]) == 0
+        assert (tmp_path / sub / "nodes.csv").exists()
+
+
+def test_alpha_refused_where_the_chain_ignores_it(tmp_path, capsys):
+    for argv in (["map", "--map", "graspa", "--cuts", "0"],
+                 ["map", "--map", "graspa+vn", "--cuts", "0", "--n", "10"],
+                 ["map", "--map", "sgibbs", "--cuts", "0"],
+                 ["nodes", "--n", "9", "--map", "graspa", "--cuts", "0"]):
+        assert main(argv + ["--alpha", "0.5", "--out-dir", str(tmp_path)]) == 2, argv
+        assert "--alpha" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main(argv + ["--alpha", "1", "--out-dir", str(tmp_path)]) == 0, argv
+        for path in tmp_path.iterdir():
+            path.unlink()
+    assert main(["map", "--map", "mkte", "--cuts", "0", "--alpha", "0.5",
+                 "--out-dir", str(tmp_path)]) == 0
 
 
 def test_floats_roundtrip_through_csv(tmp_path):

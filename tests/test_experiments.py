@@ -73,6 +73,8 @@ def test_config_validation():
                 {"methods": "graspa"}, {"rmae_grid": 33.5}, {"lebesgue_grid": "x"}):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    with pytest.raises(ValueError, match="^n must be a flat list"):
+        ExperimentConfig(n_values=[1, [2]])  # ragged: numpy's own text named no key
     cfg = ExperimentConfig(n_values=(11.0, "23"), kappa=500, lebesgue_grid="300")
     assert cfg.n_values == (11, 23) and cfg.lebesgue_grid == 300
     assert cfg.kappa == 500.0 and isinstance(cfg.kappa, float)

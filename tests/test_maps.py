@@ -29,6 +29,7 @@ from graspa import (
     sgibbs_chain,
     vn_correction,
 )
+from graspa.maps import _ALPHA_CHAINS
 
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
 DOM3 = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
@@ -246,3 +247,13 @@ def test_named_chain_table():
             == named_chain("graspa+vn", DOM1, 1e4, n=8))
     with pytest.raises(ValueError):
         method_chain("resample", DOM1, 1e4)
+
+
+def test_only_the_alpha_chains_read_alpha():
+    # the CLI refuses --alpha != 1 outside _ALPHA_CHAINS, so the table and
+    # the list must agree
+    assert set(_ALPHA_CHAINS) <= set(CHAIN_NAMES)
+    for name in CHAIN_NAMES:
+        moved = (named_chain(name, DOM1, 1e4, alpha=0.5, n=8)
+                 != named_chain(name, DOM1, 1e4, alpha=1.0, n=8))
+        assert moved == (name in _ALPHA_CHAINS), name

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from graspa import (
+    CHAIN_NAMES,
     Interval,
     MapChain,
     NodeSet,
@@ -18,11 +19,13 @@ from graspa import (
     lebesgue_constant,
     lebesgue_function,
     lebesgue_grid,
+    lebesgue_max,
     limit_lebesgue_prediction,
+    named_chain,
     partition_nodes,
     sgibbs_chain,
 )
-from graspa.exceptions import PredictionUnavailableError
+from graspa.exceptions import EvaluationError, PredictionUnavailableError
 
 DOM0 = PiecewiseDomain(Interval(-1, 1))
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
@@ -108,6 +111,94 @@ def test_mapped_equals_classical_of_mapped_data():
                                                    np.asarray(chain(rep.grid)))))
         assert abs(rep.lebesgue_constant - classical) <= 1e-12 * rep.lebesgue_constant
         count += 1
+
+
+def _outcome(compute):
+    """The computed value, or the type of the error it raised."""
+    try:
+        return compute()
+    except (EvaluationError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lebesgue_max_matches_dense_grid(data):
+    name = data.draw(st.sampled_from(CHAIN_NAMES))
+    n = data.draw(st.integers(2, 120))
+    if name == "graspa+vn":
+        n = max(4, n - n % 2)
+        dom = DOM1
+    else:
+        cuts = data.draw(st.lists(st.floats(-0.9, 0.9), max_size=3, unique=True))
+        dom = PiecewiseDomain(Interval(-1, 1), tuple(sorted(cuts)))
+    if data.draw(st.booleans()):
+        nodes = equispaced_nodes(n)
+    else:
+        nodes = bg_chebyshev_nodes(n, data.draw(st.floats(0.0, 0.5)),
+                                   data.draw(st.floats(0.0, 0.5)))
+    kappa = 10.0 ** data.draw(st.floats(-1.0, 6.0))
+    chain = named_chain(name, dom, kappa, data.draw(st.floats(0.05, 1.0)), n)
+    spec = data.draw(st.one_of(
+        st.just("auto"), st.integers(200, 3000),
+        st.integers(0, 2**32 - 1).map(
+            lambda seed: np.random.default_rng(seed).uniform(-1, 1, 2000))))
+    dense = _outcome(lambda: lebesgue_constant(nodes, chain, dom, spec).lebesgue_constant)
+    fast = _outcome(lambda: lebesgue_max(nodes, chain, dom, spec))
+    if isinstance(fast, type) or dense is ValueError:
+        assert fast is dense
+        return
+    # where (n+1) u lambda nears 1 the digits are noise on both paths: the
+    # search may pick another grid point, or miss a dense sample that
+    # cancelled to a non-finite value
+    ill = (n + 1) * fast > 1e10
+    if dense is EvaluationError:
+        assert ill, fast
+    elif ill or (n + 1) * dense > 1e10:
+        lam = max(fast, dense)
+        assert abs(fast - dense) <= 4 * np.finfo(float).eps / 2 * (n + 1) * lam * lam
+    else:
+        assert fast == dense
+
+
+def test_lebesgue_max_flat_topped_cell():
+    # no node in (0, 0.5]: its image sits on top of the wide bump between the
+    # mapped nodes 0 and 2e5 + 1, flatter than rounding error, so the
+    # computed values rise and fall several times within the cell
+    dom = PiecewiseDomain(Interval(-1, 1), (0.0, 0.5))
+    chain = sgibbs_chain(1e5, dom)
+    nodes = equispaced_nodes(2)
+    dense = lebesgue_constant(nodes, chain, dom).lebesgue_constant
+    assert lebesgue_max(nodes, chain, dom) == dense
+
+
+def test_lebesgue_max_falls_back_when_the_chain_reorders_the_nodes():
+    # x + 2 sin(20x) shuffles the mapped nodes, so a cell between two nodes
+    # maps across others and holds several maxima; a per-cell search would
+    # stop at 1039.39, and the dense grid's maximum is 1039.56
+    wave = MapChain((lambda x: np.asarray(x) + 2.0 * np.sin(20.0 * np.asarray(x)),))
+    nodes = equispaced_nodes(10)
+    assert np.any(np.diff(wave(nodes.nodes)) < 0)
+    dense = lebesgue_constant(nodes, wave, DOM0).lebesgue_constant
+    assert lebesgue_max(nodes, wave, DOM0) == dense
+
+
+def test_limit_side_constants_equal_dense_side_maxima():
+    f2_dom = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
+    two_cuts = PiecewiseDomain(Interval(-1, 1), (-1.0 / 3.0, 1.0 / 3.0))
+    cases = [(DOM1, 23), (DOM1, 50), (DOM1, 89), (f2_dom, 87), (two_cuts, 17),
+             (two_cuts, 29)]
+    for dom, n in cases:
+        nodes = equispaced_nodes(n)
+        part = partition_nodes(nodes, dom)
+        pred = limit_lebesgue_prediction(part, dom)
+        grid = lebesgue_grid(dom, nodes)
+        bp = dom.breakpoints
+        dense = tuple(
+            float(lebesgue_function(NodeSet(side), None,
+                                    grid[(grid >= bp[i]) & (grid <= bp[i + 1])]).max())
+            for i, side in enumerate(part.parts))
+        assert pred.side_constants == dense, (n, dom.cuts)
 
 
 def test_lagrange_matrix_identity_pattern():

@@ -5,7 +5,8 @@ named map on a grid), ``interp`` (one interpolation run), ``lebesgue``
 (Lebesgue function and constant), ``lagmatrix`` (absolute basis matrix), and
 ``experiment`` (figure reproduction by id, or a JSON sweep config).  All
 outputs are CSV with a header row and 17-significant-digit floats, written
-under --out-dir (default: $GRASPA_OUT_DIR or the working directory).
+under --out-dir (default: $GRASPA_OUT_DIR or the working directory) by one
+step, :func:`_write_figure_outputs`, which also prints each path.
 
 Exit codes: 0 ok, 2 invalid flags/config, 3 numerical failure.
 """
@@ -25,146 +26,30 @@ import numpy as np
 from .domain import Interval, PiecewiseDomain, bg_chebyshev_nodes, equispaced_nodes, \
     partition_nodes
 from .exceptions import EvaluationError
-from .experiments import DEFAULT_KAPPA, ExperimentConfig, FIGURE_IDS, FUNCTIONS, \
-    METHODS, build_figure, method_chain, run_comparison, sweep_table
+from .experiments import DEFAULT_KAPPA, FIGURE_IDS, FLOAT_FORMAT, FUNCTIONS, METHODS, \
+    ExperimentConfig, FigureOutput, build_figure, matrix_table, method_chain, \
+    run_comparison, sweep_table
 from .interpolation import build_interpolant
 from .maps import _ALPHA_CHAINS, CHAIN_NAMES, named_chain
-from .stability import lagrange_matrix, lebesgue_constant
+from .stability import lebesgue_constant
 from .svgplot import write_line_svg
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    """Header through the csv module (quoting as needed), then every row in one
+    ``FLOAT_FORMAT`` row format; CRLF line ends throughout, as csv writes them."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerow(list(header))
+        fh.writelines(line % tuple(row) for row in rows)
 
 
-def _out_dir(args) -> Path:
-    out = args.out_dir or os.environ.get("GRASPA_OUT_DIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _parse_cuts(text: str | None) -> tuple[float, ...]:
-    if not text:
-        return ()
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_interval(text: str) -> Interval:
-    parts = [float(tok) for tok in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"interval must be 'a,b', got {text!r}")
-    return Interval(parts[0], parts[1])
-
-
-def _balance_gate(nodes, domain: PiecewiseDomain, strict: bool) -> bool:
-    """Warn (or fail under --strict) when the per-subinterval counts are off."""
-    if not domain.cuts:
-        return True
-    part = partition_nodes(nodes, domain)
-    if part.balanced:
-        return True
-    print(f"warning: per-subinterval node counts {part.cardinalities} violate "
-          "the balance condition; the shifted basis is unstable", file=sys.stderr)
-    return not strict
-
-
-def _map_chain(args, domain: PiecewiseDomain):
-    """The --map chain; an --alpha the chain would ignore is an error."""
-    if args.alpha != 1.0 and args.map not in _ALPHA_CHAINS:
-        raise ValueError(f"--alpha applies only to {' and '.join(_ALPHA_CHAINS)}; "
-                         f"the {args.map} chain does not take it (GRASPA fixes "
-                         "alpha = 1)")
-    return named_chain(args.map, domain, args.kappa, args.alpha, args.n)
-
-
-def _cmd_nodes(args) -> int:
-    interval = _parse_interval(args.interval)
-    if args.kind == "equispaced":
-        nodes = equispaced_nodes(args.n, interval)
-    else:
-        nodes = bg_chebyshev_nodes(args.n, args.beta, args.gamma)
-    header = ["node"]
-    cols = [nodes.nodes]
-    if args.map:
-        domain = PiecewiseDomain(interval, _parse_cuts(args.cuts))
-        if not _balance_gate(nodes, domain, args.strict):
-            return 2
-        chain = _map_chain(args, domain)
-        header.append("mapped")
-        cols.append(np.asarray(chain(nodes.nodes)))
-    path = _out_dir(args) / "nodes.csv"
-    _write_csv(path, header, np.column_stack(cols))
-    print(path)
-    return 0
-
-
-def _cmd_map(args) -> int:
-    interval = _parse_interval(args.interval)
-    domain = PiecewiseDomain(interval, _parse_cuts(args.cuts))
-    chain = _map_chain(args, domain)
-    grid = np.linspace(interval.a, interval.b, args.grid)
-    path = _out_dir(args) / "map.csv"
-    _write_csv(path, ["x", "mapped"], np.column_stack([grid, chain(grid)]))
-    print(path)
-    return 0
-
-
-def _cmd_interp(args) -> int:
-    fn, default_cuts = FUNCTIONS[args.function]
-    cuts = _parse_cuts(args.cuts) if args.cuts is not None else default_cuts
-    domain = PiecewiseDomain(Interval(-1.0, 1.0), cuts)
-    nodes = equispaced_nodes(args.n)
-    if args.method != "classical" and not _balance_gate(nodes, domain, args.strict):
-        return 2
-    chain = method_chain(args.method, domain, args.kappa, args.n)
-    interp = build_interpolant(nodes, fn(nodes.nodes), chain)
-    grid = np.linspace(-1.0, 1.0, args.grid)
-    path = _out_dir(args) / "interp.csv"
-    _write_csv(path, ["x", "f", "r"], np.column_stack([grid, fn(grid), interp(grid)]))
-    print(path)
-    return 0
-
-
-def _cmd_lebesgue(args) -> int:
-    domain = PiecewiseDomain(_parse_interval(args.interval), _parse_cuts(args.cuts))
-    nodes = equispaced_nodes(args.n, domain.interval)
-    if args.method != "classical" and not _balance_gate(nodes, domain, args.strict):
-        return 2
-    chain = method_chain(args.method, domain, args.kappa, args.n)
-    spec = "auto" if args.grid == "auto" else int(args.grid)
-    report = lebesgue_constant(nodes, chain, domain, spec)
-    path = _out_dir(args) / "lebesgue.csv"
-    _write_csv(path, ["x", "lambda"],
-               np.column_stack([report.grid, report.lebesgue_values]))
-    print(path)
-    print(f"lebesgue_constant = {_fmt(report.lebesgue_constant)}")
-    return 0
-
-
-def _cmd_lagmatrix(args) -> int:
-    domain = PiecewiseDomain(_parse_interval(args.interval), _parse_cuts(args.cuts))
-    nodes = equispaced_nodes(args.n, domain.interval)
-    if args.method != "classical" and not _balance_gate(nodes, domain, args.strict):
-        return 2
-    chain = method_chain(args.method, domain, args.kappa, args.n)
-    grid = np.linspace(domain.interval.a, domain.interval.b, args.grid)
-    mat = lagrange_matrix(nodes, chain, grid)
-    path = _out_dir(args) / "lagmatrix.csv"
-    _write_csv(path, [_fmt(x) for x in grid], mat)
-    print(path)
-    return 0
-
-
-def _write_figure_outputs(outputs, out: Path, svg: bool) -> None:
+def _write_figure_outputs(args, outputs, svg: bool = False) -> None:
+    """Write each table as <name>.csv under the output directory, and as
+    <name>.svg when asked and it is a line plot; print every path written."""
+    out = Path(args.out_dir or os.environ.get("GRASPA_OUT_DIR") or ".")
+    out.mkdir(parents=True, exist_ok=True)
     for table in outputs:
         path = out / f"{table.name}.csv"
         _write_csv(path, table.header, table.rows)
@@ -179,10 +64,112 @@ def _write_figure_outputs(outputs, out: Path, svg: bool) -> None:
             print(svg_path)
 
 
+def _parse_interval(text: str) -> Interval:
+    parts = [float(tok) for tok in text.split(",")]
+    if len(parts) != 2:
+        raise ValueError(f"interval must be 'a,b', got {text!r}")
+    return Interval(parts[0], parts[1])
+
+
+def _domain(args, default_cuts=()) -> PiecewiseDomain:
+    """--interval ([-1, 1] where the command has none) cut at --cuts, or at
+    default_cuts when --cuts is not given."""
+    cuts = default_cuts if args.cuts is None else tuple(
+        float(tok) for tok in args.cuts.split(",") if tok.strip())
+    return PiecewiseDomain(_parse_interval(getattr(args, "interval", "-1,1")), cuts)
+
+
+def _balance_gate(nodes, domain: PiecewiseDomain, strict: bool) -> None:
+    """Warn (or fail under --strict) when the per-subinterval counts are off."""
+    if not domain.cuts:
+        return
+    part = partition_nodes(nodes, domain)
+    if part.balanced:
+        return
+    message = (f"per-subinterval node counts {part.cardinalities} violate the "
+               "balance condition; the shifted basis is unstable")
+    if strict:
+        raise ValueError(message)
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _map_chain(args, domain: PiecewiseDomain):
+    """The --map chain; an --alpha the chain would ignore is an error."""
+    if args.alpha != 1.0 and args.map not in _ALPHA_CHAINS:
+        raise ValueError(f"--alpha applies only to {' and '.join(_ALPHA_CHAINS)}; "
+                         f"the {args.map} chain does not take it (GRASPA fixes "
+                         "alpha = 1)")
+    return named_chain(args.map, domain, args.kappa, args.alpha, args.n)
+
+
+def _method_setup(args, domain: PiecewiseDomain):
+    """Equispaced nodes on the domain and the --method chain; every mapped
+    method passes the balance gate first."""
+    nodes = equispaced_nodes(args.n, domain.interval)
+    if args.method != "classical":
+        _balance_gate(nodes, domain, args.strict)
+    return nodes, method_chain(args.method, domain, args.kappa, args.n)
+
+
+def _cmd_nodes(args) -> int:
+    interval = _parse_interval(args.interval)
+    if args.kind == "equispaced":
+        nodes = equispaced_nodes(args.n, interval)
+    else:
+        nodes = bg_chebyshev_nodes(args.n, args.beta, args.gamma)
+    header = ["node"]
+    cols = [nodes.nodes]
+    if args.map:
+        domain = _domain(args)
+        _balance_gate(nodes, domain, args.strict)
+        header.append("mapped")
+        cols.append(np.asarray(_map_chain(args, domain)(nodes.nodes)))
+    rows = np.column_stack(cols)
+    _write_figure_outputs(args, (FigureOutput("nodes", tuple(header), rows),))
+    return 0
+
+
+def _cmd_map(args) -> int:
+    domain = _domain(args)
+    chain = _map_chain(args, domain)
+    grid = np.linspace(domain.interval.a, domain.interval.b, args.grid)
+    rows = np.column_stack([grid, chain(grid)])
+    _write_figure_outputs(args, (FigureOutput("map", ("x", "mapped"), rows),))
+    return 0
+
+
+def _cmd_interp(args) -> int:
+    fn, default_cuts = FUNCTIONS[args.function]
+    nodes, chain = _method_setup(args, _domain(args, default_cuts))
+    interp = build_interpolant(nodes, fn(nodes.nodes), chain)
+    grid = np.linspace(-1.0, 1.0, args.grid)
+    rows = np.column_stack([grid, fn(grid), interp(grid)])
+    _write_figure_outputs(args, (FigureOutput("interp", ("x", "f", "r"), rows),))
+    return 0
+
+
+def _cmd_lebesgue(args) -> int:
+    domain = _domain(args)
+    nodes, chain = _method_setup(args, domain)
+    spec = "auto" if args.grid == "auto" else int(args.grid)
+    report = lebesgue_constant(nodes, chain, domain, spec)
+    rows = np.column_stack([report.grid, report.lebesgue_values])
+    _write_figure_outputs(args, (FigureOutput("lebesgue", ("x", "lambda"), rows),))
+    print(f"lebesgue_constant = {FLOAT_FORMAT % report.lebesgue_constant}")
+    return 0
+
+
+def _cmd_lagmatrix(args) -> int:
+    domain = _domain(args)
+    nodes, chain = _method_setup(args, domain)
+    grid = np.linspace(domain.interval.a, domain.interval.b, args.grid)
+    _write_figure_outputs(args, (matrix_table("lagmatrix", nodes, chain, grid),))
+    return 0
+
+
 def _cmd_experiment(args) -> int:
-    out = _out_dir(args)
     if args.target in FIGURE_IDS:
-        _write_figure_outputs(build_figure(args.target), out, args.svg)
+        _write_figure_outputs(args, build_figure(args.target), args.svg)
         return 0
     cfg_path = Path(args.target)
     if not cfg_path.is_file():
@@ -195,8 +182,8 @@ def _cmd_experiment(args) -> int:
     flagged = sum(not c.ok for c in result.cells)
     failed = flagged * 2 > len(result.cells)
     # a mostly-NaN sweep has nothing to plot: its CSV is still written
-    _write_figure_outputs((sweep_table(cfg_path.stem, result, ("rmae", "lebesgue")),),
-                          out, args.svg and not failed)
+    table = sweep_table(cfg_path.stem, result, ("rmae", "lebesgue"))
+    _write_figure_outputs(args, (table,), args.svg and not failed)
     if failed:
         print(f"error: {flagged}/{len(result.cells)} cells overflowed",
               file=sys.stderr)
@@ -204,12 +191,27 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _add_common(p, *, out_dir=True):
-    if out_dir:
-        p.add_argument("--out-dir", default=None,
-                       help="output directory (default: $GRASPA_OUT_DIR or .)")
+def _add_domain(p, *, interval=True, cuts_help=None):
+    """The domain options: --interval (where the command takes one), --cuts
+    and the shift --kappa."""
+    if interval:
+        p.add_argument("--interval", default="-1,1")
+    p.add_argument("--cuts", default=None, help=cuts_help)
+    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+
+
+def _add_map(p, *, required: bool):
+    p.add_argument("--map", choices=CHAIN_NAMES, required=required, default=None)
+    p.add_argument("--alpha", type=float, default=1.0,
+                   help="stretch parameter of kte and mkte")
+
+
+def _add_common(p, func):
+    p.add_argument("--out-dir", default=None,
+                   help="output directory (default: $GRASPA_OUT_DIR or .)")
     p.add_argument("--strict", action="store_true",
                    help="treat balance-condition warnings as errors")
+    p.set_defaults(func=func)
 
 
 # built once per process: parsing does not change the parser, and nothing in it
@@ -224,68 +226,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nodes", help="generate a node family, optionally mapped")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("equispaced", "bgcheb"), default="equispaced")
-    p.add_argument("--interval", default="-1,1")
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--map", choices=CHAIN_NAMES, default=None)
-    p.add_argument("--cuts", default=None)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="stretch parameter of kte and mkte")
-    _add_common(p)
-    p.set_defaults(func=_cmd_nodes)
+    _add_map(p, required=False)
+    _add_domain(p)
+    _add_common(p, _cmd_nodes)
 
     p = sub.add_parser("map", help="sample a named map on a uniform grid")
-    p.add_argument("--map", choices=CHAIN_NAMES, required=True)
-    p.add_argument("--interval", default="-1,1")
-    p.add_argument("--cuts", default=None)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="stretch parameter of kte and mkte")
+    _add_map(p, required=True)
+    _add_domain(p)
     p.add_argument("--n", type=int, default=None,
                    help="degree (needed by graspa+vn)")
     p.add_argument("--grid", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=_cmd_map)
+    _add_common(p, _cmd_map)
 
     p = sub.add_parser("interp", help="interpolate a benchmark function once")
     p.add_argument("--function", choices=tuple(FUNCTIONS), default="f1")
     p.add_argument("--method", choices=METHODS, default="graspa")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cuts", default=None,
-                   help="comma list; defaults to the function's jumps")
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    _add_domain(p, interval=False,
+                cuts_help="comma list; defaults to the function's jumps")
     p.add_argument("--grid", type=int, default=332)
-    _add_common(p)
-    p.set_defaults(func=_cmd_interp)
+    _add_common(p, _cmd_interp)
 
     p = sub.add_parser("lebesgue", help="Lebesgue function and constant")
     p.add_argument("--method", choices=METHODS, default="classical")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--interval", default="-1,1")
-    p.add_argument("--cuts", default=None)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    _add_domain(p)
     p.add_argument("--grid", default="auto",
                    help="'auto' or per-subinterval point count")
-    _add_common(p)
-    p.set_defaults(func=_cmd_lebesgue)
+    _add_common(p, _cmd_lebesgue)
 
     p = sub.add_parser("lagmatrix", help="absolute mapped-basis matrix on a grid")
     p.add_argument("--method", choices=METHODS, default="graspa")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--interval", default="-1,1")
-    p.add_argument("--cuts", default=None)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    _add_domain(p)
     p.add_argument("--grid", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=_cmd_lagmatrix)
+    _add_common(p, _cmd_lagmatrix)
 
     p = sub.add_parser("experiment", help="reproduce a figure or run a JSON config")
     p.add_argument("target", help=f"figure id ({', '.join(FIGURE_IDS)}) or a "
                                   "JSON config path")
     p.add_argument("--svg", action="store_true", help="also write SVG line plots")
-    _add_common(p)
-    p.set_defaults(func=_cmd_experiment)
+    _add_common(p, _cmd_experiment)
 
     return parser
 

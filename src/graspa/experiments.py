@@ -7,7 +7,8 @@ interpolation, the bare S-Gibbs shift, and the GRASPA map with or without the
 even-split node correction, each a chain from :func:`maps.named_chain` --
 collecting the relative maximum absolute error and the Lebesgue constant for
 each cell.  :func:`sweep_table` turns a sweep into the one CSV-able table
-that both the figures and JSON-config runs write.  Everything is
+that both the figures and JSON-config runs write, and :func:`matrix_table`
+is the basis-matrix table of both fig4 and ``graspa lagmatrix``.  Everything is
 deterministic.
 """
 
@@ -40,7 +41,9 @@ __all__ = [
     "run_comparison",
     "FigureOutput",
     "FIGURE_IDS",
+    "FLOAT_FORMAT",
     "sweep_table",
+    "matrix_table",
     "build_figure",
 ]
 
@@ -274,14 +277,13 @@ class FigureOutput:
     logy: bool = False
 
 
+FLOAT_FORMAT = "%.17g"  # every float written: 17 significant digits round-trip
+
 ODD_SWEEP = tuple(range(11, 52, 4))
 EVEN_SWEEP = tuple(range(8, 49, 4))
 F2_SWEEP = tuple(range(13, 50, 4))
 F2_LONG_SWEEP = tuple(range(13, 90, 4))
 MATRIX_GRID_SIZE = 100
-
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig3bis", "fig4", "fig5", "fig6", "fig7",
-              "fig8", "fig8bis", "fig9")
 
 _COLUMN_TAG = {"classical": "classical", "sgibbs": "sgibbs", "graspa": "graspa",
                "graspa+vn": "graspa_vn"}
@@ -318,6 +320,13 @@ def sweep_table(name: str, result: ExperimentResult, fields) -> FigureOutput:
     return FigureOutput(name, tuple(header), np.column_stack(cols), logy=True)
 
 
+def matrix_table(name: str, nodes, chain: MapChain | None, grid) -> FigureOutput:
+    """|l_i(x_j)| (see :func:`stability.lagrange_matrix`): one row per node,
+    one column per grid point, headed by that point."""
+    return FigureOutput(name, tuple(FLOAT_FORMAT % x for x in grid),
+                        lagrange_matrix(nodes, chain, grid), kind="matrix")
+
+
 def _sweep_figure(name, function, n_list, methods, fields):
     config = ExperimentConfig(function=function, n_values=tuple(n_list),
                               methods=tuple(methods))
@@ -333,15 +342,34 @@ def _interpolant_table(name, function, n, methods):
     return FigureOutput(name, tuple(header), np.column_stack(cols))
 
 
-def _matrix_table(name, function, n, method):
-    fn, cuts = FUNCTIONS[function]
-    domain = PiecewiseDomain(Interval(-1.0, 1.0), cuts)
-    nodes = equispaced_nodes(n)
-    grid = np.linspace(-1.0, 1.0, MATRIX_GRID_SIZE)
-    chain = method_chain(method, domain, DEFAULT_KAPPA, n)
-    mat = lagrange_matrix(nodes, chain, grid)
-    header = tuple(format(x, ".17g") for x in grid)
-    return FigureOutput(name, header, mat, kind="matrix")
+def _matrix_figure(name, function, n, method):
+    domain = PiecewiseDomain(Interval(-1.0, 1.0), FUNCTIONS[function][1])
+    return matrix_table(name, equispaced_nodes(n),
+                        method_chain(method, domain, DEFAULT_KAPPA, n),
+                        np.linspace(-1.0, 1.0, MATRIX_GRID_SIZE))
+
+
+_THREE = ("classical", "sgibbs", "graspa")
+
+# figure id -> builder of its tables from the id (the first table's name)
+_FIGURES = {
+    "fig1": lambda name: (_lambda_function_table(name, "f1", 23, _THREE),),
+    "fig2": lambda name: (_sweep_figure(name, "f1", ODD_SWEEP, _THREE, ("lebesgue",)),),
+    "fig3": lambda name: (_interpolant_table(name, "f1", 23, _THREE),),
+    "fig3bis": lambda name: (_sweep_figure(name, "f1", ODD_SWEEP, _THREE, ("rmae",)),),
+    "fig4": lambda name: (_matrix_figure(name, "f1", 50, "graspa"),
+                          _matrix_figure(name + "_vn", "f1", 50, "graspa+vn")),
+    "fig5": lambda name: (_sweep_figure(name, "f1", EVEN_SWEEP,
+                                        ("classical", "sgibbs", "graspa+vn"),
+                                        ("lebesgue", "rmae")),),
+    "fig6": lambda name: (_lambda_function_table(name, "f2", 29, _THREE),),
+    "fig7": lambda name: (_interpolant_table(name, "f2", 29, _THREE),),
+    "fig8": lambda name: (_sweep_figure(name, "f2", F2_SWEEP, _THREE, ("lebesgue",)),),
+    "fig8bis": lambda name: (_sweep_figure(name, "f2", F2_SWEEP, _THREE, ("rmae",)),),
+    "fig9": lambda name: (_sweep_figure(name, "f2", F2_LONG_SWEEP, ("graspa",),
+                                        ("lebesgue",)),),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def build_figure(fig_id: str) -> tuple[FigureOutput, ...]:
@@ -353,31 +381,6 @@ def build_figure(fig_id: str) -> tuple[FigureOutput, ...]:
     matrices with and without the node correction.  fig9: the late
     fixed-shift divergence on the three-jump target.
     """
-    three = ("classical", "sgibbs", "graspa")
-    if fig_id == "fig1":
-        return (_lambda_function_table("fig1", "f1", 23, three),)
-    if fig_id == "fig2":
-        return (_sweep_figure("fig2", "f1", ODD_SWEEP, three, ("lebesgue",)),)
-    if fig_id == "fig3":
-        return (_interpolant_table("fig3", "f1", 23, three),)
-    if fig_id == "fig3bis":
-        return (_sweep_figure("fig3bis", "f1", ODD_SWEEP, three, ("rmae",)),)
-    if fig_id == "fig4":
-        return (_matrix_table("fig4", "f1", 50, "graspa"),
-                _matrix_table("fig4_vn", "f1", 50, "graspa+vn"))
-    if fig_id == "fig5":
-        return (_sweep_figure("fig5", "f1", EVEN_SWEEP,
-                             ("classical", "sgibbs", "graspa+vn"),
-                             ("lebesgue", "rmae")),)
-    if fig_id == "fig6":
-        return (_lambda_function_table("fig6", "f2", 29, three),)
-    if fig_id == "fig7":
-        return (_interpolant_table("fig7", "f2", 29, three),)
-    if fig_id == "fig8":
-        return (_sweep_figure("fig8", "f2", F2_SWEEP, three, ("lebesgue",)),)
-    if fig_id == "fig8bis":
-        return (_sweep_figure("fig8bis", "f2", F2_SWEEP, three, ("rmae",)),)
-    if fig_id == "fig9":
-        return (_sweep_figure("fig9", "f2", F2_LONG_SWEEP, ("graspa",),
-                             ("lebesgue",)),)
-    raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
+    if fig_id not in _FIGURES:
+        raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
+    return _FIGURES[fig_id](fig_id)

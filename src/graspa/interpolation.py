@@ -66,10 +66,12 @@ def barycentric_weights(points) -> np.ndarray:
         raise ValueError("points must be distinct")
     diff = (s[:, None] - s[None, :]) / cap
     np.fill_diagonal(diff, 1.0)
-    prod = diff.prod(axis=1)
-    if not np.all(np.isfinite(prod)) or np.any(prod == 0.0):
-        raise EvaluationError("barycentric weight products overflowed")
-    return 1.0 / prod
+    with np.errstate(over="ignore", divide="ignore"):
+        prod = diff.prod(axis=1)
+        weights = 1.0 / prod  # a subnormal product overflows here
+    if not (np.all(np.isfinite(prod)) and np.all(np.isfinite(weights))):
+        raise EvaluationError("barycentric weight products left the float range")
+    return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +134,8 @@ def _quotient_blocks(s, mapped_nodes, weights):
     (indices into mapped_nodes) list the zero differences, where a point's
     image equals a mapped node exactly -- those rows of ``t`` hold
     infinities, so callers replace them, and iterate under
-    ``np.errstate(divide="ignore", invalid="ignore")``.
+    ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``: a
+    quotient that overflows is caught by the caller's finiteness check.
     """
     m, n = s.size, mapped_nodes.size
     block = _block_rows(n)
@@ -182,7 +185,7 @@ def eval_interpolant(interp: Interpolant, x):
     s = _eval_points(x, interp.chain)
     out = np.empty(s.size)
     blocks = _quotient_blocks(s, interp.mapped_nodes, interp.weights)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for rows, t, hit_row, hit_col in blocks:
             out[rows] = (t @ interp.values) / t.sum(axis=1)
             out[hit_row] = interp.values[hit_col]

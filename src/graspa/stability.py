@@ -93,7 +93,7 @@ def lebesgue_function(nodes, chain: MapChain | None, x):
     w = barycentric_weights(s_nodes)
     s = _eval_points(x, chain)
     lam = np.empty(s.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for rows, t, hit_row, _ in _quotient_blocks(s, s_nodes, w):
             den = np.abs(t.sum(axis=1))
             lam[rows] = np.abs(t, out=t).sum(axis=1) / den
@@ -235,9 +235,9 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
         raise ValueError("grid must be a nonempty 1-D sequence")
     s_nodes, _ = _node_images(nodes, chain)
     w = barycentric_weights(s_nodes)
-    s = np.asarray(chain(g), dtype=float) if chain is not None else g
+    s = _eval_points(g, chain)
     mat = np.empty((s_nodes.size, s.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for rows, t, hit_row, hit_col in _quotient_blocks(s, s_nodes, w):
             np.divide(t, t.sum(axis=1)[:, None], out=t)
             mat[:, rows] = np.abs(t, out=t).T

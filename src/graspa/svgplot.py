@@ -9,6 +9,7 @@ __all__ = ["write_line_svg"]
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
+_CHUNK = 1024  # polyline points per format string
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
@@ -52,52 +53,58 @@ def write_line_svg(path, x, series, *, xlabel: str = "x", ylabel: str = "",
     def py(v):
         return _H - _MB - (v - ylo) / (yhi - ylo) * (_H - _MT - _MB)
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-           f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">',
-           f'<rect width="{_W}" height="{_H}" fill="white"/>']
-    # axes
-    out.append(f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
-               'stroke="black"/>')
-    out.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
-               'stroke="black"/>')
-    for t in _ticks(xlo, xhi):
-        xp = px(t)
-        out.append(f'<line x1="{xp:.2f}" y1="{_H - _MB}" x2="{xp:.2f}" '
-                   f'y2="{_H - _MB + 5}" stroke="black"/>')
-        out.append(f'<text x="{xp:.2f}" y="{_H - _MB + 18}" '
-                   f'text-anchor="middle">{t:g}</text>')
-    if logy:
-        yticks = np.arange(np.ceil(ylo), np.floor(yhi) + 1)
-        labels = [f"1e{int(t)}" for t in yticks]
-    else:
-        yticks = _ticks(ylo, yhi)
-        labels = [f"{t:g}" for t in yticks]
-    for t, lab in zip(yticks, labels):
-        yp = py(t)
-        out.append(f'<line x1="{_ML - 5}" y1="{yp:.2f}" x2="{_ML}" y2="{yp:.2f}" '
-                   'stroke="black"/>')
-        out.append(f'<text x="{_ML - 8}" y="{yp + 4:.2f}" '
-                   f'text-anchor="end">{lab}</text>')
-    # curves
-    for k, (label, sx, sy) in enumerate(prepared):
-        color = _PALETTE[k % len(_PALETTE)]
-        points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(sx, sy))
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                   f'points="{points}"/>')
-        ly = _MT + 14 + 14 * k
-        out.append(f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" '
-                   f'x2="{_W - _MR - 95}" y2="{ly - 4}" stroke="{color}" '
-                   'stroke-width="1.5"/>')
-        out.append(f'<text x="{_W - _MR - 90}" y="{ly}">{label}</text>')
-    if title:
-        out.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_MT - 10}" '
-                   f'text-anchor="middle">{title}</text>')
-    out.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 10}" '
-               f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        out.append(f'<text x="15" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
-                   f'transform="rotate(-90 15 {(_MT + _H - _MB) / 2})">'
-                   f'{ylabel}{" (log10)" if logy else ""}</text>')
-    out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+        def emit(element: str) -> None:
+            fh.write(element + "\n")
+
+        emit(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+             f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">')
+        emit(f'<rect width="{_W}" height="{_H}" fill="white"/>')
+        # axes
+        emit(f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
+             'stroke="black"/>')
+        emit(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>')
+        for t in _ticks(xlo, xhi):
+            xp = px(t)
+            emit(f'<line x1="{xp:.2f}" y1="{_H - _MB}" x2="{xp:.2f}" '
+                 f'y2="{_H - _MB + 5}" stroke="black"/>')
+            emit(f'<text x="{xp:.2f}" y="{_H - _MB + 18}" '
+                 f'text-anchor="middle">{t:g}</text>')
+        if logy:
+            yticks = np.arange(np.ceil(ylo), np.floor(yhi) + 1)
+            labels = [f"1e{int(t)}" for t in yticks]
+        else:
+            yticks = _ticks(ylo, yhi)
+            labels = [f"{t:g}" for t in yticks]
+        for t, lab in zip(yticks, labels):
+            yp = py(t)
+            emit(f'<line x1="{_ML - 5}" y1="{yp:.2f}" x2="{_ML}" y2="{yp:.2f}" '
+                 'stroke="black"/>')
+            emit(f'<text x="{_ML - 8}" y="{yp + 4:.2f}" text-anchor="end">{lab}</text>')
+        # curves: pixel coordinates as arrays, formatted _CHUNK points per
+        # format string, so a long curve never exists as one list of strings
+        for k, (label, sx, sy) in enumerate(prepared):
+            color = _PALETTE[k % len(_PALETTE)]
+            xy = np.column_stack([px(sx), py(sy)])
+            fh.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                     'points="')
+            for lo in range(0, len(xy), _CHUNK):
+                part = xy[lo:lo + _CHUNK]
+                fh.write((" " if lo else "") + " ".join(["%.2f,%.2f"] * len(part))
+                         % tuple(part.ravel().tolist()))
+            emit('"/>')
+            ly = _MT + 14 + 14 * k
+            emit(f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" '
+                 f'x2="{_W - _MR - 95}" y2="{ly - 4}" stroke="{color}" '
+                 'stroke-width="1.5"/>')
+            emit(f'<text x="{_W - _MR - 90}" y="{ly}">{label}</text>')
+        if title:
+            emit(f'<text x="{(_ML + _W - _MR) / 2}" y="{_MT - 10}" '
+                 f'text-anchor="middle">{title}</text>')
+        emit(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 10}" '
+             f'text-anchor="middle">{xlabel}</text>')
+        if ylabel:
+            emit(f'<text x="15" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
+                 f'transform="rotate(-90 15 {(_MT + _H - _MB) / 2})">'
+                 f'{ylabel}{" (log10)" if logy else ""}</text>')
+        emit("</svg>")

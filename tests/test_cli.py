@@ -1,9 +1,12 @@
+import argparse
 import csv
+import io
 import json
 
 import numpy as np
 
-from graspa.cli import main
+from graspa.cli import _write_figure_outputs, main
+from graspa.experiments import FigureOutput
 
 GOLDEN_EQUISPACED_N10 = 29.899955440644437
 
@@ -201,3 +204,24 @@ def test_floats_roundtrip_through_csv(tmp_path):
     _, rows = read_csv(tmp_path / "nodes.csv")
     np.testing.assert_array_equal([r[0] for r in rows],
                                   bg_chebyshev_nodes(7, 0.1, 0.2).nodes)
+
+
+def test_csv_bytes_match_the_csv_module_contract(tmp_path, capsys):
+    # the one output path writes what csv.writer with 17-digit fields wrote:
+    # CRLF line ends, a header field holding a comma or a quote quoted, and
+    # nan, infinities, signed zero, subnormals and the range ends as Python
+    # formats them
+    header = ("x", "a,b", 'say "hi"')
+    rows = np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1e308],
+                     [0.1, 3.0, -2.5]])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(v), ".17g") for v in row])
+    expected = buf.getvalue().encode()
+    assert b'"a,b"' in expected and expected.endswith(b"\r\n")
+    _write_figure_outputs(argparse.Namespace(out_dir=str(tmp_path)),
+                          (FigureOutput("contract", header, rows),))
+    assert (tmp_path / "contract.csv").read_bytes() == expected
+    assert capsys.readouterr().out == f"{tmp_path / 'contract.csv'}\n"

@@ -13,6 +13,7 @@ from graspa import (
     NodeSet,
     PiecewiseDomain,
     bg_chebyshev_nodes,
+    barycentric_weights,
     build_interpolant,
     equispaced_nodes,
     eval_monomial,
@@ -21,6 +22,7 @@ from graspa import (
     vandermonde_coefficients,
 )
 from graspa.exceptions import EvaluationError
+from graspa.interpolation import _node_images
 
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
 
@@ -159,3 +161,16 @@ def test_weight_overflow_control_extreme_case():
     interp = build_interpolant(nodes, np.ones(90), graspa_chain(1e4, dom))
     assert np.all(np.isfinite(interp.weights))
     assert np.all(interp.weights != 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_weight_products_raise():
+    # cut at -0.84, shift 5e4, degree 79: most capacity-scaled products are
+    # finite and nonzero but subnormal, so their reciprocals overflow to inf
+    dom = PiecewiseDomain(Interval(-1, 1), (-0.84,))
+    nodes = equispaced_nodes(79)
+    chain = graspa_chain(5e4, dom)
+    with pytest.raises(EvaluationError):
+        barycentric_weights(_node_images(nodes, chain)[0])
+    with pytest.raises(EvaluationError):
+        build_interpolant(nodes, f1(nodes.nodes), chain)

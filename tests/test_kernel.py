@@ -16,7 +16,9 @@ from graspa import (
     graspa_chain,
     lagrange_matrix,
     lebesgue_function,
+    sgibbs_chain,
 )
+from graspa.exceptions import EvaluationError
 from graspa.interpolation import _block_rows
 
 DOM_F2 = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
@@ -125,3 +127,21 @@ def test_lebesgue_memory_is_flat_in_point_count():
         tracemalloc.stop()
     # one unblocked 100000 x 90 float64 array alone would be 72 MB
     assert peak < 25e6
+
+
+def _interpolate(nodes, chain, x):
+    return eval_interpolant(build_interpolant(nodes, f2(nodes.nodes), chain), x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "evaluate", (_interpolate, lebesgue_function, lagrange_matrix),
+    ids=("eval_interpolant", "lebesgue_function", "lagrange_matrix"))
+def test_quotient_overflow_raises_without_warning(evaluate):
+    # sgibbs, cut at 0.6, shift 3.6e4, degree 89: the weights are finite, but
+    # quotients w_j / (s - s_j) overflow; that is an EvaluationError, and no
+    # RuntimeWarning escapes the kernel first
+    nodes = equispaced_nodes(89)
+    chain = sgibbs_chain(3.6e4, PiecewiseDomain(Interval(-1, 1), (0.6,)))
+    with pytest.raises(EvaluationError):
+        evaluate(nodes, chain, np.linspace(-1, 1, 332))

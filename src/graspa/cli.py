@@ -114,8 +114,15 @@ def _method_setup(args, domain: PiecewiseDomain):
 def _cmd_nodes(args) -> int:
     interval = _parse_interval(args.interval)
     if args.kind == "equispaced":
+        for flag, value in (("--beta", args.beta), ("--gamma", args.gamma)):
+            if value != 0.0:
+                raise ValueError(f"{flag} applies only to bgcheb nodes; "
+                                 "equispaced nodes do not take it")
         nodes = equispaced_nodes(args.n, interval)
     else:
+        if interval != Interval(-1.0, 1.0):
+            raise ValueError("--interval applies only to equispaced nodes; "
+                             "bgcheb nodes lie on [-1, 1]")
         nodes = bg_chebyshev_nodes(args.n, args.beta, args.gamma)
     header = ["node"]
     cols = [nodes.nodes]

@@ -22,9 +22,9 @@ import numpy as np
 from .domain import Interval, PiecewiseDomain, equispaced_nodes
 from .exceptions import EvaluationError
 from .interpolation import build_interpolant
-from .maps import MapChain, named_chain
-from .stability import (_constant_grid, lebesgue_function, lebesgue_grid,
-                        lebesgue_max, lagrange_matrix)
+from .maps import MapChain, _check_kappa, named_chain
+from .stability import (_cell_search_max, _constant_grid, lebesgue_function,
+                        lebesgue_grid, lagrange_matrix)
 
 __all__ = [
     "DEFAULT_KAPPA",
@@ -164,8 +164,7 @@ class ExperimentConfig:
             raise ValueError("all degrees must be >= 1")
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "kappa", _number(self.kappa, "kappa"))
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
+        _check_kappa(self.kappa)
         object.__setattr__(self, "methods", _vector(self.methods, "methods"))
         if not self.methods:
             raise ValueError("need at least one method")
@@ -239,21 +238,19 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
     domain = config.domain()
     grid = np.linspace(domain.interval.a, domain.interval.b, config.rmae_grid)
     truth = fn(grid)
-    # reject grids too coarse for a Lebesgue constant up front, at the smallest
-    # degree, where the grid has the fewest points
-    _constant_grid(domain, equispaced_nodes(min(config.n_values), domain.interval),
-                   config.lebesgue_grid)
     cells = []
     samples = {}
     for n in config.n_values:
         nodes = equispaced_nodes(n, domain.interval)
         fvals = fn(nodes.nodes)
+        # a grid too coarse for a Lebesgue constant is a config error, not a cell's
+        lam_grid = _constant_grid(domain, nodes, config.lebesgue_grid)
         for method in config.methods:
             chain = method_chain(method, domain, config.kappa, n)
             try:
                 approx = build_interpolant(nodes, fvals, chain)(grid)
                 err = rmae(lambda _: approx, truth, grid)
-                lam = lebesgue_max(nodes, chain, domain, config.lebesgue_grid)
+                lam = _cell_search_max(nodes, chain, lam_grid)
                 cells.append(CellResult(method, n, err, lam))
                 samples[(method, n)] = approx
             except (EvaluationError, ValueError) as exc:
@@ -334,11 +331,17 @@ def _sweep_figure(name, function, n_list, methods, fields):
 
 
 def _interpolant_table(name, function, n, methods):
-    config = ExperimentConfig(function=function, n_values=(n,),
-                              methods=tuple(methods))
-    result = run_comparison(config)
-    header = ["x", "f"] + [f"r_{_COLUMN_TAG[m]}" for m in methods]
-    cols = [result.grid, result.truth] + [result.samples[(m, n)] for m in methods]
+    fn, cuts = FUNCTIONS[function]
+    domain = PiecewiseDomain(Interval(-1.0, 1.0), cuts)
+    nodes = equispaced_nodes(n)
+    grid = np.linspace(-1.0, 1.0, RMAE_GRID_SIZE)
+    fvals = fn(nodes.nodes)
+    cols = [grid, fn(grid)]
+    header = ["x", "f"]
+    for m in methods:
+        chain = method_chain(m, domain, DEFAULT_KAPPA, n)
+        cols.append(build_interpolant(nodes, fvals, chain)(grid))
+        header.append(f"r_{_COLUMN_TAG[m]}")
     return FigureOutput(name, tuple(header), np.column_stack(cols))
 
 

@@ -49,6 +49,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
+def _check_kappa(kappa: float) -> None:
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+
+
 def _unwrap(x, out: np.ndarray):
     return float(out) if np.ndim(x) == 0 else out
 
@@ -81,12 +86,12 @@ def kte(alpha: float, x):
 def sgibbs(kappa: float, domain: PiecewiseDomain, x):
     """S-Gibbs shift: adds (tau - 1) kappa on subinterval tau.
 
-    Strictly increasing for every kappa > 0, since x grows and the added
-    shift never falls; the images of adjacent subintervals lie kappa apart
-    at the cut (the left-closed membership rule sends the cut itself left).
+    Strictly increasing for every finite kappa > 0, since x grows and the
+    added shift never falls; the images of adjacent subintervals lie kappa
+    apart at the cut (the left-closed membership rule sends the cut itself
+    left).
     """
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+    _check_kappa(kappa)
     xs = np.asarray(x, dtype=float)
     tau = np.asarray(domain.subinterval_index(xs), dtype=float)
     return _unwrap(x, xs + (tau - 1.0) * kappa)
@@ -167,8 +172,7 @@ class SGibbsMap:
     domain: PiecewiseDomain
 
     def __post_init__(self) -> None:
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
+        _check_kappa(self.kappa)
 
     def __call__(self, x):
         return sgibbs(self.kappa, self.domain, x)

@@ -23,7 +23,10 @@ sample that cancelled to a non-finite value.
 For piecewise-shifted bases the module also evaluates what the Lebesgue
 constant tends to as the shift grows without bound: per-subinterval classical
 constants for the balanced odd and equal-cardinality multi-cut splits, and
-the residual-augmented maximum for the even split.  Those predictions come
+the residual-augmented maximum for the even split.  The even split's residual
+sum takes the left set's weights from :func:`barycentric_weights`, the one
+capacity-scaled product, and divides the right set's nodal polynomial by the
+same capacity, a quarter of the left set's span.  Those predictions come
 from closed forms; brute-force large-shift evaluation is only ever a test
 oracle.
 """
@@ -196,9 +199,11 @@ def _cell_search_max(nodes, chain: MapChain | None, grid: np.ndarray) -> float:
     order, every point is evaluated.
     """
     x = _node_array(nodes)
-    _, order = _node_images(x, chain)
+    # the chain maps the nodes once, here; each stage maps only its points,
+    # and their unmapped copy is freed before the kernel runs
+    s_nodes, order = _node_images(x, chain)
     if np.any(order != np.arange(order.size)):
-        return float(lebesgue_function(x, chain, grid).max())
+        return float(lebesgue_function(s_nodes, None, _eval_points(grid, chain)).max())
     cell = np.searchsorted(x, grid, side="left")
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
     sizes = np.diff(starts, append=grid.size)
@@ -208,7 +213,7 @@ def _cell_search_max(nodes, chain: MapChain | None, grid: np.ndarray) -> float:
     coarse = (np.arange(grid.size) - starts[owner]) % k == 0
     coarse[ends - 1] = True
     first = np.flatnonzero(coarse)
-    lam = lebesgue_function(x, chain, grid[first])
+    lam = lebesgue_function(s_nodes, None, _eval_points(grid[first], chain))
     # |computed - exact| <= eps = 4 (n+1) u lambda (lambda + 1) to first
     # order: the sums and quotients, and the weights' own rounding
     best = np.maximum.reduceat(lam, np.searchsorted(first, starts))
@@ -220,7 +225,7 @@ def _cell_search_max(nodes, chain: MapChain | None, grid: np.ndarray) -> float:
     np.add.at(window, np.maximum(near - k, starts[owner[near]]), 1)
     np.add.at(window, np.minimum(near + k, ends[owner[near]] - 1) + 1, -1)
     second = np.flatnonzero((np.cumsum(window[:-1]) > 0) & ~coarse)
-    lam2 = lebesgue_function(x, chain, grid[second])
+    lam2 = lebesgue_function(s_nodes, None, _eval_points(grid[second], chain))
     return float(max(lam.max(), lam2.max(initial=-np.inf)))
 
 
@@ -251,10 +256,12 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
 def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     """sum_i |r_i(x)| for the even split: |left| = |right| + 1.
 
-    Each r_i is the nodal polynomial over the right node set times the i-th
-    barycentric weight of the left set, so the sum factorizes.  Both products
-    are scaled by the same capacity constant, which cancels because the factor
-    counts match.
+    Each r_i is the nodal polynomial omega over the right node set times the
+    i-th barycentric weight of the left set, so the sum factorizes.  The left
+    weights come from :func:`interpolation.barycentric_weights`, scaled by the
+    left set's capacity (a quarter of its span); omega's differences are
+    divided by the same capacity, which cancels because the factor counts
+    match.
     """
     x1 = np.asarray(left_nodes, dtype=float)
     x2 = np.asarray(right_nodes, dtype=float)
@@ -263,15 +270,11 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
             f"even split needs |left| = |right| + 1, got {x1.size} and {x2.size}"
         )
     pts = np.atleast_1d(np.asarray(x, dtype=float))
-    cap = (max(x1.max(), x2.max()) - min(x1.min(), x2.min())) / 4.0
-    diff = (x1[:, None] - x1[None, :]) / cap
-    np.fill_diagonal(diff, 1.0)
-    prod = diff.prod(axis=1)
-    if not np.all(np.isfinite(prod)) or np.any(prod == 0.0):
-        raise EvaluationError("residual weight products overflowed")
-    weight_sum = np.abs(1.0 / prod).sum()
-    omega = np.prod((pts[:, None] - x2[None, :]) / cap, axis=1)
-    out = np.abs(omega) * weight_sum
+    cap = (x1.max() - x1.min()) / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight_sum = np.abs(barycentric_weights(x1)).sum()
+        omega = np.prod((pts[:, None] - x2[None, :]) / cap, axis=1)
+        out = np.abs(omega) * weight_sum
     if not np.all(np.isfinite(out)):
         raise EvaluationError("residual sum evaluation lost finiteness")
     return out

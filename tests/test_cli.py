@@ -4,6 +4,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from graspa.cli import _write_figure_outputs, main
 from graspa.experiments import FigureOutput
@@ -148,7 +149,8 @@ def test_experiment_rejects_bad_target(tmp_path):
     bad = tmp_path / "bad.json"
     for text in ('{"function": "f1", "unknown_key": 1}', '{"n": 5}', '{"cuts": 0.0}',
                  '{"kappa": null}', '{"n": [5.7]}', '{"n": [true]}', '[]',
-                 '{"methods": "graspa"}', '{"rmae_grid": null}', '{"n": [1, [2]]}'):
+                 '{"methods": "graspa"}', '{"rmae_grid": null}', '{"n": [1, [2]]}',
+                 '{"kappa": "inf"}', '{"kappa": Infinity}'):
         bad.write_text(text)
         assert main(["experiment", str(bad), "--out-dir", str(tmp_path)]) == 2, text
         assert not (tmp_path / "bad.csv").exists()
@@ -157,8 +159,8 @@ def test_experiment_rejects_bad_target(tmp_path):
 def test_experiment_coarse_lebesgue_grid_exits_2(tmp_path, capsys):
     # a per-subinterval count that resolves below the 1000-point floor is a
     # config error, not a numerical failure of the cells; 480 per side passes
-    # at degree 51 (1010 points) but not at 11 (969), so the check must use
-    # the smallest degree, not the first
+    # at degree 51 (1010 points) but not at 11 (969), so every degree's grid
+    # is checked, not only the first one's
     cfg_path = tmp_path / "coarse.json"
     for text in ('{"function": "f1", "n": [11], "lebesgue_grid": 300}',
                  '{"function": "f1", "n": [51, 11], "lebesgue_grid": 480}'):
@@ -166,6 +168,37 @@ def test_experiment_coarse_lebesgue_grid_exits_2(tmp_path, capsys):
         assert main(["experiment", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
         assert "need at least 1000" in capsys.readouterr().err
         assert not (tmp_path / "coarse.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--kind", "bgcheb", "--interval", "0,2"], "--interval"),
+    (["--kind", "bgcheb", "--interval=-1,2", "--map", "sgibbs", "--cuts", "0"],
+     "--interval"),
+    (["--beta", "0.1"], "--beta"),
+    (["--kind", "equispaced", "--gamma", "0.1"], "--gamma"),
+])
+def test_nodes_refuses_options_its_family_ignores(tmp_path, capsys, argv, flag):
+    assert main(["nodes", "--n", "8"] + argv + ["--out-dir", str(tmp_path)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "nodes.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "bgcheb", "--beta", "0.1", "--gamma", "0.1"],
+    ["--kind", "bgcheb", "--interval=-1.0,1"],  # [-1, 1], however spelled
+])
+def test_nodes_accepts_the_options_its_family_takes(tmp_path, argv):
+    assert main(["nodes", "--n", "8"] + argv + ["--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "--map", "sgibbs", "--cuts", "0"],
+    ["interp", "--n", "11"],
+    ["nodes", "--n", "11", "--map", "graspa", "--cuts", "0"],
+])
+def test_infinite_kappa_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--kappa", "inf", "--out-dir", str(tmp_path)]) == 2
+    assert "kappa must be positive and finite" in capsys.readouterr().err
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

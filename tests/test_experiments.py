@@ -70,6 +70,7 @@ def test_config_validation():
         ExperimentConfig(n_values=(0,))
     for bad in ({"n_values": 5}, {"n_values": (5.7,)}, {"n_values": (True,)},
                 {"cuts": 0.0}, {"kappa": None}, {"kappa": True},
+                {"kappa": float("inf")}, {"kappa": "inf"},
                 {"methods": "graspa"}, {"rmae_grid": 33.5}, {"lebesgue_grid": "x"}):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)

@@ -11,6 +11,7 @@ from graspa import (
     KteMap,
     MapChain,
     PiecewiseDomain,
+    SGibbsMap,
     VnMap,
     affine_from_reference,
     affine_to_reference,
@@ -100,8 +101,11 @@ def test_sgibbs_examples():
 
 
 def test_sgibbs_rejects_nonpositive_kappa():
-    with pytest.raises(ValueError):
-        sgibbs(0.0, DOM1, 0.3)
+    for kappa in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            sgibbs(kappa, DOM1, 0.3)
+        with pytest.raises(ValueError):
+            SGibbsMap(kappa, DOM1)
 
 
 def test_mkte_reduces_to_kte_without_cuts():

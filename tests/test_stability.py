@@ -1,5 +1,7 @@
 import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from graspa import (
     c_factor,
     delta_bound,
     equispaced_nodes,
+    even_split_residual_sum,
     graspa_chain,
     lagrange_matrix,
     lebesgue_constant,
@@ -268,6 +271,39 @@ def test_odd_case_shift_convergence_rate():
     ratios = [errs[i + 1] / errs[i] for i in range(3)]
     # first-order decay in the shift: one decade of kappa shrinks the error 10x
     assert all(0.005 <= r <= 0.2 for r in ratios), ratios
+
+
+def _exact_residual_sum(n, x):
+    """sum_i |r_i(x)| for the exact f1 even split in 40 digits: the left
+    set's absolute weights sum to 2^m / (h^m m!), with m = n/2 and h = 2/n,
+    and the right nodes are j h, j = 1..m."""
+    with mpmath.workdps(40):
+        m, h = n // 2, mpmath.mpf(2) / n
+        omega = mpmath.fprod(mpmath.mpf(x) - j * h for j in range(1, m + 1))
+        return float(abs(omega) * 2**m / (h**m * mpmath.factorial(m)))
+
+
+@pytest.mark.parametrize("n", [1600, 2000])
+def test_even_split_residual_sum_matches_mpmath(n):
+    # the left weight products pass through the subnormal range here when
+    # scaled by the whole domain's capacity; the true sums reach 1e300
+    part = partition_nodes(equispaced_nodes(n), DOM1)
+    h = 2.0 / n
+    xs = np.array([h / 2, 0.5 + h / 2])  # between nodes, away from rounding of one
+    got = even_split_residual_sum(part.parts[0], part.parts[1], xs)
+    want = [_exact_residual_sum(n, x) for x in xs]
+    # each of the ~2n factors carries O(u) from rounding and the float nodes
+    assert_allclose(got, want, rtol=4 * n * sys.float_info.epsilon / 2)
+
+
+def test_even_split_residual_sum_overflow_raises_without_warning():
+    n = 3000
+    part = partition_nodes(equispaced_nodes(n), DOM1)
+    assert _exact_residual_sum(n, 1.0 / n) > sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError):
+            even_split_residual_sum(part.parts[0], part.parts[1], [1.0 / n])
 
 
 def test_even_case_off_branch_quadratic_decay():

@@ -15,7 +15,11 @@ in ``stability``: it fills a single reused buffer of about 512 KiB one block
 of evaluation points at a time, so evaluating m points at n nodes needs
 O(m + block * n) memory rather than O(m * n).  Each row is reduced exactly as
 in the unblocked formula, so per-point Lebesgue values do not depend on the
-block size.
+block size.  A point whose image equals a mapped node exactly gives an
+infinite quotient term, so its row's result is non-finite; only after the
+loop does ``_node_hits`` compare the non-finite rows with the mapped nodes,
+and a hit returns the node's stored value (Berrut & Trefethen, SIAM Rev.
+2004).  A non-finite row that is not a hit raises EvaluationError.
 """
 
 from __future__ import annotations
@@ -125,17 +129,17 @@ def _block_rows(n: int) -> int:
 
 
 def _quotient_blocks(s, mapped_nodes, weights):
-    """Yield (rows, t, hit_row, hit_col) over blocks of the points s.
+    """Yield (rows, t) over blocks of the points s.
 
     ``t[k, j] = weights[j] / (s[rows][k] - mapped_nodes[j])``, computed in
     place in one buffer that is reused for the next block, so a caller must be
     done with ``t`` (and may overwrite it) before advancing.  ``rows`` is the
-    slice of s in the block; ``hit_row`` (indices into s) and ``hit_col``
-    (indices into mapped_nodes) list the zero differences, where a point's
-    image equals a mapped node exactly -- those rows of ``t`` hold
-    infinities, so callers replace them, and iterate under
-    ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``: a
-    quotient that overflows is caught by the caller's finiteness check.
+    slice of s in the block.  Callers iterate under
+    ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``: a point
+    whose image equals a mapped node exactly gives w_j / 0 = +-inf, since the
+    weights are finite and nonzero, and a quotient may overflow; either way
+    the row's result is non-finite, and :func:`_node_hits` sorts the two apart
+    after the loop.
     """
     m, n = s.size, mapped_nodes.size
     block = _block_rows(n)
@@ -145,11 +149,26 @@ def _quotient_blocks(s, mapped_nodes, weights):
         sr = s[rows]
         t = buf[:sr.size]
         np.subtract(sr[:, None], mapped_nodes[None, :], out=t)
-        zero = t == 0.0
-        # locating the zeros costs far more than detecting them; most blocks have none
-        hit_row, hit_col = np.nonzero(zero) if zero.any() else _NO_HITS
         np.divide(weights, t, out=t)
-        yield rows, t, lo + hit_row, hit_col
+        yield rows, t
+
+
+def _node_hits(s, finite, mapped_nodes, what: str):
+    """(rows, cols) of the points whose image s equals a mapped node exactly.
+
+    Only the points where ``finite`` is False are compared with the nodes,
+    since a node hit always makes its row non-finite; the comparison takes one
+    byte per such point and node.  ``rows`` index s and ``cols`` index
+    mapped_nodes.  Raises EvaluationError, naming ``what``, if a non-finite
+    point is not a node hit.
+    """
+    if finite.all():
+        return _NO_HITS
+    rows = np.flatnonzero(~finite)
+    hit_row, hit_col = np.nonzero(s[rows, None] == mapped_nodes)
+    if hit_row.size != rows.size:
+        raise EvaluationError(f"{what} lost finiteness")
+    return rows[hit_row], hit_col
 
 
 def build_interpolant(nodes, values, chain: MapChain | None = None) -> Interpolant:
@@ -186,11 +205,11 @@ def eval_interpolant(interp: Interpolant, x):
     out = np.empty(s.size)
     blocks = _quotient_blocks(s, interp.mapped_nodes, interp.weights)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t, hit_row, hit_col in blocks:
+        for rows, t in blocks:
             out[rows] = (t @ interp.values) / t.sum(axis=1)
-            out[hit_row] = interp.values[hit_col]
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("barycentric evaluation lost finiteness")
+    hit_row, hit_col = _node_hits(s, np.isfinite(out), interp.mapped_nodes,
+                                  "barycentric evaluation")
+    out[hit_row] = interp.values[hit_col]
     return _shaped(out, x)
 
 

@@ -72,15 +72,25 @@ def affine_from_reference(u, sub: int, domain: PiecewiseDomain):
     return _unwrap(u, lo + (hi - lo) * (us + 1.0) / 2.0)
 
 
+def _kte(alpha: float, xs: np.ndarray) -> np.ndarray:
+    half = alpha * np.pi / 2.0
+    return np.sin(half * xs) / np.sin(half)
+
+
 def kte(alpha: float, x):
     """Kosloff-Tal-Ezer stretch on [-1, 1]: odd, strictly increasing, fixes +-1.
 
     At alpha = 1 it sends equispaced points to Chebyshev-Lobatto-type points.
     """
     _check_alpha(alpha)
-    xs = np.asarray(x, dtype=float)
-    half = alpha * np.pi / 2.0
-    return _unwrap(x, np.sin(half * xs) / np.sin(half))
+    return _unwrap(x, _kte(alpha, np.asarray(x, dtype=float)))
+
+
+def _sgibbs(kappa: float, xs: np.ndarray, idx) -> np.ndarray:
+    # a shift past the float range is inf, which the chain reports as an
+    # EvaluationError; no overflow warning comes first
+    with np.errstate(over="ignore"):
+        return xs + (idx - 1.0) * kappa
 
 
 def sgibbs(kappa: float, domain: PiecewiseDomain, x):
@@ -93,34 +103,36 @@ def sgibbs(kappa: float, domain: PiecewiseDomain, x):
     """
     _check_kappa(kappa)
     xs = np.asarray(x, dtype=float)
-    tau = np.asarray(domain.subinterval_index(xs), dtype=float)
-    return _unwrap(x, xs + (tau - 1.0) * kappa)
+    return _unwrap(x, _sgibbs(kappa, xs, domain.subinterval_index(xs)))
+
+
+def _mkte(alpha: float, domain: PiecewiseDomain, xs: np.ndarray, idx) -> np.ndarray:
+    bp = np.asarray(domain.breakpoints)
+    lo = bp[idx - 1]
+    hi = bp[idx]
+    u = 2.0 * (xs - lo) / (hi - lo) - 1.0
+    v = _kte(alpha, np.minimum(np.maximum(u, -1.0), 1.0))
+    y = lo + (hi - lo) * (v + 1.0) / 2.0
+    # Pin subinterval ends exactly, and keep every interior image strictly
+    # inside its half-open source cell: the sine flattens quadratically at the
+    # ends, and an image rounded onto the open left edge would flip the
+    # piecewise dispatch of any shift applied next.
+    y = np.where(u >= 1.0, hi, np.where(u <= -1.0, lo, np.minimum(np.maximum(y, lo), hi)))
+    stuck = (xs > lo) & (y <= lo)
+    if stuck.any():
+        y = np.where(stuck, np.nextafter(lo, hi), y)
+    return y
 
 
 def mkte(alpha: float, domain: PiecewiseDomain, x):
     """Piecewise KTE: G_i o M_alpha o F_i on each subinterval.
 
     Maps [a, b] onto itself; continuous, strictly increasing, and fixes a, b
-    and every cut point.
+    and every cut point.  Every point stays in its own subinterval.
     """
     _check_alpha(alpha)
     xs = np.asarray(x, dtype=float)
-    idx = np.asarray(domain.subinterval_index(xs))
-    bp = np.asarray(domain.breakpoints)
-    lo = bp[idx - 1]
-    hi = bp[idx]
-    u = 2.0 * (xs - lo) / (hi - lo) - 1.0
-    v = kte(alpha, np.clip(u, -1.0, 1.0))
-    y = lo + (hi - lo) * (np.asarray(v) + 1.0) / 2.0
-    # Pin subinterval ends exactly, and keep every interior image strictly
-    # inside its half-open source cell: the sine flattens quadratically at the
-    # ends, and an image rounded onto the open left edge would flip the
-    # piecewise dispatch of any shift applied next.
-    y = np.where(u >= 1.0, hi, np.where(u <= -1.0, lo, np.clip(y, lo, hi)))
-    stuck = (xs > lo) & (y <= lo)
-    if np.any(stuck):
-        y = np.where(stuck, np.nextafter(lo, hi), y)
-    return _unwrap(x, y)
+    return _unwrap(x, _mkte(alpha, domain, xs, domain.subinterval_index(xs)))
 
 
 def vn_correction(n: int, domain: PiecewiseDomain, x):
@@ -137,20 +149,35 @@ def vn_correction(n: int, domain: PiecewiseDomain, x):
     if domain.cuts != (0.0,) or (domain.interval.a, domain.interval.b) != (-1.0, 1.0):
         raise ValueError("the node correction is defined on [-1, 1] with a single cut at 0")
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < -1.0) or np.any(xs > 1.0):
-        raise ValueError("point outside the domain")
+    return _unwrap(x, _vn(n, xs, domain.subinterval_index(xs)))
+
+
+def _vn(n: int, xs: np.ndarray, idx) -> np.ndarray:
     knee = 2.0 / n
-    out = np.where(
-        xs <= 0.0,
+    # the right side maps (0, 1] into itself, so every point keeps its subinterval
+    return np.where(
+        idx == 1,
         xs,
         np.where(xs <= knee, n * xs / (2.0 * (n - 1.0)), (n * xs - 1.0) / (n - 1.0)),
     )
-    return _unwrap(x, out)
 
 
 # ---------------------------------------------------------------------------
 # Atomic maps as data, and their composition
 # ---------------------------------------------------------------------------
+#
+# Inside a chain each piecewise atom is applied through ``_apply(xs, cells)``:
+# ``cells`` is None or a pair (domain, subinterval index of xs in it) that an
+# earlier atom left valid, and the atom returns its image together with the
+# pair that still holds for that image.  MKTE and the node correction keep
+# every point in its subinterval, so a GRASPA chain computes the index once
+# per call.
+
+def _subinterval_index(domain: PiecewiseDomain, xs: np.ndarray, cells):
+    if cells is not None and cells[0] == domain:
+        return cells[1]
+    return domain.subinterval_index(xs)
+
 
 @dataclass(frozen=True)
 class KteMap:
@@ -177,6 +204,9 @@ class SGibbsMap:
     def __call__(self, x):
         return sgibbs(self.kappa, self.domain, x)
 
+    def _apply(self, xs, cells):
+        return _sgibbs(self.kappa, xs, _subinterval_index(self.domain, xs, cells)), None
+
     def to_dict(self) -> dict:
         return {"kind": "sgibbs", "kappa": self.kappa, "domain": self.domain.to_dict()}
 
@@ -191,6 +221,10 @@ class MkteMap:
 
     def __call__(self, x):
         return mkte(self.alpha, self.domain, x)
+
+    def _apply(self, xs, cells):
+        idx = _subinterval_index(self.domain, xs, cells)
+        return _mkte(self.alpha, self.domain, xs, idx), (self.domain, idx)
 
     def to_dict(self) -> dict:
         return {"kind": "mkte", "alpha": self.alpha, "domain": self.domain.to_dict()}
@@ -207,21 +241,37 @@ class VnMap:
     def __call__(self, x):
         return vn_correction(self.n, self.domain, x)
 
+    def _apply(self, xs, cells):
+        idx = _subinterval_index(self.domain, xs, cells)
+        return _vn(self.n, xs, idx), (self.domain, idx)
+
     def to_dict(self) -> dict:
         return {"kind": "vn", "n": self.n, "domain": self.domain.to_dict()}
 
 
+_PIECEWISE = (SGibbsMap, MkteMap, VnMap)
+
+
 @dataclass(frozen=True)
 class MapChain:
-    """Composition of atomic maps, applied left-to-right; empty = identity."""
+    """Composition of atomic maps, applied left-to-right; empty = identity.
+
+    The piecewise atoms pass the subinterval index on to each other.  Any
+    other map (KTE, or any callable taking an array of points) may stand in
+    the chain too, and the index is computed afresh after it.
+    """
 
     maps: tuple = ()
 
     def __call__(self, x):
         out = np.asarray(x, dtype=float)
+        cells = None
         for m in self.maps:
-            out = np.asarray(m(out), dtype=float)
-        if not np.all(np.isfinite(out)):
+            if isinstance(m, _PIECEWISE):
+                out, cells = m._apply(out, cells)
+            else:
+                out, cells = np.asarray(m(out), dtype=float), None
+        if not np.isfinite(out).all():
             raise EvaluationError("map chain produced non-finite values")
         return _unwrap(x, out)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .domain import NodePartition, NodeSet, PiecewiseDomain
 from .exceptions import EvaluationError, PredictionUnavailableError
-from .interpolation import (_eval_points, _node_array, _node_images,
+from .interpolation import (_eval_points, _node_array, _node_hits, _node_images,
                             _quotient_blocks, _shaped, barycentric_weights)
 from .maps import MapChain
 
@@ -97,12 +97,11 @@ def lebesgue_function(nodes, chain: MapChain | None, x):
     s = _eval_points(x, chain)
     lam = np.empty(s.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t, hit_row, _ in _quotient_blocks(s, s_nodes, w):
+        for rows, t in _quotient_blocks(s, s_nodes, w):
             den = np.abs(t.sum(axis=1))
             lam[rows] = np.abs(t, out=t).sum(axis=1) / den
-            lam[hit_row] = 1.0
-    if not np.all(np.isfinite(lam)):
-        raise EvaluationError("Lebesgue function evaluation lost finiteness")
+    hit_row, _ = _node_hits(s, np.isfinite(lam), s_nodes, "Lebesgue function evaluation")
+    lam[hit_row] = 1.0
     return _shaped(lam, x)
 
 
@@ -243,13 +242,13 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
     s = _eval_points(g, chain)
     mat = np.empty((s_nodes.size, s.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t, hit_row, hit_col in _quotient_blocks(s, s_nodes, w):
+        for rows, t in _quotient_blocks(s, s_nodes, w):
             np.divide(t, t.sum(axis=1)[:, None], out=t)
             mat[:, rows] = np.abs(t, out=t).T
-            mat[:, hit_row] = 0.0
-            mat[hit_col, hit_row] = 1.0
-    if not np.all(np.isfinite(mat)):
-        raise EvaluationError("Lagrange matrix evaluation lost finiteness")
+    hit_row, hit_col = _node_hits(s, np.isfinite(mat).all(axis=0), s_nodes,
+                                  "Lagrange matrix evaluation")
+    mat[:, hit_row] = 0.0
+    mat[hit_col, hit_row] = 1.0
     return mat
 
 

@@ -201,6 +201,15 @@ def test_infinite_kappa_exits_2(tmp_path, capsys, argv):
     assert "kappa must be positive and finite" in capsys.readouterr().err
 
 
+def test_shift_past_float_range_exits_3(tmp_path, capsys):
+    # (tau - 1) kappa overflows on f2's third and fourth subintervals; the
+    # chain reports it as an EvaluationError, and no overflow warning (an
+    # error under this suite's warning filter) escapes first
+    assert main(["interp", "--function", "f2", "--method", "graspa", "--n", "29",
+                 "--kappa", "1e308", "--out-dir", str(tmp_path)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("GRASPA_OUT_DIR", str(tmp_path))
     assert main(["nodes", "--n", "2"]) == 0

@@ -145,3 +145,61 @@ def test_quotient_overflow_raises_without_warning(evaluate):
     chain = sgibbs_chain(3.6e4, PiecewiseDomain(Interval(-1, 1), (0.6,)))
     with pytest.raises(EvaluationError):
         evaluate(nodes, chain, np.linspace(-1, 1, 332))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _points_with_every_node(nodes, m, seed):
+    """m random points with the nodes spread over every block, and where they sit."""
+    x = np.random.default_rng(seed).uniform(-1, 1, m)
+    at = np.linspace(0, m - 1, nodes.size).astype(int)
+    x[at] = nodes
+    return x, at
+
+
+def test_every_node_hit_returns_its_stored_value():
+    nodes = equispaced_nodes(89)
+    values = f2(nodes.nodes)
+    interp = build_interpolant(nodes, values, CHAIN_F2)
+    block, sizes = _block_sizes(90)
+    x, at = _points_with_every_node(nodes.nodes, sizes[-1], 4)
+    rest = np.delete(np.arange(x.size), at)
+    out = interp(x)
+    np.testing.assert_array_equal(_bits(out[at]), _bits(values))
+    # the matrix product may round differently once the block boundaries move
+    np.testing.assert_allclose(out[rest], interp(x[rest]), rtol=1e-14, atol=1e-15)
+    lam = lebesgue_function(nodes, CHAIN_F2, x)
+    np.testing.assert_array_equal(_bits(lam[at]), _bits(np.ones(90)))
+    np.testing.assert_array_equal(_bits(lam[rest]),
+                                  _bits(lebesgue_function(nodes, CHAIN_F2, x[rest])))
+    assert lam[rest].min() > 1.0
+
+
+def test_every_node_hit_gives_its_unit_column():
+    # nodes passed unsorted: each hit column has its 1.0 in the row of that node
+    nodes = equispaced_nodes(89).nodes
+    shuffled = nodes[np.random.default_rng(5).permutation(90)]
+    block, sizes = _block_sizes(90)
+    x, at = _points_with_every_node(nodes, 2 * block + 7, 6)
+    mat = lagrange_matrix(shuffled, CHAIN_F2, x)
+    np.testing.assert_array_equal(_bits(mat[:, at]),
+                                  _bits(shuffled[:, None] == nodes[None, :]))
+    rest = np.delete(np.arange(x.size), at)
+    np.testing.assert_array_equal(_bits(mat[:, rest]),
+                                  _bits(lagrange_matrix(shuffled, CHAIN_F2, x[rest])))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "evaluate", (_interpolate, lebesgue_function, lagrange_matrix),
+    ids=("eval_interpolant", "lebesgue_function", "lagrange_matrix"))
+def test_node_hit_does_not_hide_a_quotient_overflow(evaluate):
+    # the same overflowing setting as above, with node hits in the call too:
+    # the hits are replaced, the overflowing rows still raise
+    nodes = equispaced_nodes(89)
+    chain = sgibbs_chain(3.6e4, PiecewiseDomain(Interval(-1, 1), (0.6,)))
+    x = np.concatenate([nodes.nodes[[0, 45, 89]], np.linspace(-1, 1, 332)])
+    with pytest.raises(EvaluationError, match="lost finiteness"):
+        evaluate(nodes, chain, x)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -214,6 +214,59 @@ def test_chain_applies_left_to_right():
     chain_vn = graspa_chain(10000.0, DOM1, with_vn=True, n=10)
     assert_allclose(chain_vn(x), graspa_map(10000.0, DOM1, x, with_vn=True, n=10),
                     atol=0)
+
+
+@st.composite
+def _domain_and_points(draw, vn):
+    """A domain with 0-3 cuts (the node correction's own for vn), its ends,
+    its cuts and their float neighbours, and random points inside it."""
+    if vn:
+        dom = DOM1
+    else:
+        a = draw(st.floats(-10.0, 10.0))
+        b = a + draw(st.floats(0.01, 20.0))
+        fracs = draw(st.lists(st.floats(0.001, 0.999), max_size=3, unique=True))
+        cuts = tuple(sorted(a + f * (b - a) for f in fracs))
+        assume(all(a < c < b for c in cuts) and len(set(cuts)) == len(cuts))
+        dom = PiecewiseDomain(Interval(a, b), cuts)
+    a, b = dom.interval.a, dom.interval.b
+    special = [a, b, np.nextafter(a, b), np.nextafter(b, a)]
+    for c in dom.cuts:
+        special += [c, np.nextafter(c, a), np.nextafter(c, b)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.concatenate([special, rng.uniform(a, b, draw(st.integers(0, 40)))])
+    return dom, np.array(special), np.minimum(np.maximum(x, a), b)
+
+
+def _atom_by_atom(chain, x):
+    for m in chain.maps:
+        x = m(x)
+    return x
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("name", ["sgibbs", "mkte", "graspa", "graspa+vn"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), kappa=st.floats(1e-3, 1e300), alpha=st.floats(0.05, 1.0),
+       n=st.integers(2, 100))
+def test_chain_is_its_atoms_composed(name, data, kappa, alpha, n):
+    # the chain hands the subinterval index from atom to atom; the result must
+    # be the atoms' public maps applied one after another, bit for bit
+    dom, special, x = data.draw(_domain_and_points(name == "graspa+vn"))
+    chain = named_chain(name, dom, kappa, alpha, 2 * n)
+    for v in special:
+        _same_bits(chain(float(v)), _atom_by_atom(chain, float(v)))
+    _same_bits(chain(x), _atom_by_atom(chain, x))
+    x2 = x[: x.size // 2 * 2].reshape(2, -1)
+    _same_bits(chain(x2), _atom_by_atom(chain, x2))
+    a, b = dom.interval.a, dom.interval.b
+    for outside in (np.nextafter(a, -np.inf), np.append(x, np.nextafter(b, np.inf))):
+        with pytest.raises(ValueError, match="outside the domain"):
+            chain(outside)
 
 
 def test_chain_serialization_roundtrip():

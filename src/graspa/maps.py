@@ -6,11 +6,14 @@ the S-Gibbs shift that separates the subintervals by a large constant, their
 piecewise conjugation (MKTE), and a node-correction map for the even
 equispaced split.  The full GRASPA map is the shift composed with MKTE.
 
-A :class:`MapChain` is plain data (a tuple of atomic maps applied
-left-to-right, empty for the identity) so that experiment configurations can
-be serialized and logged; every atom is injective on its declared domain.
-:func:`named_chain` is the one table from a map name (``CHAIN_NAMES``) to
-its atoms; the GRASPA helpers and the experiment methods are views of it.
+Each map is defined once, by its atom class, which checks its parameters
+when built; :func:`kte`, :func:`sgibbs`, :func:`mkte` and
+:func:`vn_correction` build the atom and call it.  A :class:`MapChain` is
+plain data (a tuple of atoms applied left-to-right, empty for the identity)
+so that experiment configurations can be serialized and logged; every atom
+is injective on its declared domain.  :func:`named_chain` is the one table
+from a map name (``CHAIN_NAMES``) to its atoms; the GRASPA helpers and the
+experiment methods are views of it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PiecewiseDomain
+from .domain import Interval, PiecewiseDomain
 from .exceptions import EvaluationError
 
 __all__ = [
@@ -42,11 +45,6 @@ __all__ = [
     "graspa_chain",
     "map_from_dict",
 ]
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def _check_kappa(kappa: float) -> None:
@@ -72,25 +70,12 @@ def affine_from_reference(u, sub: int, domain: PiecewiseDomain):
     return _unwrap(u, lo + (hi - lo) * (us + 1.0) / 2.0)
 
 
-def _kte(alpha: float, xs: np.ndarray) -> np.ndarray:
-    half = alpha * np.pi / 2.0
-    return np.sin(half * xs) / np.sin(half)
-
-
 def kte(alpha: float, x):
     """Kosloff-Tal-Ezer stretch on [-1, 1]: odd, strictly increasing, fixes +-1.
 
     At alpha = 1 it sends equispaced points to Chebyshev-Lobatto-type points.
     """
-    _check_alpha(alpha)
-    return _unwrap(x, _kte(alpha, np.asarray(x, dtype=float)))
-
-
-def _sgibbs(kappa: float, xs: np.ndarray, idx) -> np.ndarray:
-    # a shift past the float range is inf, which the chain reports as an
-    # EvaluationError; no overflow warning comes first
-    with np.errstate(over="ignore"):
-        return xs + (idx - 1.0) * kappa
+    return KteMap(alpha)(x)
 
 
 def sgibbs(kappa: float, domain: PiecewiseDomain, x):
@@ -101,27 +86,7 @@ def sgibbs(kappa: float, domain: PiecewiseDomain, x):
     apart at the cut (the left-closed membership rule sends the cut itself
     left).
     """
-    _check_kappa(kappa)
-    xs = np.asarray(x, dtype=float)
-    return _unwrap(x, _sgibbs(kappa, xs, domain.subinterval_index(xs)))
-
-
-def _mkte(alpha: float, domain: PiecewiseDomain, xs: np.ndarray, idx) -> np.ndarray:
-    bp = np.asarray(domain.breakpoints)
-    lo = bp[idx - 1]
-    hi = bp[idx]
-    u = 2.0 * (xs - lo) / (hi - lo) - 1.0
-    v = _kte(alpha, np.minimum(np.maximum(u, -1.0), 1.0))
-    y = lo + (hi - lo) * (v + 1.0) / 2.0
-    # Pin subinterval ends exactly, and keep every interior image strictly
-    # inside its half-open source cell: the sine flattens quadratically at the
-    # ends, and an image rounded onto the open left edge would flip the
-    # piecewise dispatch of any shift applied next.
-    y = np.where(u >= 1.0, hi, np.where(u <= -1.0, lo, np.minimum(np.maximum(y, lo), hi)))
-    stuck = (xs > lo) & (y <= lo)
-    if stuck.any():
-        y = np.where(stuck, np.nextafter(lo, hi), y)
-    return y
+    return SGibbsMap(kappa, domain)(x)
 
 
 def mkte(alpha: float, domain: PiecewiseDomain, x):
@@ -130,9 +95,7 @@ def mkte(alpha: float, domain: PiecewiseDomain, x):
     Maps [a, b] onto itself; continuous, strictly increasing, and fixes a, b
     and every cut point.  Every point stays in its own subinterval.
     """
-    _check_alpha(alpha)
-    xs = np.asarray(x, dtype=float)
-    return _unwrap(x, _mkte(alpha, domain, xs, domain.subinterval_index(xs)))
+    return MkteMap(alpha, domain)(x)
 
 
 def vn_correction(n: int, domain: PiecewiseDomain, x):
@@ -143,40 +106,7 @@ def vn_correction(n: int, domain: PiecewiseDomain, x):
     Only this fixed form is implemented: even n >= 4, domain [-1, 1] with a
     single cut at 0; no generalization to other cut layouts is attempted.
     """
-    n = int(n)
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"the node correction needs even n >= 4, got {n}")
-    if domain.cuts != (0.0,) or (domain.interval.a, domain.interval.b) != (-1.0, 1.0):
-        raise ValueError("the node correction is defined on [-1, 1] with a single cut at 0")
-    xs = np.asarray(x, dtype=float)
-    return _unwrap(x, _vn(n, xs, domain.subinterval_index(xs)))
-
-
-def _vn(n: int, xs: np.ndarray, idx) -> np.ndarray:
-    knee = 2.0 / n
-    # the right side maps (0, 1] into itself, so every point keeps its subinterval
-    return np.where(
-        idx == 1,
-        xs,
-        np.where(xs <= knee, n * xs / (2.0 * (n - 1.0)), (n * xs - 1.0) / (n - 1.0)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Atomic maps as data, and their composition
-# ---------------------------------------------------------------------------
-#
-# Inside a chain each piecewise atom is applied through ``_apply(xs, cells)``:
-# ``cells`` is None or a pair (domain, subinterval index of xs in it) that an
-# earlier atom left valid, and the atom returns its image together with the
-# pair that still holds for that image.  MKTE and the node correction keep
-# every point in its subinterval, so a GRASPA chain computes the index once
-# per call.
-
-def _subinterval_index(domain: PiecewiseDomain, xs: np.ndarray, cells):
-    if cells is not None and cells[0] == domain:
-        return cells[1]
-    return domain.subinterval_index(xs)
+    return VnMap(n, domain)(x)
 
 
 @dataclass(frozen=True)
@@ -184,93 +114,135 @@ class KteMap:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
     def __call__(self, x):
-        return kte(self.alpha, x)
+        xs = np.asarray(x, dtype=float)
+        # outside [-1, 1] the sine folds back and the map stops being
+        # injective; NaN passes, for a chain's finiteness check to report
+        if (xs < -1.0).any() or (xs > 1.0).any():
+            raise ValueError("point outside the domain")
+        return _unwrap(x, self._stretch(xs))
+
+    def _stretch(self, xs):
+        half = self.alpha * np.pi / 2.0
+        return np.sin(half * xs) / np.sin(half)
 
     def to_dict(self) -> dict:
         return {"kind": "kte", "alpha": self.alpha}
 
 
+class _Piecewise:
+    """An atom on ``domain`` whose ``_apply(xs, idx)`` takes the subinterval index of xs."""
+
+    keeps_subinterval = False  # True where every image stays in its point's subinterval
+
+    def __call__(self, x):
+        xs = np.asarray(x, dtype=float)
+        return _unwrap(x, self._apply(xs, self.domain.subinterval_index(xs)))
+
+
 @dataclass(frozen=True)
-class SGibbsMap:
+class SGibbsMap(_Piecewise):
     kappa: float
     domain: PiecewiseDomain
 
     def __post_init__(self) -> None:
         _check_kappa(self.kappa)
 
-    def __call__(self, x):
-        return sgibbs(self.kappa, self.domain, x)
-
-    def _apply(self, xs, cells):
-        return _sgibbs(self.kappa, xs, _subinterval_index(self.domain, xs, cells)), None
+    def _apply(self, xs, idx):
+        # a shift past the float range is inf, which the chain reports as an
+        # EvaluationError; no overflow warning comes first
+        with np.errstate(over="ignore"):
+            return xs + (idx - 1.0) * self.kappa
 
     def to_dict(self) -> dict:
         return {"kind": "sgibbs", "kappa": self.kappa, "domain": self.domain.to_dict()}
 
 
 @dataclass(frozen=True)
-class MkteMap:
+class MkteMap(_Piecewise):
     alpha: float
     domain: PiecewiseDomain
+    keeps_subinterval = True
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        object.__setattr__(self, "_kte", KteMap(self.alpha))  # checks alpha
 
-    def __call__(self, x):
-        return mkte(self.alpha, self.domain, x)
-
-    def _apply(self, xs, cells):
-        idx = _subinterval_index(self.domain, xs, cells)
-        return _mkte(self.alpha, self.domain, xs, idx), (self.domain, idx)
+    def _apply(self, xs, idx):
+        bp = np.asarray(self.domain.breakpoints)
+        lo = bp[idx - 1]
+        hi = bp[idx]
+        u = 2.0 * (xs - lo) / (hi - lo) - 1.0
+        # clipped to [-1, 1], so the stretch needs no bounds check
+        v = self._kte._stretch(np.minimum(np.maximum(u, -1.0), 1.0))
+        y = lo + (hi - lo) * (v + 1.0) / 2.0
+        # Pin subinterval ends exactly, and keep every interior image strictly
+        # inside its half-open source cell: the sine flattens quadratically at the
+        # ends, and an image rounded onto the open left edge would flip the
+        # piecewise dispatch of any shift applied next.
+        y = np.where(u >= 1.0, hi,
+                     np.where(u <= -1.0, lo, np.minimum(np.maximum(y, lo), hi)))
+        stuck = (xs > lo) & (y <= lo)
+        if stuck.any():
+            y = np.where(stuck, np.nextafter(lo, hi), y)
+        return y
 
     def to_dict(self) -> dict:
         return {"kind": "mkte", "alpha": self.alpha, "domain": self.domain.to_dict()}
 
 
 @dataclass(frozen=True)
-class VnMap:
+class VnMap(_Piecewise):
     n: int
     domain: PiecewiseDomain
+    keeps_subinterval = True  # the right side maps (0, 1] into itself
 
     def __post_init__(self) -> None:
-        vn_correction(self.n, self.domain, 0.0)  # validates n and the domain shape
+        n = self.n
+        # a fraction or a bool names no degree; an integral float is stored as an int
+        if isinstance(n, bool) or not float(n).is_integer() or n < 4 or n % 2 != 0:
+            raise ValueError(f"the node correction needs even n >= 4, got {n}")
+        object.__setattr__(self, "n", int(n))
+        if self.domain != PiecewiseDomain(Interval(-1.0, 1.0), (0.0,)):
+            raise ValueError("the node correction is defined on [-1, 1] "
+                             "with a single cut at 0")
 
-    def __call__(self, x):
-        return vn_correction(self.n, self.domain, x)
-
-    def _apply(self, xs, cells):
-        idx = _subinterval_index(self.domain, xs, cells)
-        return _vn(self.n, xs, idx), (self.domain, idx)
+    def _apply(self, xs, idx):
+        n = self.n
+        knee = 2.0 / n
+        right = np.where(xs <= knee, n * xs / (2.0 * (n - 1.0)), (n * xs - 1.0) / (n - 1.0))
+        return np.where(idx == 1, xs, right)
 
     def to_dict(self) -> dict:
         return {"kind": "vn", "n": self.n, "domain": self.domain.to_dict()}
-
-
-_PIECEWISE = (SGibbsMap, MkteMap, VnMap)
 
 
 @dataclass(frozen=True)
 class MapChain:
     """Composition of atomic maps, applied left-to-right; empty = identity.
 
-    The piecewise atoms pass the subinterval index on to each other.  Any
-    other map (KTE, or any callable taking an array of points) may stand in
-    the chain too, and the index is computed afresh after it.
+    The subinterval index is handed on past the atoms that keep every point
+    in its subinterval (MKTE, the node correction), so a GRASPA chain computes
+    it once per call.  Any other map (KTE, or any callable on an array of
+    points) may stand in the chain too; after it, the index is recomputed.
     """
 
     maps: tuple = ()
 
     def __call__(self, x):
         out = np.asarray(x, dtype=float)
-        cells = None
+        idx = domain = None  # the subinterval index of out in domain, while valid
         for m in self.maps:
-            if isinstance(m, _PIECEWISE):
-                out, cells = m._apply(out, cells)
-            else:
-                out, cells = np.asarray(m(out), dtype=float), None
+            if not isinstance(m, _Piecewise):
+                out, idx = np.asarray(m(out), dtype=float), None
+                continue
+            if idx is None or m.domain != domain:
+                idx, domain = m.domain.subinterval_index(out), m.domain
+            out = m._apply(out, idx)
+            if not m.keeps_subinterval:
+                idx = None
         if not np.isfinite(out).all():
             raise EvaluationError("map chain produced non-finite values")
         return _unwrap(x, out)
@@ -295,7 +267,7 @@ def map_from_dict(data: dict):
         return SGibbsMap(float(data["kappa"]), dom)
     if kind == "mkte":
         return MkteMap(float(data.get("alpha", 1.0)), dom)
-    return VnMap(int(data["n"]), dom)
+    return VnMap(data["n"], dom)
 
 
 # name -> atoms(domain, kappa, alpha, n); GRASPA itself is defined at alpha = 1
@@ -305,7 +277,7 @@ _CHAINS = {
     "mkte": lambda dom, kappa, alpha, n: (MkteMap(alpha, dom),),
     "sgibbs": lambda dom, kappa, alpha, n: (SGibbsMap(kappa, dom),),
     "graspa": lambda dom, kappa, alpha, n: (MkteMap(1.0, dom), SGibbsMap(kappa, dom)),
-    "graspa+vn": lambda dom, kappa, alpha, n: (VnMap(int(n), dom), MkteMap(1.0, dom),
+    "graspa+vn": lambda dom, kappa, alpha, n: (VnMap(n, dom), MkteMap(1.0, dom),
                                                SGibbsMap(kappa, dom)),
 }
 CHAIN_NAMES = tuple(_CHAINS)

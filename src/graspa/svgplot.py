@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from html import escape
+
 import numpy as np
 
 __all__ = ["write_line_svg"]
@@ -27,7 +29,10 @@ def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
 
 def write_line_svg(path, x, series, *, xlabel: str = "x", ylabel: str = "",
                    title: str = "", logy: bool = False) -> None:
-    """Write a line plot of (label, y-array) series against a shared x-array."""
+    """Write a line plot of (label, y-array) series against a shared x-array.
+
+    The title, labels and axis names are escaped as XML text.
+    """
     xs = np.asarray(x, dtype=float)
     prepared = []
     for label, ys in series:
@@ -97,14 +102,14 @@ def write_line_svg(path, x, series, *, xlabel: str = "x", ylabel: str = "",
             emit(f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" '
                  f'x2="{_W - _MR - 95}" y2="{ly - 4}" stroke="{color}" '
                  'stroke-width="1.5"/>')
-            emit(f'<text x="{_W - _MR - 90}" y="{ly}">{label}</text>')
+            emit(f'<text x="{_W - _MR - 90}" y="{ly}">{escape(label, quote=False)}</text>')
         if title:
             emit(f'<text x="{(_ML + _W - _MR) / 2}" y="{_MT - 10}" '
-                 f'text-anchor="middle">{title}</text>')
+                 f'text-anchor="middle">{escape(title, quote=False)}</text>')
         emit(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 10}" '
-             f'text-anchor="middle">{xlabel}</text>')
+             f'text-anchor="middle">{escape(xlabel, quote=False)}</text>')
         if ylabel:
             emit(f'<text x="15" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
                  f'transform="rotate(-90 15 {(_MT + _H - _MB) / 2})">'
-                 f'{ylabel}{" (log10)" if logy else ""}</text>')
+                 f'{escape(ylabel, quote=False)}{" (log10)" if logy else ""}</text>')
         emit("</svg>")

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -267,3 +268,28 @@ def test_csv_bytes_match_the_csv_module_contract(tmp_path, capsys):
                           (FigureOutput("contract", header, rows),))
     assert (tmp_path / "contract.csv").read_bytes() == expected
     assert capsys.readouterr().out == f"{tmp_path / 'contract.csv'}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodes", "--n", "6", "--interval=0,3", "--map", "kte"],
+    ["map", "--map", "kte", "--interval=-3,3"],
+])
+def test_kte_off_its_domain_exits_2(tmp_path, capsys, argv):
+    # the stretch is injective on [-1, 1] only: on [0, 3] it would send 0.5
+    # and 1.5 to the same point
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "outside the domain" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_svg_text_is_escaped(tmp_path):
+    # the config's file name becomes the plot title, and sweep_table's
+    # column names the series labels
+    cfg = {"function": "f1", "cuts": [0.0], "n": [11, 23], "methods": ["graspa"],
+           "rmae_grid": 332, "lebesgue_grid": "auto"}
+    cfg_path = tmp_path / "r&d<1>.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", str(cfg_path), "--svg", "--out-dir", str(tmp_path)]) == 0
+    root = ElementTree.parse(tmp_path / "r&d<1>.svg").getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "r&d<1>" in texts

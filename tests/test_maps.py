@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from graspa import (
     CHAIN_NAMES,
     METHODS,
+    EvaluationError,
     Interval,
     KteMap,
     MapChain,
@@ -314,3 +317,67 @@ def test_only_the_alpha_chains_read_alpha():
         moved = (named_chain(name, DOM1, 1e4, alpha=0.5, n=8)
                  != named_chain(name, DOM1, 1e4, alpha=1.0, n=8))
         assert moved == (name in _ALPHA_CHAINS), name
+
+
+def test_vn_degree_must_be_an_integer():
+    # one atom, one answer: the atom alone and inside a chain read the same n
+    for n in (8.0, np.int64(8), np.float64(8.0)):
+        atom = VnMap(n, DOM1)
+        assert atom.n == 8 and type(atom.n) is int
+        assert atom == VnMap(8, DOM1)
+        assert atom(0.2) == MapChain((atom,))(0.2) == vn_correction(8, DOM1, 0.2)
+    for n in (8.5, 8.9, True, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            VnMap(n, DOM1)
+        with pytest.raises(ValueError):
+            vn_correction(n, DOM1, 0.2)
+        with pytest.raises(ValueError):
+            named_chain("graspa+vn", DOM1, 1e4, n=n)
+        with pytest.raises(ValueError):
+            map_from_dict({"kind": "vn", "n": n, "domain": DOM1.to_dict()})
+
+
+def test_kte_refuses_points_outside_its_domain():
+    # outside [-1, 1] the sine folds back: 0.5 and 1.5 would share an image
+    for x in (1.5, -1.0000000000000002, np.array([0.0, 3.0]), np.array([[0.2], [-2.0]])):
+        with pytest.raises(ValueError, match="outside the domain"):
+            kte(1.0, x)
+        with pytest.raises(ValueError, match="outside the domain"):
+            named_chain("kte", DOM1, 1e4)(x)
+    assert np.isnan(kte(1.0, np.nan))
+    with pytest.raises(EvaluationError):
+        named_chain("kte", DOM1, 1e4)(np.array([0.0, np.nan]))
+    # MKTE clips the reference coordinate itself, on any interval
+    dom = PiecewiseDomain(Interval(0.0, 3.0), (1.0,))
+    assert mkte(1.0, dom, 3.0) == 3.0 and mkte(1.0, dom, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("name", ["graspa", "graspa+vn"])
+def test_graspa_chain_maps_each_subinterval_once(monkeypatch, name):
+    calls = []
+    index = PiecewiseDomain.subinterval_index
+
+    def counting(self, x):
+        calls.append(1)
+        return index(self, x)
+
+    chain = named_chain(name, DOM1, 1e4, n=8)
+    monkeypatch.setattr(PiecewiseDomain, "subinterval_index", counting)
+    for x in (0.3, np.linspace(-1, 1, 33), np.linspace(-1, 1, 32).reshape(4, 8)):
+        calls.clear()
+        chain(x)
+        assert len(calls) == 1
+
+
+def test_every_named_chain_roundtrips_through_json():
+    for dom in (DOM1, DOM3):
+        for name in CHAIN_NAMES:
+            if name == "graspa+vn" and dom is DOM3:
+                continue  # the node correction has only the single-cut form
+            chain = named_chain(name, dom, 250.0, alpha=0.7, n=8)
+            text = json.dumps(chain.to_dict())
+            again = MapChain.from_dict(json.loads(text))
+            assert again == chain
+            assert json.dumps(again.to_dict()) == text
+            x = np.linspace(-1, 1, 17)
+            assert again(x).tobytes() == chain(x).tobytes()

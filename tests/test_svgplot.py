@@ -1,6 +1,7 @@
-"""The SVG writer's polylines against a point-by-point reference."""
+"""The SVG writer's polylines against a point-by-point reference, and its text escaping."""
 
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -35,3 +36,13 @@ def test_polyline_matches_pointwise_formatting(tmp_path, size, logy):
     svg = (tmp_path / "p.svg").read_text()
     (points,) = re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
     assert points == _reference_points(x, y, logy)
+
+
+def test_text_is_escaped(tmp_path):
+    x = np.linspace(0.0, 1.0, 5)
+    write_line_svg(tmp_path / "p.svg", x, [("a<b & c", x), ("d>e", x + 1.0)],
+                   xlabel="x & y", ylabel="<lambda>", title="r&d<1>")
+    root = ElementTree.parse(tmp_path / "p.svg").getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    for text in ("a<b & c", "d>e", "x & y", "<lambda>", "r&d<1>"):
+        assert text in texts

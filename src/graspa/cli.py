@@ -30,19 +30,26 @@ from .experiments import DEFAULT_KAPPA, FIGURE_IDS, FLOAT_FORMAT, FUNCTIONS, MET
     ExperimentConfig, FigureOutput, build_figure, matrix_table, method_chain, \
     run_comparison, sweep_table
 from .interpolation import build_interpolant
-from .maps import _ALPHA_CHAINS, CHAIN_NAMES, named_chain
+from .maps import _ALPHA_CHAINS, _CUTLESS_CHAINS, CHAIN_NAMES, named_chain
 from .stability import lebesgue_constant
 from .svgplot import write_line_svg
 
 
+_CSV_BLOCK_VALUES = 4096  # values formatted by one string-format call
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    """Header through the csv module (quoting as needed), then every row in one
-    ``FLOAT_FORMAT`` row format; CRLF line ends throughout, as csv writes them."""
+    """Header through the csv module (quoting as needed), then the rows in
+    ``FLOAT_FORMAT``, whole rows of about 4096 values formatted at a time from
+    Python floats; CRLF line ends throughout, as csv writes them."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\r\n"
+    per_block = max(1, _CSV_BLOCK_VALUES // max(1, rows.shape[1]))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(list(header))
-        fh.writelines(line % tuple(row) for row in rows)
+        for lo in range(0, rows.shape[0], per_block):
+            block = rows[lo:lo + per_block]
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def _write_figure_outputs(args, outputs, svg: bool = False) -> None:
@@ -94,11 +101,14 @@ def _balance_gate(nodes, domain: PiecewiseDomain, strict: bool) -> None:
 
 
 def _map_chain(args, domain: PiecewiseDomain):
-    """The --map chain; an --alpha the chain would ignore is an error."""
+    """The --map chain; an --alpha or --cuts the chain would ignore is an error."""
     if args.alpha != 1.0 and args.map not in _ALPHA_CHAINS:
         raise ValueError(f"--alpha applies only to {' and '.join(_ALPHA_CHAINS)}; "
                          f"the {args.map} chain does not take it (GRASPA fixes "
                          "alpha = 1)")
+    if domain.cuts and args.map in _CUTLESS_CHAINS:
+        raise ValueError(f"--cuts does not apply to {' and '.join(_CUTLESS_CHAINS)}; "
+                         f"the {args.map} chain never reads the cuts")
     return named_chain(args.map, domain, args.kappa, args.alpha, args.n)
 
 
@@ -128,9 +138,10 @@ def _cmd_nodes(args) -> int:
     cols = [nodes.nodes]
     if args.map:
         domain = _domain(args)
+        chain = _map_chain(args, domain)
         _balance_gate(nodes, domain, args.strict)
         header.append("mapped")
-        cols.append(np.asarray(_map_chain(args, domain)(nodes.nodes)))
+        cols.append(np.asarray(chain(nodes.nodes)))
     rows = np.column_stack(cols)
     _write_figure_outputs(args, (FigureOutput("nodes", tuple(header), rows),))
     return 0

@@ -6,10 +6,10 @@ a kink.  ``run_comparison`` sweeps (method, degree) cells -- plain
 interpolation, the bare S-Gibbs shift, and the GRASPA map with or without the
 even-split node correction, each a chain from :func:`maps.named_chain` --
 collecting the relative maximum absolute error and the Lebesgue constant for
-each cell.  :func:`sweep_table` turns a sweep into the one CSV-able table
-that both the figures and JSON-config runs write, and :func:`matrix_table`
-is the basis-matrix table of both fig4 and ``graspa lagmatrix``.  Everything is
-deterministic.
+each cell, or only the one of them a table writes.  :func:`sweep_table`
+turns a sweep into the one CSV-able table that both the figures and
+JSON-config runs write, and :func:`matrix_table` is the basis-matrix table of
+both fig4 and ``graspa lagmatrix``.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -203,10 +203,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One (method, n) cell; a field the sweep did not compute is None."""
+
     method: str
     n: int
-    rmae: float
-    lebesgue: float
+    rmae: float | None
+    lebesgue: float | None
     ok: bool = True
     note: str = ""
 
@@ -226,14 +228,32 @@ class ExperimentResult:
         raise KeyError(f"no cell for ({method!r}, {n})")
 
 
-def run_comparison(config: ExperimentConfig) -> ExperimentResult:
-    """Run every (method, n) cell of the sweep.
+# sweep field -> its column-name prefix in a sweep table
+_FIELD_TAG = {"lebesgue": "lambda", "rmae": "rmae"}
 
-    Numerical blowups (weight overflow, shifts so large the mapped nodes
-    collapse together) are flagged per cell instead of aborting; misuse of
-    the node correction (odd degree or an unsupported domain) and bad grid
-    specs are hard errors.
+
+def run_comparison(config: ExperimentConfig,
+                   fields=("rmae", "lebesgue")) -> ExperimentResult:
+    """Run every (method, n) cell of the sweep, computing only ``fields``.
+
+    ``fields`` holds the field names of :func:`sweep_table`: "rmae" builds
+    each cell's interpolant and its error (kept in ``samples``), "lebesgue"
+    builds each degree's Lebesgue grid and searches it.  A field that is not
+    asked for is not computed, and reads None in every cell.  Numerical
+    blowups (weight overflow, shifts so large the mapped nodes collapse
+    together) in a computed field flag the cell, whose computed fields then
+    read NaN, instead of aborting; misuse of the node correction (odd degree
+    or an unsupported domain), bad grid specs and unknown fields are hard
+    errors.
     """
+    fields = tuple(fields)
+    unknown = [f for f in fields if f not in _FIELD_TAG]
+    if unknown:
+        raise ValueError(f"unknown sweep fields {unknown}; expected some of "
+                         f"{tuple(_FIELD_TAG)}")
+    want_rmae, want_lebesgue = "rmae" in fields, "lebesgue" in fields
+    failed = (float("nan") if want_rmae else None,
+              float("nan") if want_lebesgue else None)
     fn = FUNCTIONS[config.function][0]
     domain = config.domain()
     grid = np.linspace(domain.interval.a, domain.interval.b, config.rmae_grid)
@@ -242,20 +262,25 @@ def run_comparison(config: ExperimentConfig) -> ExperimentResult:
     samples = {}
     for n in config.n_values:
         nodes = equispaced_nodes(n, domain.interval)
-        fvals = fn(nodes.nodes)
+        fvals = fn(nodes.nodes) if want_rmae else None
         # a grid too coarse for a Lebesgue constant is a config error, not a cell's
-        lam_grid = _constant_grid(domain, nodes, config.lebesgue_grid)
+        lam_grid = (_constant_grid(domain, nodes, config.lebesgue_grid)
+                    if want_lebesgue else None)
         for method in config.methods:
             chain = method_chain(method, domain, config.kappa, n)
+            err = lam = approx = None
             try:
-                approx = build_interpolant(nodes, fvals, chain)(grid)
-                err = rmae(lambda _: approx, truth, grid)
-                lam = _cell_search_max(nodes, chain, lam_grid)
-                cells.append(CellResult(method, n, err, lam))
-                samples[(method, n)] = approx
+                if want_rmae:
+                    approx = build_interpolant(nodes, fvals, chain)(grid)
+                    err = rmae(lambda _: approx, truth, grid)
+                if want_lebesgue:
+                    lam = _cell_search_max(nodes, chain, lam_grid)
             except (EvaluationError, ValueError) as exc:
-                cells.append(CellResult(method, n, float("nan"), float("nan"),
-                                        ok=False, note=str(exc)))
+                cells.append(CellResult(method, n, *failed, ok=False, note=str(exc)))
+                continue
+            cells.append(CellResult(method, n, err, lam))
+            if want_rmae:
+                samples[(method, n)] = approx
     return ExperimentResult(config, grid, truth, tuple(cells), samples)
 
 
@@ -300,9 +325,6 @@ def _lambda_function_table(name, function, n, methods):
     return FigureOutput(name, tuple(header), np.column_stack(cols), logy=True)
 
 
-_FIELD_TAG = {"lebesgue": "lambda", "rmae": "rmae"}
-
-
 def sweep_table(name: str, result: ExperimentResult, fields) -> FigureOutput:
     """One row per degree: ``n``, then for each field ("rmae" or "lebesgue")
     one column per method, in the config's order."""
@@ -327,7 +349,7 @@ def matrix_table(name: str, nodes, chain: MapChain | None, grid) -> FigureOutput
 def _sweep_figure(name, function, n_list, methods, fields):
     config = ExperimentConfig(function=function, n_values=tuple(n_list),
                               methods=tuple(methods))
-    return sweep_table(name, run_comparison(config), fields)
+    return sweep_table(name, run_comparison(config, fields), fields)
 
 
 def _interpolant_table(name, function, n, methods):

@@ -283,6 +283,8 @@ _CHAINS = {
 CHAIN_NAMES = tuple(_CHAINS)
 # the chains whose stretch takes alpha; the others do not read it
 _ALPHA_CHAINS = ("kte", "mkte")
+# the chains that never read the domain's cuts
+_CUTLESS_CHAINS = ("identity", "kte")
 
 
 def named_chain(name: str, domain: PiecewiseDomain, kappa: float, alpha: float = 1.0,

@@ -14,7 +14,11 @@ Lebesgue function has exactly one local maximum (Brutman, J. Inequal. Appl.
 into cells on which the function is unimodal; a coarse pass over each cell
 and a fine pass around its best coarse points (all within rounding error of
 the best) find the cell's maximum.  Every value it evaluates has the bits the
-dense grid gives it, so the two maxima are equal.  Where
+dense grid gives it, so the two maxima are equal.  Its bookkeeping works only
+on the points it evaluates: one binary search per node bounds the cells, the
+points of both passes are built cell by cell, and the nodes are mapped and
+their weights formed once per search, for one private evaluator that
+:func:`lebesgue_function` also wraps.  Where
 16 (n+1) u (lambda + 1) reaches 1 (u the unit roundoff) the computed values
 are noise on both paths: the search then looks around the best coarse point
 alone, and may pick another grid point than the dense sweep, or miss a dense
@@ -94,7 +98,13 @@ def lebesgue_function(nodes, chain: MapChain | None, x):
     """
     s_nodes, _ = _node_images(nodes, chain)
     w = barycentric_weights(s_nodes)
-    s = _eval_points(x, chain)
+    return _shaped(_lebesgue_values(_eval_points(x, chain), s_nodes, w), x)
+
+
+def _lebesgue_values(s, s_nodes, w) -> np.ndarray:
+    """Lebesgue function at the mapped points s, for the mapped nodes s_nodes
+    and their weights w: the one evaluator behind :func:`lebesgue_function`
+    and the cell search."""
     lam = np.empty(s.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for rows, t in _quotient_blocks(s, s_nodes, w):
@@ -102,7 +112,7 @@ def lebesgue_function(nodes, chain: MapChain | None, x):
             lam[rows] = np.abs(t, out=t).sum(axis=1) / den
     hit_row, _ = _node_hits(s, np.isfinite(lam), s_nodes, "Lebesgue function evaluation")
     lam[hit_row] = 1.0
-    return _shaped(lam, x)
+    return lam
 
 
 def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarray:
@@ -194,37 +204,57 @@ def _cell_search_max(nodes, chain: MapChain | None, grid: np.ndarray) -> float:
     cell gets the window of its best point alone.  Cell ends are always
     evaluated: each |w_j / (s - s_j)| is convex on a cell, so a term that
     overflows somewhere on it overflows at an end, and the dense grid's
-    EvaluationError still fires.  If the chain does not keep the nodes in
-    order, every point is evaluated.
+    EvaluationError still fires.  If the nodes or their images are not in
+    increasing order, every point is evaluated.
+
+    The cells come from one binary search per node, and both stages' points
+    are built cell by cell, so apart from the kernel the work and memory are
+    O(n + points evaluated), not O(grid).  The nodes are mapped and their
+    weights formed once, for both stages.
     """
     x = _node_array(nodes)
-    # the chain maps the nodes once, here; each stage maps only its points,
-    # and their unmapped copy is freed before the kernel runs
-    s_nodes, order = _node_images(x, chain)
-    if np.any(order != np.arange(order.size)):
-        return float(lebesgue_function(s_nodes, None, _eval_points(grid, chain)).max())
-    cell = np.searchsorted(x, grid, side="left")
-    starts = np.flatnonzero(np.diff(cell, prepend=-1))
-    sizes = np.diff(starts, append=grid.size)
-    ends = starts + sizes
-    k = int(np.ceil(np.sqrt(sizes.max() / 2.0)))
-    owner = np.repeat(np.arange(starts.size), sizes)
-    coarse = (np.arange(grid.size) - starts[owner]) % k == 0
-    coarse[ends - 1] = True
-    first = np.flatnonzero(coarse)
-    lam = lebesgue_function(s_nodes, None, _eval_points(grid[first], chain))
+    s_nodes, _ = _node_images(x, chain)
+    w = barycentric_weights(s_nodes)
+
+    def values(idx):  # each stage maps only its own points
+        return _lebesgue_values(_eval_points(grid[idx], chain), s_nodes, w)
+
+    if not (np.all(np.diff(x) > 0) and np.all(np.diff(s_nodes) > 0)):
+        return float(values(slice(None)).max())
+    # cell bounds: the first grid point past each node; empty cells drop out
+    edges = np.unique(np.concatenate(([0], np.searchsorted(grid, x, side="right"),
+                                      [grid.size])))
+    starts = edges[:-1]
+    last = np.diff(edges) - 1  # offset of each cell's last point
+    k = int(np.ceil(np.sqrt((last.max() + 1) / 2.0)))
+    # stage 1: offsets 0, k, 2k, ... in each cell, then its last point
+    per_cell = last // k + 1 + (last % k > 0)
+    cell = np.repeat(np.arange(starts.size), per_cell)
+    head = np.cumsum(per_cell) - per_cell  # each cell's first stage-1 entry
+    step = np.arange(cell.size) - head[cell]
+    first = starts[cell] + np.minimum(step * k, last[cell])
+    lam = values(first)
     # |computed - exact| <= eps = 4 (n+1) u lambda (lambda + 1) to first
     # order: the sums and quotients, and the weights' own rounding
-    best = np.maximum.reduceat(lam, np.searchsorted(first, starts))
+    best = np.maximum.reduceat(lam, head)
     with np.errstate(over="ignore"):
         four_eps = 16.0 * x.size * _UNIT_ROUNDOFF * best * (best + 1.0)
     four_eps[four_eps >= best] = 0.0  # no correct digit: the best point alone
-    near = first[lam >= (best - four_eps)[owner[first]]]
-    window = np.zeros(grid.size + 1, dtype=np.intp)
-    np.add.at(window, np.maximum(near - k, starts[owner[near]]), 1)
-    np.add.at(window, np.minimum(near + k, ends[owner[near]] - 1) + 1, -1)
-    second = np.flatnonzero((np.cumsum(window[:-1]) > 0) & ~coarse)
-    lam2 = lebesgue_function(s_nodes, None, _eval_points(grid[second], chain))
+    near = lam >= (best - four_eps)[cell]
+    near_cell = cell[near]
+    lo = np.maximum(first[near] - k, starts[near_cell])
+    hi = np.minimum(first[near] + k, (starts + last)[near_cell])
+    # stage 2: the union of the windows [lo, hi], which are sorted and stay
+    # inside their cells, minus the stage-1 points
+    opens = np.ones(lo.size, dtype=bool)
+    opens[1:] = (lo[1:] > hi[:-1]) | (near_cell[1:] != near_cell[:-1])
+    span_lo, span_cell = lo[opens], near_cell[opens]
+    span_len = hi[np.append(opens[1:], True)] - span_lo + 1
+    span = np.repeat(np.arange(span_lo.size), span_len)
+    pos = span_lo[span] + np.arange(span.size) - (np.cumsum(span_len) - span_len)[span]
+    offset = pos - starts[span_cell[span]]
+    second = pos[(offset % k != 0) & (offset != last[span_cell[span]])]
+    lam2 = values(second)
     return float(max(lam.max(), lam2.max(initial=-np.inf)))
 
 

@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from graspa.cli import _write_figure_outputs, main
+from graspa.cli import _CSV_BLOCK_VALUES, _write_figure_outputs, main
 from graspa.experiments import FigureOutput
 
 GOLDEN_EQUISPACED_N10 = 29.899955440644437
@@ -240,6 +240,21 @@ def test_alpha_refused_where_the_chain_ignores_it(tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 0
 
 
+def test_cuts_refused_where_the_chain_ignores_them(tmp_path, capsys):
+    for argv in (["map", "--map", "kte"], ["map", "--map", "identity"],
+                 ["nodes", "--n", "9", "--map", "kte"],
+                 ["nodes", "--n", "9", "--map", "identity"]):
+        assert main(argv + ["--cuts", "0.5", "--out-dir", str(tmp_path)]) == 2, argv
+        assert "--cuts" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0, argv
+        for path in tmp_path.iterdir():
+            path.unlink()
+    for name in ("mkte", "sgibbs", "graspa"):
+        assert main(["map", "--map", name, "--cuts", "0.5",
+                     "--out-dir", str(tmp_path)]) == 0, name
+
+
 def test_floats_roundtrip_through_csv(tmp_path):
     assert main(["nodes", "--n", "7", "--kind", "bgcheb", "--beta", "0.1",
                  "--gamma", "0.2", "--out-dir", str(tmp_path)]) == 0
@@ -268,6 +283,30 @@ def test_csv_bytes_match_the_csv_module_contract(tmp_path, capsys):
                           (FigureOutput("contract", header, rows),))
     assert (tmp_path / "contract.csv").read_bytes() == expected
     assert capsys.readouterr().out == f"{tmp_path / 'contract.csv'}\n"
+    # rows are formatted a block at a time: one row short of a block, a
+    # whole block and one row past it, with the special values on both
+    # sides of the first block edge
+    rng = np.random.default_rng(3)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    for width in (1, 100):
+        per_block = _CSV_BLOCK_VALUES // width
+        for count in (per_block - 1, per_block, per_block + 1):
+            rows = rng.standard_normal((count, width)) * 10.0 ** rng.integers(
+                -300, 300, (count, width))
+            edge = min(per_block, count) * width  # flat index of the first edge
+            rows.flat[edge - 5:edge] = specials
+            after = min(5, rows.size - edge)
+            rows.flat[edge:edge + after] = specials[::-1][:after]
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow([f"c{j}" for j in range(width)])
+            for row in rows:
+                writer.writerow([format(float(v), ".17g") for v in row])
+            _write_figure_outputs(
+                argparse.Namespace(out_dir=str(tmp_path)),
+                (FigureOutput("block", tuple(f"c{j}" for j in range(width)), rows),))
+            assert (tmp_path / "block.csv").read_bytes() == buf.getvalue().encode(), \
+                (width, count)
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,6 +20,8 @@ from graspa import (
     run_comparison,
     vn_correction,
 )
+from graspa import experiments
+from graspa.experiments import F2_SWEEP, ODD_SWEEP, sweep_table
 
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
 
@@ -177,6 +179,47 @@ def test_overflowing_cells_are_flagged_not_fatal():
     cell = res.cell("sgibbs", 11)
     assert not cell.ok and np.isnan(cell.rmae) and np.isnan(cell.lebesgue)
     assert cell.note
+
+
+def test_sweeps_compute_only_the_fields_asked_for(monkeypatch):
+    calls = {"search": 0, "grid": 0, "interpolant": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, name in (("search", "_cell_search_max"), ("grid", "_constant_grid"),
+                      ("interpolant", "build_interpolant")):
+        monkeypatch.setattr(experiments, name, counted(key, getattr(experiments, name)))
+    cfg = ExperimentConfig(function="f1", n_values=(11, 23), methods=("sgibbs", "graspa"))
+    res = run_comparison(cfg, ("rmae",))
+    assert calls == {"search": 0, "grid": 0, "interpolant": 4}
+    assert all(c.ok and c.lebesgue is None and c.rmae > 0 for c in res.cells)
+    assert len(res.samples) == 4
+    res = run_comparison(cfg, ("lebesgue",))
+    assert calls == {"search": 4, "grid": 2, "interpolant": 4}
+    assert all(c.ok and c.rmae is None and c.lebesgue > 1 for c in res.cells)
+    assert res.samples == {}
+    # a field that was not computed is None, one that failed is NaN
+    cell = run_comparison(ExperimentConfig(function="f1", n_values=(11,),
+                                           methods=("sgibbs",), kappa=1e300),
+                          ("lebesgue",)).cell("sgibbs", 11)
+    assert not cell.ok and cell.rmae is None and np.isnan(cell.lebesgue)
+    with pytest.raises(ValueError, match="unknown sweep fields"):
+        run_comparison(cfg, ("rmae", "lambda"))
+
+
+@pytest.mark.parametrize("function, sweep", [("f1", ODD_SWEEP), ("f2", F2_SWEEP)])
+def test_field_selected_columns_equal_the_full_sweeps(function, sweep):
+    cfg = ExperimentConfig(function=function, n_values=sweep,
+                           methods=("classical", "sgibbs", "graspa"))
+    full = run_comparison(cfg)
+    for fieldname in ("rmae", "lebesgue"):
+        alone = run_comparison(cfg, (fieldname,))
+        assert (sweep_table("t", alone, (fieldname,)).rows.tobytes()
+                == sweep_table("t", full, (fieldname,)).rows.tobytes()), fieldname
 
 
 def test_fixed_shift_divergence_onset_f2():

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -30,6 +31,7 @@ from graspa import (
     partition_nodes,
     sgibbs_chain,
 )
+from graspa import stability
 from graspa.exceptions import EvaluationError, PredictionUnavailableError
 
 DOM0 = PiecewiseDomain(Interval(-1, 1))
@@ -187,6 +189,91 @@ def test_lebesgue_max_falls_back_when_the_chain_reorders_the_nodes():
     assert np.any(np.diff(wave(nodes.nodes)) < 0)
     dense = lebesgue_constant(nodes, wave, DOM0).lebesgue_constant
     assert lebesgue_max(nodes, wave, DOM0) == dense
+
+
+def _reference_search_points(x, grid, stage1_values):
+    """(stage-1, stage-2) grid indices by the search's former whole-grid
+    bookkeeping: a cell index per grid point, stage-1 flags and a +-1 window
+    count over the grid.  ``stage1_values`` gives lambda at the stage-1
+    points."""
+    cell = np.searchsorted(x, grid, side="left")
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    sizes = np.diff(starts, append=grid.size)
+    ends = starts + sizes
+    k = int(np.ceil(np.sqrt(sizes.max() / 2.0)))
+    owner = np.repeat(np.arange(starts.size), sizes)
+    coarse = (np.arange(grid.size) - starts[owner]) % k == 0
+    coarse[ends - 1] = True
+    first = np.flatnonzero(coarse)
+    lam = stage1_values(first)
+    best = np.maximum.reduceat(lam, np.searchsorted(first, starts))
+    with np.errstate(over="ignore"):
+        four_eps = 8.0 * x.size * sys.float_info.epsilon * best * (best + 1.0)
+    four_eps[four_eps >= best] = 0.0
+    near = first[lam >= (best - four_eps)[owner[first]]]
+    window = np.zeros(grid.size + 1, dtype=np.intp)
+    np.add.at(window, np.maximum(near - k, starts[owner[near]]), 1)
+    np.add.at(window, np.minimum(near + k, ends[owner[near]] - 1) + 1, -1)
+    return first, np.flatnonzero((np.cumsum(window[:-1]) > 0) & ~coarse)
+
+
+_RNG_GRID = np.random.default_rng(11)
+_DOM_F2 = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
+_DOM_FLAT = PiecewiseDomain(Interval(-1, 1), (0.0, 0.5))
+
+
+@pytest.mark.parametrize("nodes, chain, dom, spec", [
+    (equispaced_nodes(10), None, DOM0, "auto"),
+    (equispaced_nodes(23), graspa_chain(1e4, DOM1), DOM1, "auto"),
+    (equispaced_nodes(29), sgibbs_chain(1e4, _DOM_F2), _DOM_F2, 700),
+    (equispaced_nodes(2), sgibbs_chain(1e5, _DOM_FLAT), _DOM_FLAT, "auto"),
+    (equispaced_nodes(80), None, DOM0, 1500),
+    (equispaced_nodes(10), None, DOM0, np.linspace(-1.0, 0.85, 1500)),
+    (equispaced_nodes(12), None, DOM0, _RNG_GRID.uniform(-0.5, 0.5, 3000)),
+    (equispaced_nodes(10), graspa_chain(1e3, DOM1), DOM1,
+     np.round(_RNG_GRID.uniform(-1, 1, 3000), 1)),
+], ids=["classical", "graspa", "f2-sgibbs-counted", "flat-topped-cell",
+        "no-correct-digit", "cell-cut-short-by-the-grid-end", "empty-end-cells",
+        "repeated-points-and-node-hits"])
+def test_cell_search_evaluates_the_reference_points(monkeypatch, nodes, chain, dom, spec):
+    calls = []
+    real = stability._lebesgue_values
+
+    def spy(s, s_nodes, w):
+        calls.append((s.copy(), real(s, s_nodes, w)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(stability, "_lebesgue_values", spy)
+    found = lebesgue_max(nodes, chain, dom, spec)
+    grid = lebesgue_grid(dom, nodes, spec)
+    first, second = _reference_search_points(nodes.nodes, grid, lambda _: calls[0][1])
+    mapped = chain if chain is not None else (lambda g: g)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[0][0], mapped(grid[first]))
+    np.testing.assert_array_equal(calls[1][0], mapped(grid[second]))
+    assert found == max(calls[0][1].max(), calls[1][1].max(initial=-np.inf))
+
+
+def test_cell_search_forms_the_weights_once(monkeypatch):
+    calls = []
+    real = stability.barycentric_weights
+    monkeypatch.setattr(stability, "barycentric_weights",
+                        lambda s: calls.append(s.size) or real(s))
+    lebesgue_max(equispaced_nodes(23), graspa_chain(1e4, DOM1), DOM1)
+    assert calls == [24]
+
+
+def test_cell_search_memory_stays_below_twice_the_grid():
+    # the bookkeeping is O(n + points evaluated): no per-grid-point index,
+    # flag or window array; what remains is lebesgue_grid's sorted copy
+    grid = np.linspace(-1.0, 1.0, 10**6)
+    tracemalloc.start()
+    try:
+        lebesgue_max(equispaced_nodes(23), graspa_chain(1e4, DOM1), DOM1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid.nbytes
 
 
 def test_limit_side_constants_equal_dense_side_maxima():

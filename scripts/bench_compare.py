@@ -11,11 +11,12 @@ under ``.perfbench_out/results/``), with the same seeds on both sides.  For
 every workload and end-to-end metric of ``BENCHMARK.json`` the output gives
 both sides' values per seed, their medians and quartiles, and the number of
 pairs the change won (ties count for neither side); the medians of the raw
-``pass_walls_s``, which are not speed-normalised, sit next to them.  A claim
-holds when the change wins at least nine tenths of the pairs and the medians
-differ by more than the parent's quartile distance.  Every run's metrics,
-median pass wall, speed factor and commit are copied in; traced runs are
-copied in with their per-layer metrics.
+``pass_walls_s``, which are not speed-normalised, sit next to them.  A
+workload with no seed run on both sides is skipped and listed under
+``unpaired``.  A claim holds when the change wins at least nine tenths of the
+pairs and the medians differ by more than the parent's quartile distance.
+Every run's metrics, median pass wall, speed factor and commit are copied in;
+traced runs are copied in with their per-layer metrics.
 """
 
 from __future__ import annotations
@@ -55,11 +56,15 @@ def copied(run: dict) -> dict:
             "metrics": {k: m["value"] for k, m in run["result"]["metrics"].items()}}
 
 
-def compare(parent: dict, change: dict, metrics: list) -> dict:
-    out = {}
-    for workload in sorted({w for w, _, t in parent if t == 0}):
+def compare(parent: dict, change: dict, metrics: list) -> tuple[dict, list]:
+    """(per-workload comparison, workloads with no seed run on both sides)."""
+    out, unpaired = {}, []
+    for workload in sorted({w for w, _, t in (*parent, *change) if t == 0}):
         seeds = sorted(s for w, s, t in parent if w == workload and t == 0
                        and (w, s, t) in change)
+        if not seeds:  # nothing to pair: no medians, no wins
+            unpaired.append(workload)
+            continue
         sides = {"parent": [parent[workload, s, 0] for s in seeds],
                  "change": [change[workload, s, 0] for s in seeds]}
         table = {}
@@ -77,10 +82,12 @@ def compare(parent: dict, change: dict, metrics: list) -> dict:
                          "raw_pass_wall_median_s": walls,
                          "runs": {side: [copied(r) for r in runs]
                                   for side, runs in sides.items()}}
-    return out
+    return out, unpaired
 
 
 def claim_holds(workloads: dict, workload: str, metric: str) -> dict:
+    if workload not in workloads:
+        return {"workload": workload, "metric": metric, "pairs": 0, "holds": False}
     entry = workloads[workload]["metrics"][metric]
     q1, q3 = entry["parent"]["quartiles"]
     gap = abs(entry["change"]["median"] - entry["parent"]["median"])
@@ -100,8 +107,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent, change = load_runs(args.parent), load_runs(args.change)
-    workloads = compare(parent, change, metrics)
-    doc = {"note": args.note, "workloads": workloads,
+    workloads, unpaired = compare(parent, change, metrics)
+    doc = {"note": args.note, "workloads": workloads, "unpaired": unpaired,
            "traced": {side: {f"{w}-seed{s}": copied(r) for (w, s, t), r in runs.items() if t}
                       for side, runs in (("parent", parent), ("change", change))}}
     if args.claim:
@@ -111,6 +118,8 @@ def main(argv=None) -> int:
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: {m['parent']['median']:.6g} -> "
                   f"{m['change']['median']:.6g} ({m['change_wins']}/{entry['pairs']})")
+    for workload in unpaired:
+        print(f"{workload}: no seed with runs on both sides; skipped")
     if args.claim:
         print("claim:", json.dumps(doc["claim"]))
     return 0

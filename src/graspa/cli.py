@@ -30,7 +30,8 @@ from .experiments import DEFAULT_KAPPA, FIGURE_IDS, FLOAT_FORMAT, FUNCTIONS, MET
     ExperimentConfig, FigureOutput, build_figure, matrix_table, method_chain, \
     run_comparison, sweep_table
 from .interpolation import build_interpolant
-from .maps import _ALPHA_CHAINS, _CUTLESS_CHAINS, CHAIN_NAMES, named_chain
+from .maps import _ALPHA_CHAINS, _CUTLESS_CHAINS, _SHIFTLESS_CHAINS, CHAIN_NAMES, \
+    named_chain
 from .stability import lebesgue_constant
 from .svgplot import write_line_svg
 
@@ -101,7 +102,8 @@ def _balance_gate(nodes, domain: PiecewiseDomain, strict: bool) -> None:
 
 
 def _map_chain(args, domain: PiecewiseDomain):
-    """The --map chain; an --alpha or --cuts the chain would ignore is an error."""
+    """The --map chain; an --alpha, --cuts or --kappa the chain would ignore
+    is an error."""
     if args.alpha != 1.0 and args.map not in _ALPHA_CHAINS:
         raise ValueError(f"--alpha applies only to {' and '.join(_ALPHA_CHAINS)}; "
                          f"the {args.map} chain does not take it (GRASPA fixes "
@@ -109,6 +111,9 @@ def _map_chain(args, domain: PiecewiseDomain):
     if domain.cuts and args.map in _CUTLESS_CHAINS:
         raise ValueError(f"--cuts does not apply to {' and '.join(_CUTLESS_CHAINS)}; "
                          f"the {args.map} chain never reads the cuts")
+    if args.kappa != DEFAULT_KAPPA and args.map in _SHIFTLESS_CHAINS:
+        raise ValueError(f"--kappa does not apply to {', '.join(_SHIFTLESS_CHAINS)}; "
+                         f"the {args.map} chain has no shift")
     return named_chain(args.map, domain, args.kappa, args.alpha, args.n)
 
 

@@ -4,7 +4,11 @@ Values sampled at the original nodes are interpolated as a polynomial in the
 mapped variable ``s = S(x)`` and evaluated through the quotient (second-form)
 barycentric formula.  Weight products are capacity-scaled so they stay
 representable even when the mapped nodes form clusters separated by a shift
-of 1e4 or more; the common scale cancels in the quotient.  A monomial
+of 1e4 or more; the common scale cancels in the quotient.  Where a scaled
+product still leaves the normal float range (f1 GRASPA at shift 1e4 from
+degree 165 on), the products are taken again as mantissas and integer
+exponents (``np.frexp``), and the weights come back up to one power of two;
+weights spanning more than 2**53 are refused with EvaluationError.  A monomial
 (Vandermonde) path is kept for low degrees as an independent cross-check --
 for shifted node sets the mapped monomial basis is numerically unusable
 beyond toy sizes, so it is guarded, never the production path.
@@ -44,6 +48,9 @@ __all__ = [
 VANDERMONDE_MAX_DEGREE = 12
 _BLOCK_BYTES = 512 * 1024  # byte budget of the quotient kernel's row buffer
 _NO_HITS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the normal range
+_FREXP_BLOCK = 512  # mantissas per block product: >= 2**-512, still normal
+_MAX_WEIGHT_SPAN = 2.0**53  # 1/u: the widest max|w| / min|w| accepted
 
 
 def _node_array(nodes) -> np.ndarray:
@@ -52,28 +59,85 @@ def _node_array(nodes) -> np.ndarray:
     return np.asarray(nodes, dtype=float)
 
 
+def _row_products(diff) -> tuple[np.ndarray, np.ndarray | None]:
+    """Row products of diff as (p, e), product = p * 2**e.
+
+    Where every row's plain product is a normal float, or an exact zero from
+    a zero entry, p is that product and e is None.  Otherwise every row is
+    taken again with exponent tracking: the mantissas of ``np.frexp`` are
+    multiplied ``_FREXP_BLOCK`` columns at a time, the running product is
+    renormalised after each block so that no partial product leaves the
+    normal range, and the exponents are summed as integers.  Scaling by
+    powers of two is exact, so each row carries only the rounding of its
+    multiplications; |p| then lies in [1/2, 1), or is 0 for a zero entry.
+    """
+    with np.errstate(over="ignore"):
+        prod = diff.prod(axis=1)
+    size = np.abs(prod)
+    if size.min() >= _TINY and size.max() <= _HUGE:
+        return prod, None
+    off = np.flatnonzero(~((size >= _TINY) & (size <= _HUGE)))
+    if (diff[off] == 0).any(axis=1).all():  # exact zeros only
+        return prod, None
+    mant, exp = np.frexp(diff)
+    total = exp.sum(axis=1, dtype=np.int64)
+    prod = np.ones(diff.shape[0])
+    for lo in range(0, diff.shape[1], _FREXP_BLOCK):
+        prod, shift = np.frexp(prod * mant[:, lo:lo + _FREXP_BLOCK].prod(axis=1))
+        total += shift
+    return prod, total
+
+
+def _reciprocals(prod, exp) -> tuple[np.ndarray, int]:
+    """1 / (prod * 2**exp) as (w, k), = w * 2**k, for nonzero prod, with the
+    power of two 2**k chosen so that max |w| lies in [1/2, 1)."""
+    mant, w_exp = np.frexp(1.0 / prod)
+    w_exp = w_exp - exp
+    top = int(w_exp.max())
+    return np.ldexp(mant, w_exp - top), top
+
+
+def _weight_products(points) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_row_products` of prod_{j != i} (s_i - s_j) / cap, where cap is
+    one quarter of the span of the points s."""
+    s = np.asarray(points, dtype=float)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("points must form a nonempty 1-D sequence")
+    if s.size == 1:
+        return np.ones(1), None
+    cap = (s.max() - s.min()) / 4.0
+    if not cap > 0:
+        raise ValueError("points must be distinct")
+    diff = (s[:, None] - s[None, :]) / cap
+    np.fill_diagonal(diff, 1.0)
+    prod, exp = _row_products(diff)
+    if not prod.all():  # a zero product has a zero factor: a repeated point
+        raise ValueError("points must be distinct")
+    return prod, exp
+
+
 def barycentric_weights(points) -> np.ndarray:
     """Weights 1 / prod_{j != i} (s_i - s_j), up to a common scale.
 
     Each difference is divided by a capacity constant (one quarter of the node
     span) before the product is taken; the resulting common factor drops out
     of the quotient evaluation formula but keeps the partial products finite
-    for clustered node sets.
+    for clustered node sets.  Where every capacity-scaled product is a normal
+    float, the weights are their reciprocals.  Otherwise the products are
+    taken again with exponent tracking (:func:`_row_products`), and the
+    weights are rescaled by one power of two so that max |w| lies in
+    [1/2, 1); that common scale drops out of the quotient too.  If the
+    rescaled weights then span more than 2**53 (max |w| / min |w|), the
+    smallest of them would be lost against the largest in the quotient's
+    sums, and EvaluationError is raised as for products that leave the float
+    range.
     """
-    s = np.asarray(points, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("points must form a nonempty 1-D sequence")
-    if s.size == 1:
-        return np.ones(1)
-    cap = (s.max() - s.min()) / 4.0
-    if not cap > 0:
-        raise ValueError("points must be distinct")
-    diff = (s[:, None] - s[None, :]) / cap
-    np.fill_diagonal(diff, 1.0)
-    with np.errstate(over="ignore", divide="ignore"):
-        prod = diff.prod(axis=1)
-        weights = 1.0 / prod  # a subnormal product overflows here
-    if not (np.all(np.isfinite(prod)) and np.all(np.isfinite(weights))):
+    prod, exp = _weight_products(points)
+    if exp is None:
+        return 1.0 / prod
+    weights, _ = _reciprocals(prod, exp)
+    size = np.abs(weights)
+    if not size.max() <= _MAX_WEIGHT_SPAN * size.min():
         raise EvaluationError("barycentric weight products left the float range")
     return weights
 

@@ -285,6 +285,8 @@ CHAIN_NAMES = tuple(_CHAINS)
 _ALPHA_CHAINS = ("kte", "mkte")
 # the chains that never read the domain's cuts
 _CUTLESS_CHAINS = ("identity", "kte")
+# the chains without the S-Gibbs shift; they never read kappa
+_SHIFTLESS_CHAINS = ("identity", "kte", "mkte")
 
 
 def named_chain(name: str, domain: PiecewiseDomain, kappa: float, alpha: float = 1.0,

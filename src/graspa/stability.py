@@ -28,9 +28,11 @@ For piecewise-shifted bases the module also evaluates what the Lebesgue
 constant tends to as the shift grows without bound: per-subinterval classical
 constants for the balanced odd and equal-cardinality multi-cut splits, and
 the residual-augmented maximum for the even split.  The even split's residual
-sum takes the left set's weights from :func:`barycentric_weights`, the one
-capacity-scaled product, and divides the right set's nodal polynomial by the
-same capacity, a quarter of the left set's span.  Those predictions come
+sum takes the left set's weight products from the ones behind
+:func:`barycentric_weights` and divides the right set's nodal polynomial by
+the same capacity, a quarter of the left set's span; both products carry an
+exponent wherever a plain one leaves the float range, so the sum stays
+finite wherever it is a finite double.  Those predictions come
 from closed forms; brute-force large-shift evaluation is only ever a test
 oracle.
 """
@@ -44,7 +46,8 @@ import numpy as np
 from .domain import NodePartition, NodeSet, PiecewiseDomain
 from .exceptions import EvaluationError, PredictionUnavailableError
 from .interpolation import (_eval_points, _node_array, _node_hits, _node_images,
-                            _quotient_blocks, _shaped, barycentric_weights)
+                            _quotient_blocks, _reciprocals, _row_products, _shaped,
+                            _weight_products, barycentric_weights)
 from .maps import MapChain
 
 __all__ = [
@@ -287,10 +290,15 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
 
     Each r_i is the nodal polynomial omega over the right node set times the
     i-th barycentric weight of the left set, so the sum factorizes.  The left
-    weights come from :func:`interpolation.barycentric_weights`, scaled by the
-    left set's capacity (a quarter of its span); omega's differences are
-    divided by the same capacity, which cancels because the factor counts
-    match.
+    weights are the reciprocals of the capacity-scaled products behind
+    :func:`barycentric_weights` (the capacity is a quarter of the left set's
+    span), and omega's differences are divided by the same capacity, which
+    cancels because the factor counts match.  Both products are
+    exponent-tracked wherever a plain one leaves the normal float range, and
+    the two exponents are added before the result is formed, so
+    EvaluationError is raised only where the sum itself is not a finite
+    double.  The sum has only positive terms, so the weights need no span
+    guard.
     """
     x1 = np.asarray(left_nodes, dtype=float)
     x2 = np.asarray(right_nodes, dtype=float)
@@ -299,11 +307,14 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
             f"even split needs |left| = |right| + 1, got {x1.size} and {x2.size}"
         )
     pts = np.atleast_1d(np.asarray(x, dtype=float))
+    prod, exp = _weight_products(x1)
     cap = (x1.max() - x1.min()) / 4.0
+    omega, omega_exp = _row_products((pts[:, None] - x2[None, :]) / cap)
+    # an exponent of None is 0: every row kept its plain product
+    w, k = _reciprocals(prod, 0 if exp is None else exp)
     with np.errstate(over="ignore", invalid="ignore"):
-        weight_sum = np.abs(barycentric_weights(x1)).sum()
-        omega = np.prod((pts[:, None] - x2[None, :]) / cap, axis=1)
-        out = np.abs(omega) * weight_sum
+        out = np.ldexp(np.abs(omega) * np.abs(w).sum(),
+                       k if omega_exp is None else omega_exp + k)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("residual sum evaluation lost finiteness")
     return out

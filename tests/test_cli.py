@@ -255,6 +255,21 @@ def test_cuts_refused_where_the_chain_ignores_them(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 0, name
 
 
+def test_kappa_refused_where_the_chain_has_no_shift(tmp_path, capsys):
+    for argv in (["map", "--map", "identity"], ["map", "--map", "kte"],
+                 ["map", "--map", "mkte", "--cuts", "0"],
+                 ["nodes", "--n", "9", "--map", "mkte", "--cuts", "0"]):
+        assert main(argv + ["--kappa", "5", "--out-dir", str(tmp_path)]) == 2, argv
+        assert "--kappa" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0, argv
+        for path in tmp_path.iterdir():
+            path.unlink()
+    for name in ("sgibbs", "graspa"):
+        assert main(["map", "--map", name, "--cuts", "0", "--kappa", "5",
+                     "--out-dir", str(tmp_path)]) == 0, name
+
+
 def test_floats_roundtrip_through_csv(tmp_path):
     assert main(["nodes", "--n", "7", "--kind", "bgcheb", "--beta", "0.1",
                  "--gamma", "0.2", "--out-dir", str(tmp_path)]) == 0

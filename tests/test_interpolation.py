@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,14 @@ from graspa import (
     eval_monomial,
     f1,
     graspa_chain,
+    lebesgue_function,
+    lebesgue_max,
+    method_chain,
+    named_chain,
     vandermonde_coefficients,
 )
 from graspa.exceptions import EvaluationError
+from graspa.experiments import FUNCTIONS
 from graspa.interpolation import _node_images
 
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
@@ -174,3 +181,162 @@ def test_subnormal_weight_products_raise():
         barycentric_weights(_node_images(nodes, chain)[0])
     with pytest.raises(EvaluationError):
         build_interpolant(nodes, f1(nodes.nodes), chain)
+
+
+# --- exponent-tracked weights -------------------------------------------------
+
+U = 2.0 ** -53
+KAPPA = 1e4
+
+
+def _capacity_product(s):
+    """The plain capacity-scaled product, the weights' fast path: the reference."""
+    s = np.asarray(s, dtype=float)
+    diff = (s[:, None] - s[None, :]) / ((s.max() - s.min()) / 4.0)
+    np.fill_diagonal(diff, 1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        return diff.prod(axis=1)
+
+
+def _leaves_normal_range(prod):
+    size = np.abs(prod)
+    return not np.all((size >= np.finfo(float).tiny) & (size <= np.finfo(float).max))
+
+
+def _mapped(function, method, n):
+    chain = method_chain(method, PiecewiseDomain(Interval(-1, 1), FUNCTIONS[function][1]),
+                         KAPPA)
+    nodes = equispaced_nodes(n)
+    return nodes, chain, np.sort(_node_images(nodes, chain)[0])
+
+
+def _mp_weights(s, digits):
+    """The float nodes s as mpf values and their weights 1 / prod (s_i - s_j)
+    in the given number of digits."""
+    with mpmath.workdps(digits):
+        sm = [mpmath.mpf(float(v)) for v in s]
+        weights = []
+        for i, si in enumerate(sm):
+            d = [si - sj for sj in sm]
+            d[i] = mpmath.mpf(1)
+            weights.append(1 / mpmath.fprod(d))
+    return sm, weights
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_f1_graspa(n):
+    """f1 GRASPA at degree n: nodes, chain, sorted mapped nodes and their
+    50-digit weights."""
+    nodes, chain, s = _mapped("f1", "graspa", n)
+    return (nodes, chain, s, *_mp_weights(s, 50))
+
+
+@pytest.mark.parametrize("function, method, ceiling", [
+    ("f1", "graspa", 163), ("f2", "graspa", 165), ("f2", "sgibbs", 125),
+    ("f1", "classical", 61)])
+def test_weights_are_the_capacity_product_where_it_stays_normal(function, method,
+                                                                ceiling):
+    # every odd degree up to the highest one the plain product handled: its
+    # products are normal floats, and the weights are their reciprocals, bit
+    # for bit
+    for n in range(1, ceiling + 1, 2):
+        s = _mapped(function, method, n)[2]
+        prod = _capacity_product(s)
+        assert not _leaves_normal_range(prod), n
+        np.testing.assert_array_equal(barycentric_weights(s), 1.0 / prod)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [165, 301])
+def test_exponent_tracked_weights_match_50_digit_weights(n):
+    _, _, s, _, exact = _exact_f1_graspa(n)
+    assert _leaves_normal_range(_capacity_product(s))
+    w = barycentric_weights(s)
+    assert 0.5 <= np.abs(w).max() < 1.0  # one power of two taken out
+    with mpmath.workdps(50):
+        ratio = [mpmath.mpf(float(wi)) / ei for wi, ei in zip(w, exact)]
+        dev = max(abs(r / ratio[0] - 1) for r in ratio)
+    assert dev <= 4 * (n + 1) * U
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [301, 699])
+def test_high_degree_f1_graspa_within_highams_bound(n):
+    # Higham (IMA J. Numer. Anal. 2004): the second form's forward error is at
+    # most (3n+4) u lambda(x) (max|f| + |p(x)|); one more rounding per factor
+    # for the weights gives (4n+4)
+    nodes, chain, s, sm, exact = _exact_f1_graspa(n)
+    f = FUNCTIONS["f1"][0]
+    interp = build_interpolant(nodes, f(nodes.nodes), chain)
+    x = np.concatenate([np.random.default_rng(n).uniform(-1, 1, 6),
+                        [-1e-3, 1e-3, -0.999, 0.999]])
+    got = interp(x)
+    with mpmath.workdps(50):
+        fm = [mpmath.mpf(float(v)) for v in interp.values]
+        fmax = max(abs(v) for v in fm)
+        for xi, si, gi in zip(x, chain(x), got):
+            t = [w / (mpmath.mpf(float(si)) - sj) for w, sj in zip(exact, sm)]
+            total = mpmath.fsum(t)
+            p = mpmath.fsum(tj * fj for tj, fj in zip(t, fm)) / total
+            lam = mpmath.fsum(abs(tj) for tj in t) / abs(total)
+            bound = (4 * n + 4) * U * lam * (fmax + abs(p))
+            assert abs(mpmath.mpf(float(gi)) - p) <= bound, (xi, float(p), gi)
+
+
+@pytest.mark.filterwarnings("error")
+def test_f1_graspa_lebesgue_growth_is_logarithmic():
+    # the paper's Lebesgue analysis: lambda grows like (2/pi) log n
+    dom = PiecewiseDomain(Interval(-1, 1), FUNCTIONS["f1"][1])
+    chain = method_chain("graspa", dom, KAPPA)
+    rise = (lebesgue_max(equispaced_nodes(699), chain, dom)
+            - lebesgue_max(equispaced_nodes(163), chain, dom))
+    assert abs(rise / (2 / np.pi * np.log(699 / 163)) - 1) <= 0.1
+
+
+def _reference_lebesgue(s_nodes, s_points):
+    """First-form Lebesgue function |l(s)| sum_j |w_j| / |s - s_j| in 40 digits;
+    every term is positive, so nothing cancels."""
+    sm, weights = _mp_weights(s_nodes, 40)
+    with mpmath.workdps(40):
+        out = []
+        for x in map(mpmath.mpf, map(float, s_points)):
+            ell = abs(mpmath.fprod(x - sj for sj in sm))
+            out.append(float(ell * mpmath.fsum(abs(w) / abs(x - sj)
+                                               for w, sj in zip(weights, sm))))
+    return np.array(out)
+
+
+@pytest.mark.filterwarnings("error")
+def test_property_scan_of_configs_whose_capacity_products_leave_the_range():
+    # random sgibbs and graspa configs: 1-3 cuts, half of them placed so the
+    # per-subinterval counts are balanced, kappa log-uniform in [0.1, 1e6], n
+    # in [60, 300].  Where the capacity-scaled products leave the normal
+    # range, lambda is either a typed error or within 4 (n+1) u lambda of a
+    # 40-digit first-form value; some of them must come back as values.
+    rng = np.random.default_rng(3)
+    counts = {"in range": 0, "raised": 0, "right": 0}
+    for _ in range(120):
+        d, kappa = int(rng.integers(1, 4)), float(10 ** rng.uniform(-1, 6))
+        n, method = int(rng.integers(60, 301)), ("sgibbs", "graspa")[rng.integers(0, 2)]
+        if rng.integers(0, 2):  # each cut in the gap after its node
+            ends = np.round(np.arange(1, d + 1) * (n + 1) / (d + 1)) - 1
+            cuts = tuple(-1.0 + 2.0 / n * (ends + rng.uniform(0.05, 0.95, d)))
+        else:
+            cuts = tuple(np.sort(rng.uniform(-0.95, 0.95, d)))
+        x = rng.uniform(-1, 1, 3)
+        chain = named_chain(method, PiecewiseDomain(Interval(-1, 1), cuts), kappa)
+        nodes = equispaced_nodes(n)
+        s = np.sort(_node_images(nodes, chain)[0])
+        if not _leaves_normal_range(_capacity_product(s)):
+            counts["in range"] += 1
+            continue
+        try:
+            lam = lebesgue_function(nodes, chain, x)
+        except EvaluationError:
+            counts["raised"] += 1
+            continue
+        ref = _reference_lebesgue(s, chain(x))
+        assert np.all(np.abs(lam - ref) <= 4 * (n + 1) * U * ref * ref), (method, n, cuts,
+                                                                         kappa)
+        counts["right"] += 1
+    assert counts["right"] >= 4, counts

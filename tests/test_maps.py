@@ -33,7 +33,7 @@ from graspa import (
     sgibbs_chain,
     vn_correction,
 )
-from graspa.maps import _ALPHA_CHAINS
+from graspa.maps import _ALPHA_CHAINS, _SHIFTLESS_CHAINS
 
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
 DOM3 = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
@@ -317,6 +317,15 @@ def test_only_the_alpha_chains_read_alpha():
         moved = (named_chain(name, DOM1, 1e4, alpha=0.5, n=8)
                  != named_chain(name, DOM1, 1e4, alpha=1.0, n=8))
         assert moved == (name in _ALPHA_CHAINS), name
+
+
+def test_only_the_shifting_chains_read_kappa():
+    # the CLI refuses --kappa outside the shifting chains, so the table and
+    # the list must agree
+    assert set(_SHIFTLESS_CHAINS) <= set(CHAIN_NAMES)
+    for name in CHAIN_NAMES:
+        moved = named_chain(name, DOM1, 5.0, n=8) != named_chain(name, DOM1, 1e4, n=8)
+        assert moved == (name not in _SHIFTLESS_CHAINS), name
 
 
 def test_vn_degree_must_be_an_integer():

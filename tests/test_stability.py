@@ -383,6 +383,19 @@ def test_even_split_residual_sum_matches_mpmath(n):
     assert_allclose(got, want, rtol=4 * n * sys.float_info.epsilon / 2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2230, 2500, 3000])
+def test_even_split_residual_sum_past_the_weights_range_matches_mpmath(n):
+    # the left set's weight products leave the float range here, while the
+    # sum near 0.5 stays small (0.0206 at n = 3000); x lies midway between
+    # two right nodes, at 0.5 + 1/n where 4 divides n
+    part = partition_nodes(equispaced_nodes(n), DOM1)
+    x = (n // 4 + 0.5) * (2.0 / n)
+    got = even_split_residual_sum(part.parts[0], part.parts[1], [x])
+    assert_allclose(got, [_exact_residual_sum(n, x)],
+                    rtol=4 * n * sys.float_info.epsilon / 2)
+
+
 def test_even_split_residual_sum_overflow_raises_without_warning():
     n = 3000
     part = partition_nodes(equispaced_nodes(n), DOM1)

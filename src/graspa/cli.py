@@ -119,7 +119,11 @@ def _map_chain(args, domain: PiecewiseDomain):
 
 def _method_setup(args, domain: PiecewiseDomain):
     """Equispaced nodes on the domain and the --method chain; every mapped
-    method passes the balance gate first."""
+    method passes the balance gate first, and --kappa is an error on the
+    classical method, which has no shift."""
+    if args.kappa != DEFAULT_KAPPA and args.method == "classical":
+        raise ValueError("--kappa does not apply to classical; "
+                         "the classical method has no shift")
     nodes = equispaced_nodes(args.n, domain.interval)
     if args.method != "classical":
         _balance_gate(nodes, domain, args.strict)

@@ -19,16 +19,25 @@ in ``stability``: it fills a single reused buffer of about 512 KiB one block
 of evaluation points at a time, so evaluating m points at n nodes needs
 O(m + block * n) memory rather than O(m * n).  Each row is reduced exactly as
 in the unblocked formula, so per-point Lebesgue values do not depend on the
-block size.  A point whose image equals a mapped node exactly gives an
-infinite quotient term, so its row's result is non-finite; only after the
-loop does ``_node_hits`` compare the non-finite rows with the mapped nodes,
-and a hit returns the node's stored value (Berrut & Trefethen, SIAM Rev.
-2004).  A non-finite row that is not a hit raises EvaluationError.
+block size.  The interpolant asks the kernel for the plain reciprocals
+``1 / (s - s_j)`` and takes each block's numerator and denominator from one
+matrix product with the two columns ``[w * f, w]`` it formed when it was
+built.  A point whose image equals a mapped node exactly gives an infinite
+reciprocal, so its row's result is non-finite; only after the loop does
+``_node_hits`` sort the non-finite rows into node hits and misses.  A hit
+returns the node's stored value (Berrut & Trefethen, SIAM Rev. 2004).  The
+interpolant takes a miss (a denominator that cancelled to 0, or a sum that
+overflowed) again in the first, modified Lagrange form
+``p(s) = l(s) sum_j w*_j f_j / (s - s_j)``, which is backward stable
+(Higham, IMA J. Numer. Anal. 2004); ``l(s)`` is exponent-tracked, and the
+true weights ``w*_j`` are the stored ones without their common scale.  A row
+that is still non-finite, and any miss of the Lebesgue function or the basis
+matrix, raises EvaluationError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +56,7 @@ __all__ = [
 
 VANDERMONDE_MAX_DEGREE = 12
 _BLOCK_BYTES = 512 * 1024  # byte budget of the quotient kernel's row buffer
-_NO_HITS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+_NO_HITS = (np.empty(0, dtype=np.intp),) * 3
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the normal range
 _FREXP_BLOCK = 512  # mantissas per block product: >= 2**-512, still normal
 _MAX_WEIGHT_SPAN = 2.0**53  # 1/u: the widest max|w| / min|w| accepted
@@ -151,6 +160,13 @@ class Interpolant:
     values: np.ndarray
     weights: np.ndarray
     chain: MapChain
+    # [w * f, w]: one matrix product gives each point's numerator and denominator
+    columns: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        columns = np.array((self.weights * self.values, self.weights)).T
+        columns.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
 
     def __call__(self, x):
         return eval_interpolant(self, x)
@@ -197,7 +213,8 @@ def _quotient_blocks(s, mapped_nodes, weights):
 
     ``t[k, j] = weights[j] / (s[rows][k] - mapped_nodes[j])``, computed in
     place in one buffer that is reused for the next block, so a caller must be
-    done with ``t`` (and may overwrite it) before advancing.  ``rows`` is the
+    done with ``t`` (and may overwrite it) before advancing.  ``weights`` may
+    be the scalar 1.0, which gives the plain reciprocals.  ``rows`` is the
     slice of s in the block.  Callers iterate under
     ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``: a point
     whose image equals a mapped node exactly gives w_j / 0 = +-inf, since the
@@ -217,22 +234,47 @@ def _quotient_blocks(s, mapped_nodes, weights):
         yield rows, t
 
 
-def _node_hits(s, finite, mapped_nodes, what: str):
-    """(rows, cols) of the points whose image s equals a mapped node exactly.
+def _node_hits(s, finite, mapped_nodes):
+    """(rows, cols, misses) for the points s whose result is not ``finite``.
 
-    Only the points where ``finite`` is False are compared with the nodes,
-    since a node hit always makes its row non-finite; the comparison takes one
-    byte per such point and node.  ``rows`` index s and ``cols`` index
-    mapped_nodes.  Raises EvaluationError, naming ``what``, if a non-finite
-    point is not a node hit.
+    Only those points are compared with the mapped nodes, since a node hit
+    always makes its row non-finite; the comparison takes one byte per such
+    point and node.  ``rows`` are the points whose image s equals a mapped
+    node exactly and ``cols`` those nodes; ``misses`` are the other
+    non-finite points.  ``rows`` and ``misses`` index s, ``cols`` indexes
+    mapped_nodes.
     """
     if finite.all():
         return _NO_HITS
     rows = np.flatnonzero(~finite)
     hit_row, hit_col = np.nonzero(s[rows, None] == mapped_nodes)
-    if hit_row.size != rows.size:
-        raise EvaluationError(f"{what} lost finiteness")
-    return rows[hit_row], hit_col
+    misses = _NO_HITS[0] if hit_row.size == rows.size else np.delete(rows, hit_row)
+    return rows[hit_row], hit_col, misses
+
+
+def _first_form(s, interp: Interpolant) -> np.ndarray:
+    """p(s) = l(s) * sum_j w*_j f_j / (s - s_j) at points s that are not
+    mapped nodes, l(s) = prod_k (s - s_k) and w*_j the true weights.
+
+    The stored weights are c * w*_j for one common scale c, which node 0
+    gives back: c = w_0 * prod_{k != 0} (s_0 - s_k).  The two products are
+    taken by :func:`_row_products`, and every factor is combined as a
+    mantissa and an exponent, so p is non-finite only if the sum is, or if p
+    itself is not a finite double.
+    """
+    nodes = interp.mapped_nodes
+    diff = np.empty((s.size + 1, nodes.size))
+    np.subtract(nodes[0], nodes, out=diff[0])
+    diff[0, 0] = 1.0
+    np.subtract(s[:, None], nodes[None, :], out=diff[1:])
+    prod, exp = _row_products(diff)
+    mant, e = np.frexp(prod)
+    e = e if exp is None else e + exp
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        num_mant, num_e = np.frexp(np.reciprocal(diff[1:]) @ interp.columns[:, 0])
+        w_mant, w_e = np.frexp(interp.weights[0])
+        return np.ldexp(num_mant * mant[1:] / (mant[0] * w_mant),
+                        num_e + (e[1:] - e[0] - w_e))
 
 
 def build_interpolant(nodes, values, chain: MapChain | None = None) -> Interpolant:
@@ -261,19 +303,28 @@ def build_interpolant(nodes, values, chain: MapChain | None = None) -> Interpola
 def eval_interpolant(interp: Interpolant, x):
     """Evaluate via the quotient barycentric form in s = S(x).
 
-    A point whose image coincides bit-exactly with a mapped node returns the
-    stored sample value, making the interpolation conditions exact.  The
-    result has the shape of x (a float for scalar x).
+    Each block of points takes its numerator sum_j w_j f_j / (s - s_j) and
+    denominator sum_j w_j / (s - s_j) from one matrix product of the
+    reciprocals 1 / (s - s_j) with ``interp.columns``.  A point whose image
+    coincides bit-exactly with a mapped node returns the stored sample value,
+    making the interpolation conditions exact.  Any other point whose
+    quotient is non-finite (the denominator cancelled to 0, or a sum
+    overflowed) is taken again in the first form (:func:`_first_form`), and
+    raises EvaluationError if it is still non-finite there.  The result has
+    the shape of x (a float for scalar x).
     """
     s = _eval_points(x, interp.chain)
     out = np.empty(s.size)
-    blocks = _quotient_blocks(s, interp.mapped_nodes, interp.weights)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t in blocks:
-            out[rows] = (t @ interp.values) / t.sum(axis=1)
-    hit_row, hit_col = _node_hits(s, np.isfinite(out), interp.mapped_nodes,
-                                  "barycentric evaluation")
+        for rows, r in _quotient_blocks(s, interp.mapped_nodes, 1.0):
+            sums = r @ interp.columns
+            np.divide(sums[:, 0], sums[:, 1], out=out[rows])
+    hit_row, hit_col, misses = _node_hits(s, np.isfinite(out), interp.mapped_nodes)
     out[hit_row] = interp.values[hit_col]
+    if misses.size:
+        out[misses] = _first_form(s[misses], interp)
+        if not np.isfinite(out[misses]).all():
+            raise EvaluationError("barycentric evaluation lost finiteness")
     return _shaped(out, x)
 
 

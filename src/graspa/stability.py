@@ -113,7 +113,9 @@ def _lebesgue_values(s, s_nodes, w) -> np.ndarray:
         for rows, t in _quotient_blocks(s, s_nodes, w):
             den = np.abs(t.sum(axis=1))
             lam[rows] = np.abs(t, out=t).sum(axis=1) / den
-    hit_row, _ = _node_hits(s, np.isfinite(lam), s_nodes, "Lebesgue function evaluation")
+    hit_row, _, misses = _node_hits(s, np.isfinite(lam), s_nodes)
+    if misses.size:
+        raise EvaluationError("Lebesgue function evaluation lost finiteness")
     lam[hit_row] = 1.0
     return lam
 
@@ -278,8 +280,9 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
         for rows, t in _quotient_blocks(s, s_nodes, w):
             np.divide(t, t.sum(axis=1)[:, None], out=t)
             mat[:, rows] = np.abs(t, out=t).T
-    hit_row, hit_col = _node_hits(s, np.isfinite(mat).all(axis=0), s_nodes,
-                                  "Lagrange matrix evaluation")
+    hit_row, hit_col, misses = _node_hits(s, np.isfinite(mat).all(axis=0), s_nodes)
+    if misses.size:
+        raise EvaluationError("Lagrange matrix evaluation lost finiteness")
     mat[:, hit_row] = 0.0
     mat[hit_col, hit_row] = 1.0
     return mat

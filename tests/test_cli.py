@@ -270,6 +270,17 @@ def test_kappa_refused_where_the_chain_has_no_shift(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 0, name
 
 
+@pytest.mark.parametrize("command", ["interp", "lebesgue", "lagmatrix"])
+def test_kappa_refused_on_the_classical_method(command, tmp_path, capsys):
+    argv = [command, "--n", "10", "--method", "classical", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--kappa", "5"]) == 2
+    assert "--kappa" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert main(argv) == 0
+    assert main([command, "--n", "10", "--method", "sgibbs", "--kappa", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+
+
 def test_floats_roundtrip_through_csv(tmp_path):
     assert main(["nodes", "--n", "7", "--kind", "bgcheb", "--beta", "0.1",
                  "--gamma", "0.2", "--out-dir", str(tmp_path)]) == 0

@@ -27,6 +27,7 @@ from graspa import (
     named_chain,
     vandermonde_coefficients,
 )
+from graspa import interpolation
 from graspa.exceptions import EvaluationError
 from graspa.experiments import FUNCTIONS
 from graspa.interpolation import _node_images
@@ -340,3 +341,106 @@ def test_property_scan_of_configs_whose_capacity_products_leave_the_range():
                                                                          kappa)
         counts["right"] += 1
     assert counts["right"] >= 4, counts
+
+
+# --- one matrix product per block, and the first form on lost rows -------------
+
+# the interpolants of the benchmark's interp_stream workload
+STREAM_INTERPOLANTS = (
+    ("f1", "graspa", (23, 81, 161)), ("f1", "sgibbs", (23, 81, 155)),
+    ("f1", "classical", (23, 41, 57)), ("f2", "graspa", (23, 81, 161)),
+    ("f2", "sgibbs", (23, 81, 121)), ("f2", "classical", (23, 41, 57)),
+)
+
+
+def _fit(function, method, n):
+    nodes, chain, _ = _mapped(function, method, n)
+    return build_interpolant(nodes, FUNCTIONS[function][0](nodes.nodes), chain)
+
+
+def _reference_errors(interp, x, got, digits, stored=False):
+    """(|got - p|, lambda, |p|) as float arrays at the points x, none of them
+    a node, over the interpolant's float nodes and values, in the given
+    digits.  With the true weights w_j = 1 / prod_{k != j} (s_j - s_k), p and
+    lambda are the first form l(s) sum_j w_j f_j / (s - s_j) and
+    |l(s)| sum_j |w_j| / |s - s_j|.  With ``stored``, the interpolant's own
+    float weights are taken exactly, and p and lambda are their quotient
+    sums, as in the benchmark's oracle."""
+    if stored:
+        sm, weights = ([mpmath.mpf(float(v)) for v in a]
+                       for a in (interp.mapped_nodes, interp.weights))
+    else:
+        sm, weights = _mp_weights(interp.mapped_nodes, digits)
+    rows = []
+    with mpmath.workdps(digits):
+        fm = [mpmath.mpf(float(v)) for v in interp.values]
+        for si, gi in zip(map(float, interp.chain(x)), got):
+            t = [w / (si - sj) for w, sj in zip(weights, sm)]
+            scale = 1 / mpmath.fsum(t) if stored else mpmath.fprod(si - sj for sj in sm)
+            p = scale * mpmath.fsum(tj * fj for tj, fj in zip(t, fm))
+            lam = abs(scale) * mpmath.fsum(abs(tj) for tj in t)
+            rows.append((float(abs(mpmath.mpf(float(gi)) - p)), float(lam), float(abs(p))))
+    return np.array(rows).T
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("function, method, n",
+                         [(f, m, n) for f, m, ns in STREAM_INTERPOLANTS for n in ns])
+def test_stream_interpolants_within_highams_bound(function, method, n):
+    # seeded random points, and points on both sides of every cut.  The
+    # reference takes the stored weights exactly: at f1 graspa 161 and f1
+    # sgibbs 155 a partial weight product passes through the subnormal range,
+    # so those weights are off the true ones by about 1e-9 relative before
+    # any evaluation starts
+    interp = _fit(function, method, n)
+    x = np.concatenate([np.random.default_rng(n).uniform(-1, 1, 8),
+                        [c + d for c in FUNCTIONS[function][1]
+                         for d in (-1e-3, -1e-9, 1e-9, 1e-3)]])
+    err, lam, p = _reference_errors(interp, x, interp(x), 50, stored=True)
+    bound = (4 * n + 4) * U * lam * (np.abs(interp.values).max() + p)
+    assert np.all(err <= bound), x[err > bound]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("function, method, n", [("f2", "sgibbs", 111),
+                                                 ("f2", "graspa", 171)])
+def test_cancelled_rows_are_finished_in_the_first_form(function, method, n, monkeypatch):
+    # on the 332-point grid some quotient denominators cancel to an exact 0:
+    # those rows are taken in the first form, whose forward error is at most
+    # (5n+5) u lambda(x) max|f| (Higham, IMA J. Numer. Anal. 2004); the other
+    # rows keep the second form's (4n+4) u lambda(x) (max|f| + |p(x)|)
+    interp = _fit(function, method, n)
+    finished = []
+    first_form = interpolation._first_form
+
+    def record(s, itp):
+        finished.extend(s)
+        return first_form(s, itp)
+
+    monkeypatch.setattr(interpolation, "_first_form", record)
+    x = np.linspace(-1, 1, 332)
+    x = x[~np.isin(interp.chain(x), interp.mapped_nodes)]
+    got = interp(x)
+    on_first = np.isin(interp.chain(x), finished)
+    assert on_first.any()
+    err, lam, p = _reference_errors(interp, x, got, 60)
+    fmax = np.abs(interp.values).max()
+    assert np.all(err[on_first] <= (5 * n + 5) * U * lam[on_first] * fmax)
+    rest = ~on_first
+    assert np.all(err[rest] <= (4 * n + 4) * U * lam[rest] * (fmax + p[rest]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("function, method, ceiling, failure", [
+    ("f2", "graspa", 275, "weight products left the float range"),
+    ("f2", "sgibbs", 267, "weight products left the float range"),
+    ("f1", "classical", 699, None)])
+def test_every_degree_evaluates_up_to_the_ceiling(function, method, ceiling, failure):
+    # the benchmark's degree-ceiling scan: build, then evaluate on the
+    # 332-point grid, at every odd degree from 11 on
+    grid = np.linspace(-1, 1, 332)
+    for n in range(11, ceiling + 1, 2):
+        assert np.all(np.isfinite(_fit(function, method, n)(grid))), n
+    if failure is not None:
+        with pytest.raises(EvaluationError, match=failure):
+            _fit(function, method, ceiling + 2)(grid)

@@ -9,6 +9,7 @@ from graspa import (
     Interval,
     MapChain,
     PiecewiseDomain,
+    barycentric_weights,
     build_interpolant,
     equispaced_nodes,
     eval_interpolant,
@@ -18,8 +19,9 @@ from graspa import (
     lebesgue_function,
     sgibbs_chain,
 )
+from graspa import interpolation
 from graspa.exceptions import EvaluationError
-from graspa.interpolation import _block_rows
+from graspa.interpolation import _block_rows, _node_images
 
 DOM_F2 = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
 CHAIN_F2 = graspa_chain(10000.0, DOM_F2)
@@ -203,3 +205,42 @@ def test_node_hit_does_not_hide_a_quotient_overflow(evaluate):
     x = np.concatenate([nodes.nodes[[0, 45, 89]], np.linspace(-1, 1, 332)])
     with pytest.raises(EvaluationError, match="lost finiteness"):
         evaluate(nodes, chain, x)
+
+
+def test_only_rows_that_miss_a_node_take_the_first_form(monkeypatch):
+    # node hits are non-finite rows too; they alone never reach the
+    # exponent-tracked products of the first form
+    calls = []
+    real = interpolation._row_products
+    monkeypatch.setattr(interpolation, "_row_products",
+                        lambda diff: calls.append(diff.shape) or real(diff))
+    nodes = equispaced_nodes(89)
+    values = f2(nodes.nodes)
+    interp = build_interpolant(nodes, values, CHAIN_F2)
+    calls.clear()  # the weights' products
+    out = interp(np.concatenate([nodes.nodes[[0, 45, 89]], np.linspace(-0.9, 0.9, 5)]))
+    np.testing.assert_array_equal(out[:3], values[[0, 45, 89]])
+    assert calls == []
+    # two nodes 1e-20 apart, seen from s = 1: both reciprocals round to 1, the
+    # weights are exact negatives, and the denominator cancels to 0 in any
+    # summation order; the first form gives the line through the two samples
+    interp = build_interpolant([0.0, 1e-20], [0.0, 1.0])
+    calls.clear()
+    out = interp(np.array([0.5e-20, 1.0]))
+    assert calls == [(2, 2)]
+    np.testing.assert_allclose(out, [0.5, 1e20], rtol=1e-15)
+
+
+def test_lebesgue_and_basis_matrix_keep_the_row_sum_quotient():
+    # the interpolant takes its sums from a matrix product; the Lebesgue
+    # function and the basis matrix keep numpy's row sums of the quotient
+    # terms bit for bit, on which the cell search's equality with the dense
+    # grid rests
+    nodes = equispaced_nodes(89)
+    x = np.random.default_rng(7).uniform(-1, 1, 2 * _block_rows(90) + 5)
+    s_nodes = _node_images(nodes, CHAIN_F2)[0]
+    t = barycentric_weights(s_nodes) / (CHAIN_F2(x)[:, None] - s_nodes[None, :])
+    np.testing.assert_array_equal(_bits(lebesgue_function(nodes, CHAIN_F2, x)),
+                                  _bits(np.abs(t).sum(axis=1) / np.abs(t.sum(axis=1))))
+    np.testing.assert_array_equal(_bits(lagrange_matrix(nodes, CHAIN_F2, x)),
+                                  _bits(np.abs(t / t.sum(axis=1)[:, None]).T))

@@ -56,6 +56,8 @@ def _write_csv(path: Path, header, rows) -> None:
 def _write_figure_outputs(args, outputs, svg: bool = False) -> None:
     """Write each table as <name>.csv under the output directory, and as
     <name>.svg when asked and it is a line plot; print every path written."""
+    if not all(table.rows.size for table in outputs):  # only a --grid of 0 gives one
+        raise ValueError("no rows to write: --grid needs at least 1 point")
     out = Path(args.out_dir or os.environ.get("GRASPA_OUT_DIR") or ".")
     out.mkdir(parents=True, exist_ok=True)
     for table in outputs:

@@ -119,17 +119,26 @@ class NodeSet:
     kind: str = "custom"
 
     def __post_init__(self) -> None:
-        arr = np.array(self.nodes, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("nodes must form a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("nodes must be finite")
+        arr = np.array(_node_array(self.nodes))  # a copy of its own
         if arr.size > 1 and not np.all(np.diff(arr) > 0):
             raise ValueError("nodes must be strictly increasing and distinct")
         object.__setattr__(self, "nodes", _frozen(arr))
 
     def __len__(self) -> int:
         return int(self.nodes.size)
+
+
+def _node_array(nodes) -> np.ndarray:
+    """The nodes as floats: a NodeSet's own, or raw ones, which must be
+    nonempty, 1-D and finite; only a NodeSet also needs them increasing."""
+    if isinstance(nodes, NodeSet):
+        return nodes.nodes
+    arr = np.asarray(nodes, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("nodes must form a nonempty 1-D sequence")
+    if not np.isfinite(arr).all():
+        raise ValueError("nodes must be finite")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

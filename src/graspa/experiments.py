@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import Interval, PiecewiseDomain, equispaced_nodes
 from .exceptions import EvaluationError
-from .interpolation import build_interpolant
+from .interpolation import _interpolant, build_interpolant, mapped_basis
 from .maps import MapChain, _check_kappa, named_chain
 from .stability import (_cell_search_max, _constant_grid, lebesgue_function,
                         lebesgue_grid, lagrange_matrix)
@@ -270,11 +270,12 @@ def run_comparison(config: ExperimentConfig,
             chain = method_chain(method, domain, config.kappa, n)
             err = lam = approx = None
             try:
+                basis = mapped_basis(nodes, chain)  # one basis for both fields
                 if want_rmae:
-                    approx = build_interpolant(nodes, fvals, chain)(grid)
+                    approx = _interpolant(basis, fvals)(grid)
                     err = rmae(lambda _: approx, truth, grid)
                 if want_lebesgue:
-                    lam = _cell_search_max(nodes, chain, lam_grid)
+                    lam = _cell_search_max(basis, lam_grid)
             except (EvaluationError, ValueError) as exc:
                 cells.append(CellResult(method, n, *failed, ok=False, note=str(exc)))
                 continue

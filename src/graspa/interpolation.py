@@ -13,26 +13,28 @@ weights spanning more than 2**53 are refused with EvaluationError.  A monomial
 for shifted node sets the mapped monomial basis is numerically unusable
 beyond toy sizes, so it is guarded, never the production path.
 
-The quotient terms ``w_j / (s - s_j)`` are formed by one private kernel,
-``_quotient_blocks``, shared with the Lebesgue-function and basis-matrix code
-in ``stability``: it fills a single reused buffer of about 512 KiB one block
-of evaluation points at a time, so evaluating m points at n nodes needs
-O(m + block * n) memory rather than O(m * n).  Each row is reduced exactly as
-in the unblocked formula, so per-point Lebesgue values do not depend on the
-block size.  The interpolant asks the kernel for the plain reciprocals
-``1 / (s - s_j)`` and takes each block's numerator and denominator from one
-matrix product with the two columns ``[w * f, w]`` it formed when it was
-built.  A point whose image equals a mapped node exactly gives an infinite
-reciprocal, so its row's result is non-finite; only after the loop does
-``_node_hits`` sort the non-finite rows into node hits and misses.  A hit
-returns the node's stored value (Berrut & Trefethen, SIAM Rev. 2004).  The
-interpolant takes a miss (a denominator that cancelled to 0, or a sum that
-overflowed) again in the first, modified Lagrange form
-``p(s) = l(s) sum_j w*_j f_j / (s - s_j)``, which is backward stable
-(Higham, IMA J. Numer. Anal. 2004); ``l(s)`` is exponent-tracked, and the
-true weights ``w*_j`` are the stored ones without their common scale.  A row
-that is still non-finite, and any miss of the Lebesgue function or the basis
-matrix, raises EvaluationError.
+An :class:`Interpolant` is a :class:`MappedBasis` (nodes sorted by image,
+their images, weights and chain; built by ``mapped_basis``) with values, and
+the evaluators in ``stability`` take a basis too, so no result depends on the
+order of the node list.  All their quotient terms ``w_j / (s - s_j)`` come
+from one private kernel, ``_quotient_blocks``: it fills a single reused buffer
+of about 512 KiB one block of evaluation points at a time, so evaluating m
+points at n nodes needs O(m + block * n) memory rather than O(m * n).  Each
+row is reduced exactly as in the unblocked formula, so per-point Lebesgue
+values do not depend on the block size.  The interpolant asks the kernel for
+the plain reciprocals ``1 / (s - s_j)`` and takes each block's numerator and
+denominator from one matrix product with the two columns ``[w * f, w]`` it
+formed when it was built.  A point whose image equals a mapped node exactly
+gives an infinite reciprocal, so its row's result is non-finite; only after
+the loop does ``_node_hits`` sort the non-finite rows into node hits and
+misses.  A hit returns the node's stored value (Berrut & Trefethen, SIAM Rev.
+2004).  The interpolant takes a miss (a denominator that cancelled to 0, or a
+sum that overflowed) again in the first, modified Lagrange form
+``p(s) = l(s) sum_j w*_j f_j / (s - s_j)``, which is backward stable (Higham,
+IMA J. Numer. Anal. 2004); ``l(s)`` is exponent-tracked, and the true weights
+``w*_j`` are the stored ones without their common scale.  A row that is still
+non-finite, and any miss of the Lebesgue function or the basis matrix, raises
+EvaluationError.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import NodeSet
+from .domain import _node_array
 from .exceptions import EvaluationError
 from .maps import MapChain
 
@@ -60,12 +62,6 @@ _NO_HITS = (np.empty(0, dtype=np.intp),) * 3
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the normal range
 _FREXP_BLOCK = 512  # mantissas per block product: >= 2**-512, still normal
 _MAX_WEIGHT_SPAN = 2.0**53  # 1/u: the widest max|w| / min|w| accepted
-
-
-def _node_array(nodes) -> np.ndarray:
-    if isinstance(nodes, NodeSet):
-        return nodes.nodes
-    return np.asarray(nodes, dtype=float)
 
 
 def _row_products(diff) -> tuple[np.ndarray, np.ndarray | None]:
@@ -152,14 +148,30 @@ def barycentric_weights(points) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Interpolant:
-    """Mapped-node barycentric interpolant; immutable, exact at the nodes."""
+class MappedBasis:
+    """Mapped Lagrange basis: the nodes sorted by their images s = S(x) under the
+    chain, the images, their weights, and ``order``, each node's caller index."""
 
     nodes: np.ndarray
     mapped_nodes: np.ndarray
-    values: np.ndarray
     weights: np.ndarray
     chain: MapChain
+    order: np.ndarray
+
+    def map(self, x) -> np.ndarray:
+        """Mapped images of the points x, flattened to 1-D; non-finite ones raise."""
+        return self.chain(np.asarray(x, dtype=float).ravel())
+
+    def __len__(self) -> int:
+        return int(self.nodes.size)
+
+
+@dataclass(frozen=True, eq=False)
+class Interpolant(MappedBasis):
+    """Mapped-node barycentric interpolant; immutable, exact at the nodes: a
+    basis with the samples ``values`` in its node order."""
+
+    values: np.ndarray
     # [w * f, w]: one matrix product gives each point's numerator and denominator
     columns: np.ndarray = field(init=False, repr=False)
 
@@ -171,31 +183,31 @@ class Interpolant:
     def __call__(self, x):
         return eval_interpolant(self, x)
 
-    def __len__(self) -> int:
-        return int(self.nodes.size)
-
 
 def _node_images(nodes, chain: MapChain | None) -> tuple[np.ndarray, np.ndarray]:
-    """Mapped images of the nodes, which must be finite and distinct, and
-    the permutation that sorts them.  ``chain=None`` is the identity map.
+    """Mapped images of the nodes, which must be distinct, and the permutation
+    that sorts them.  ``chain=None`` is the identity map.
     """
     x = _node_array(nodes)
     s = np.asarray(chain(x), dtype=float) if chain is not None else x.astype(float)
-    if not np.all(np.isfinite(s)):
-        raise EvaluationError("map produced non-finite node images")
     order = np.argsort(s, kind="stable")
-    if np.any(np.diff(s[order]) <= 0):
+    if (np.diff(s[order]) <= 0).any():
         raise ValueError("map is not injective on the nodes: mapped nodes collide")
     return s, order
 
 
-def _eval_points(x, chain: MapChain | None) -> np.ndarray:
-    """Mapped images of the evaluation points x, flattened to 1-D."""
-    pts = np.asarray(x, dtype=float).ravel()
-    s = np.asarray(chain(pts), dtype=float) if chain is not None else pts
-    if not np.all(np.isfinite(s)):
-        raise EvaluationError("map produced non-finite values at evaluation points")
-    return s
+def mapped_basis(nodes, chain: MapChain | None = None) -> MappedBasis:
+    """The nodes' basis under the chain (None: the identity).  Raises ValueError
+    for nodes that are not nonempty, 1-D and finite or whose images collide, and
+    EvaluationError for non-finite images or weights out of the float range."""
+    chain = chain if chain is not None else MapChain()
+    x = _node_array(nodes)
+    s, order = _node_images(x, chain)
+    x, s = x[order], s[order]
+    w = barycentric_weights(s)
+    for arr in (x, s, w, order):
+        arr.setflags(write=False)
+    return MappedBasis(x, s, w, chain, order)
 
 
 def _shaped(out: np.ndarray, x):
@@ -281,23 +293,22 @@ def build_interpolant(nodes, values, chain: MapChain | None = None) -> Interpola
     """Construct the interpolant of (nodes, values) in the mapped variable.
 
     The samples are taken as given -- changing the chain never triggers a
-    resample of the underlying function.  Raises if the chain is not
-    injective on the nodes (mapped nodes collide) or if any value is
-    non-finite.
+    resample of the underlying function.  Raises as :func:`mapped_basis`
+    does, and if any value is non-finite.
     """
-    chain = chain if chain is not None else MapChain()
-    x = _node_array(nodes)
-    f = np.array(values, dtype=float)
-    if f.shape != x.shape:
-        raise ValueError(f"got {f.size} values for {x.size} nodes")
-    if not np.all(np.isfinite(f)):
+    return _interpolant(mapped_basis(nodes, chain), values)
+
+
+def _interpolant(basis: MappedBasis, values) -> Interpolant:
+    """The interpolant in the basis of the values at the caller's nodes."""
+    f = np.asarray(values, dtype=float)
+    if f.shape != basis.order.shape:
+        raise ValueError(f"got {f.size} values for {basis.order.size} nodes")
+    if not np.isfinite(f).all():
         raise ValueError("sample values must be finite")
-    s, order = _node_images(x, chain)
-    x, s, f = x[order].copy(), s[order].copy(), f[order].copy()
-    w = barycentric_weights(s)
-    for arr in (x, s, f, w):
-        arr.setflags(write=False)
-    return Interpolant(x, s, f, w, chain)
+    f = f[basis.order]
+    f.setflags(write=False)
+    return Interpolant(**vars(basis), values=f)
 
 
 def eval_interpolant(interp: Interpolant, x):
@@ -313,7 +324,7 @@ def eval_interpolant(interp: Interpolant, x):
     raises EvaluationError if it is still non-finite there.  The result has
     the shape of x (a float for scalar x).
     """
-    s = _eval_points(x, interp.chain)
+    s = interp.map(x)
     out = np.empty(s.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for rows, r in _quotient_blocks(s, interp.mapped_nodes, 1.0):
@@ -335,7 +346,6 @@ def vandermonde_coefficients(nodes, values, chain: MapChain | None = None) -> np
     Vandermonde system is too ill-conditioned to trust; use the barycentric
     interpolant instead.
     """
-    chain = chain if chain is not None else MapChain()
     x = _node_array(nodes)
     f = np.asarray(values, dtype=float)
     if f.shape != x.shape:

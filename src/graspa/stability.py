@@ -1,28 +1,28 @@
 """Lebesgue-function analysis for mapped bases and infinite-shift predictions.
 
-The Lebesgue function of a mapped Lagrange basis is computed through the same
-capacity-scaled barycentric representation used for interpolation, and its
-quotient terms come from the same blocked kernel, so the two paths share
-their numerical behaviour.  Evaluation points are processed in row blocks of
+The Lebesgue function is evaluated from the same mapped basis as the
+interpolant (``interpolation.MappedBasis``), through the same blocked kernel,
+so the two paths share their numerical behaviour, and no value depends on the
+order of the node list.  Evaluation points are processed in row blocks of
 about 512 KiB, so memory is O(m + block * n) for m points and n nodes; each
 per-point Lebesgue value is the same as an unblocked evaluation would give.
 
-:func:`lebesgue_max` returns the same grid maximum as :func:`lebesgue_constant`
-without evaluating every grid point.  Between two consecutive nodes the
-Lebesgue function has exactly one local maximum (Brutman, J. Inequal. Appl.
-1997), and every named chain is increasing, so the grid splits at the nodes
-into cells on which the function is unimodal; a coarse pass over each cell
-and a fine pass around its best coarse points (all within rounding error of
-the best) find the cell's maximum.  Every value it evaluates has the bits the
-dense grid gives it, so the two maxima are equal.  Its bookkeeping works only
-on the points it evaluates: one binary search per node bounds the cells, the
-points of both passes are built cell by cell, and the nodes are mapped and
-their weights formed once per search, for one private evaluator that
-:func:`lebesgue_function` also wraps.  Where
-16 (n+1) u (lambda + 1) reaches 1 (u the unit roundoff) the computed values
-are noise on both paths: the search then looks around the best coarse point
-alone, and may pick another grid point than the dense sweep, or miss a dense
-sample that cancelled to a non-finite value.
+:func:`lebesgue_max` returns the same grid maximum as
+:func:`lebesgue_constant` without evaluating every grid point.  Between two
+consecutive nodes the Lebesgue function has exactly one local maximum
+(Brutman, J. Inequal. Appl. 1997), and every named chain is increasing, so the
+grid splits at the nodes into cells on which the function is unimodal; a
+coarse pass over each cell and a fine pass around its best coarse points (all
+within rounding error of the best) find the cell's maximum.  Every value it
+evaluates has the bits the dense grid gives it, so the two maxima are equal.
+Its bookkeeping works only on the points it evaluates: one binary search per
+node bounds the cells, and the points of both passes are built cell by cell.
+Both passes evaluate one basis, through the evaluator that
+:func:`lebesgue_function` also wraps.  Where 16 (n+1) u (lambda + 1) reaches 1
+(u the unit roundoff) the computed values are noise on both paths: the search
+then looks around the best coarse point alone, and may pick another grid point
+than the dense sweep, or miss a dense sample that cancelled to a non-finite
+value.
 
 For piecewise-shifted bases the module also evaluates what the Lebesgue
 constant tends to as the shift grows without bound: per-subinterval classical
@@ -43,11 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import NodePartition, NodeSet, PiecewiseDomain
+from .domain import NodePartition, PiecewiseDomain, _node_array
 from .exceptions import EvaluationError, PredictionUnavailableError
-from .interpolation import (_eval_points, _node_array, _node_hits, _node_images,
-                            _quotient_blocks, _reciprocals, _row_products, _shaped,
-                            _weight_products, barycentric_weights)
+from .interpolation import (MappedBasis, _node_hits, _quotient_blocks, _reciprocals,
+                            _row_products, _shaped, _weight_products, mapped_basis)
 from .maps import MapChain
 
 __all__ = [
@@ -99,21 +98,19 @@ def lebesgue_function(nodes, chain: MapChain | None, x):
 
     The result has the shape of x (a float for scalar x).
     """
-    s_nodes, _ = _node_images(nodes, chain)
-    w = barycentric_weights(s_nodes)
-    return _shaped(_lebesgue_values(_eval_points(x, chain), s_nodes, w), x)
+    basis = mapped_basis(nodes, chain)
+    return _shaped(_lebesgue_values(basis.map(x), basis), x)
 
 
-def _lebesgue_values(s, s_nodes, w) -> np.ndarray:
-    """Lebesgue function at the mapped points s, for the mapped nodes s_nodes
-    and their weights w: the one evaluator behind :func:`lebesgue_function`
-    and the cell search."""
+def _lebesgue_values(s, basis: MappedBasis) -> np.ndarray:
+    """Lebesgue function of the basis at the mapped points s; the one evaluator
+    behind :func:`lebesgue_function`, the cell search and the even split."""
     lam = np.empty(s.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t in _quotient_blocks(s, s_nodes, w):
+        for rows, t in _quotient_blocks(s, basis.mapped_nodes, basis.weights):
             den = np.abs(t.sum(axis=1))
             lam[rows] = np.abs(t, out=t).sum(axis=1) / den
-    hit_row, _, misses = _node_hits(s, np.isfinite(lam), s_nodes)
+    hit_row, _, misses = _node_hits(s, np.isfinite(lam), basis.mapped_nodes)
     if misses.size:
         raise EvaluationError("Lebesgue function evaluation lost finiteness")
     lam[hit_row] = 1.0
@@ -129,7 +126,7 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
     (max(2000, 100 * node count) points per subinterval), an explicit
     per-subinterval count, or a ready-made array of points.
     """
-    x = _node_array(nodes)
+    x = np.sort(_node_array(nodes))  # midpoints of neighbours on the line
     if isinstance(grid_spec, str):
         if grid_spec != "auto":
             raise ValueError(f"unknown grid spec {grid_spec!r}")
@@ -150,8 +147,7 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
     for i in range(domain.n_subintervals):
         g = np.linspace(bp[i], bp[i + 1], per)
         pieces.append(g if i == 0 else g[1:])
-    if x.size > 1:
-        pieces.append((x[:-1] + x[1:]) / 2.0)
+    pieces.append((x[:-1] + x[1:]) / 2.0)  # none for a single node
     return np.unique(np.concatenate(pieces))
 
 
@@ -188,10 +184,11 @@ def lebesgue_max(nodes, chain: MapChain | None, domain: PiecewiseDomain,
     consecutive nodes in two passes instead of evaluating every point (see
     the module docstring); the same bits wherever lambda has a correct digit.
     """
-    return _cell_search_max(nodes, chain, _constant_grid(domain, nodes, grid_spec))
+    grid = _constant_grid(domain, nodes, grid_spec)
+    return _cell_search_max(mapped_basis(nodes, chain), grid)
 
 
-def _cell_search_max(nodes, chain: MapChain | None, grid: np.ndarray) -> float:
+def _cell_search_max(basis: MappedBasis, grid: np.ndarray) -> float:
     """Largest Lebesgue-function value over the sorted grid, found cell by cell.
 
     The nodes split the grid into cells, a point equal to a node closing the
@@ -209,22 +206,19 @@ def _cell_search_max(nodes, chain: MapChain | None, grid: np.ndarray) -> float:
     cell gets the window of its best point alone.  Cell ends are always
     evaluated: each |w_j / (s - s_j)| is convex on a cell, so a term that
     overflows somewhere on it overflows at an end, and the dense grid's
-    EvaluationError still fires.  If the nodes or their images are not in
-    increasing order, every point is evaluated.
+    EvaluationError still fires.  If the nodes, sorted by image, do not
+    increase (the chain does not increase on them), every point is evaluated.
 
     The cells come from one binary search per node, and both stages' points
     are built cell by cell, so apart from the kernel the work and memory are
-    O(n + points evaluated), not O(grid).  The nodes are mapped and their
-    weights formed once, for both stages.
+    O(n + points evaluated), not O(grid).
     """
-    x = _node_array(nodes)
-    s_nodes, _ = _node_images(x, chain)
-    w = barycentric_weights(s_nodes)
+    x = basis.nodes
 
     def values(idx):  # each stage maps only its own points
-        return _lebesgue_values(_eval_points(grid[idx], chain), s_nodes, w)
+        return _lebesgue_values(basis.map(grid[idx]), basis)
 
-    if not (np.all(np.diff(x) > 0) and np.all(np.diff(s_nodes) > 0)):
+    if not (np.diff(x) > 0).all():
         return float(values(slice(None)).max())
     # cell bounds: the first grid point past each node; empty cells drop out
     edges = np.unique(np.concatenate(([0], np.searchsorted(grid, x, side="right"),
@@ -266,25 +260,25 @@ def _cell_search_max(nodes, chain: MapChain | None, grid: np.ndarray) -> float:
 def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
     """Matrix |l_i(x_j)| of absolute mapped basis values, nodes by grid points.
 
-    Column sums reproduce the Lebesgue function; a grid point whose image hits
-    a mapped node exactly yields the corresponding unit column.
+    Rows keep the caller's node order; column sums reproduce the Lebesgue function.
+    A grid point whose image hits a mapped node exactly yields its unit column.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("grid must be a nonempty 1-D sequence")
-    s_nodes, _ = _node_images(nodes, chain)
-    w = barycentric_weights(s_nodes)
-    s = _eval_points(g, chain)
-    mat = np.empty((s_nodes.size, s.size))
+    basis = mapped_basis(nodes, chain)
+    s = basis.map(g)
+    mat = np.empty((basis.order.size, s.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t in _quotient_blocks(s, s_nodes, w):
+        for rows, t in _quotient_blocks(s, basis.mapped_nodes, basis.weights):
             np.divide(t, t.sum(axis=1)[:, None], out=t)
-            mat[:, rows] = np.abs(t, out=t).T
-    hit_row, hit_col, misses = _node_hits(s, np.isfinite(mat).all(axis=0), s_nodes)
+            mat[basis.order, rows] = np.abs(t, out=t).T  # row i is node order[i]
+    hit_row, hit_col, misses = _node_hits(s, np.isfinite(mat).all(axis=0),
+                                          basis.mapped_nodes)
     if misses.size:
         raise EvaluationError("Lagrange matrix evaluation lost finiteness")
     mat[:, hit_row] = 0.0
-    mat[hit_col, hit_row] = 1.0
+    mat[basis.order[hit_col], hit_row] = 1.0
     return mat
 
 
@@ -323,12 +317,6 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     return out
 
 
-def _classical_max(part: np.ndarray, grid: np.ndarray) -> float:
-    if grid.size == 0:
-        raise ValueError("empty subinterval grid")
-    return _cell_search_max(part, None, grid)
-
-
 def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
                               grid_spec="auto") -> LimitQuantities:
     """Infinite-shift Lebesgue constant from its closed form.
@@ -351,9 +339,10 @@ def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
     # closed masks (cut points count for both neighbours)
     bp = domain.breakpoints
     side_grids = [grid[(grid >= bp[i]) & (grid <= bp[i + 1])] for i in range(d + 1)]
-    side_constants = tuple(
-        _classical_max(part, g) for part, g in zip(partition.parts, side_grids)
-    )
+    if min(g.size for g in side_grids) == 0:
+        raise ValueError("empty subinterval grid")
+    bases = [mapped_basis(part) for part in partition.parts]
+    side_constants = tuple(_cell_search_max(b, g) for b, g in zip(bases, side_grids))
     c_table = {}
     if d >= 2:
         for mu in range(1, d + 2):
@@ -367,8 +356,7 @@ def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
         if n1 == n2 + 1:
             r_vals = even_split_residual_sum(partition.parts[0], partition.parts[1],
                                              side_grids[1])
-            integrand = r_vals + lebesgue_function(NodeSet(partition.parts[1]), None,
-                                                   side_grids[1])
+            integrand = r_vals + _lebesgue_values(bases[1].map(side_grids[1]), bases[1])
             integrand.setflags(write=False)
             r_max = float(integrand.max())
             return LimitQuantities("even", max(side_constants[0], r_max),

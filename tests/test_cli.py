@@ -358,3 +358,14 @@ def test_svg_text_is_escaped(tmp_path):
     root = ElementTree.parse(tmp_path / "r&d<1>.svg").getroot()
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert "r&d<1>" in texts
+
+
+@pytest.mark.parametrize("argv", [
+    ["interp", "--n", "5"],
+    ["map", "--map", "mkte", "--cuts", "0"],
+    ["lagmatrix", "--n", "5"],
+])
+def test_empty_grid_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--grid", "0", "--out-dir", str(tmp_path)]) == 2
+    assert "grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -191,7 +191,7 @@ def test_sweeps_compute_only_the_fields_asked_for(monkeypatch):
         return wrapper
 
     for key, name in (("search", "_cell_search_max"), ("grid", "_constant_grid"),
-                      ("interpolant", "build_interpolant")):
+                      ("interpolant", "_interpolant")):
         monkeypatch.setattr(experiments, name, counted(key, getattr(experiments, name)))
     cfg = ExperimentConfig(function="f1", n_values=(11, 23), methods=("sgibbs", "graspa"))
     res = run_comparison(cfg, ("rmae",))

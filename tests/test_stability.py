@@ -31,7 +31,7 @@ from graspa import (
     partition_nodes,
     sgibbs_chain,
 )
-from graspa import stability
+from graspa import interpolation, stability
 from graspa.exceptions import EvaluationError, PredictionUnavailableError
 
 DOM0 = PiecewiseDomain(Interval(-1, 1))
@@ -239,8 +239,8 @@ def test_cell_search_evaluates_the_reference_points(monkeypatch, nodes, chain, d
     calls = []
     real = stability._lebesgue_values
 
-    def spy(s, s_nodes, w):
-        calls.append((s.copy(), real(s, s_nodes, w)))
+    def spy(s, basis):
+        calls.append((s.copy(), real(s, basis)))
         return calls[-1][1]
 
     monkeypatch.setattr(stability, "_lebesgue_values", spy)
@@ -256,8 +256,8 @@ def test_cell_search_evaluates_the_reference_points(monkeypatch, nodes, chain, d
 
 def test_cell_search_forms_the_weights_once(monkeypatch):
     calls = []
-    real = stability.barycentric_weights
-    monkeypatch.setattr(stability, "barycentric_weights",
+    real = interpolation.barycentric_weights
+    monkeypatch.setattr(interpolation, "barycentric_weights",
                         lambda s: calls.append(s.size) or real(s))
     lebesgue_max(equispaced_nodes(23), graspa_chain(1e4, DOM1), DOM1)
     assert calls == [24]

@@ -19,7 +19,9 @@ the evaluators in ``stability`` take a basis too, so no result depends on the
 order of the node list.  All their quotient terms ``w_j / (s - s_j)`` come
 from one private kernel, ``_quotient_blocks``: it fills a single reused buffer
 of about 512 KiB one block of evaluation points at a time, so evaluating m
-points at n nodes needs O(m + block * n) memory rather than O(m * n).  Each
+points at n nodes needs O(m + block * n) memory rather than O(m * n).  Its
+differences, like every s - s_j in the package, come from one rank-2 product
+[s, 1] @ [1; -s_j] (``_differences``), bit-equal to the subtraction.  Each
 row is reduced exactly as in the unblocked formula, so per-point Lebesgue
 values do not depend on the block size.  The interpolant asks the kernel for
 the plain reciprocals ``1 / (s - s_j)`` and takes each block's numerator and
@@ -64,6 +66,18 @@ _FREXP_BLOCK = 512  # mantissas per block product: >= 2**-512, still normal
 _MAX_WEIGHT_SPAN = 2.0**53  # 1/u: the widest max|w| / min|w| accepted
 
 
+def _node_factor(x) -> np.ndarray:
+    return np.array((np.ones(x.size), -x))
+
+
+def _differences(s, factor, out=None, left=None) -> np.ndarray:
+    """s_i - x_j as [s, 1] @ factor, factor = [1; -x]: two exact products, rounded
+    once, so the subtraction's bits (a zero's sign aside).  left: ones in column 1."""
+    left = np.ones((s.size, 2)) if left is None else left
+    left[:, 0] = s
+    return np.matmul(left, factor, out=out)
+
+
 def _row_products(diff) -> tuple[np.ndarray, np.ndarray | None]:
     """Row products of diff as (p, e), product = p * 2**e.
 
@@ -105,15 +119,14 @@ def _reciprocals(prod, exp) -> tuple[np.ndarray, int]:
 def _weight_products(points) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`_row_products` of prod_{j != i} (s_i - s_j) / cap, where cap is
     one quarter of the span of the points s."""
-    s = np.asarray(points, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("points must form a nonempty 1-D sequence")
+    s = _node_array(points)  # nonempty, 1-D and finite: checked before any product
     if s.size == 1:
         return np.ones(1), None
     cap = (s.max() - s.min()) / 4.0
     if not cap > 0:
         raise ValueError("points must be distinct")
-    diff = (s[:, None] - s[None, :]) / cap
+    diff = _differences(s, _node_factor(s))
+    diff /= cap
     np.fill_diagonal(diff, 1.0)
     prod, exp = _row_products(diff)
     if not prod.all():  # a zero product has a zero factor: a repeated point
@@ -157,6 +170,7 @@ class MappedBasis:
     weights: np.ndarray
     chain: MapChain
     order: np.ndarray
+    node_factor: np.ndarray  # [1; -mapped_nodes], the right factor of _differences
 
     def map(self, x) -> np.ndarray:
         """Mapped images of the points x, flattened to 1-D; non-finite ones raise."""
@@ -204,10 +218,10 @@ def mapped_basis(nodes, chain: MapChain | None = None) -> MappedBasis:
     x = _node_array(nodes)
     s, order = _node_images(x, chain)
     x, s = x[order], s[order]
-    w = barycentric_weights(s)
-    for arr in (x, s, w, order):
+    w, factor = barycentric_weights(s), _node_factor(s)
+    for arr in (x, s, w, order, factor):
         arr.setflags(write=False)
-    return MappedBasis(x, s, w, chain, order)
+    return MappedBasis(x, s, w, chain, order, factor)
 
 
 def _shaped(out: np.ndarray, x):
@@ -220,28 +234,28 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-def _quotient_blocks(s, mapped_nodes, weights):
+def _quotient_blocks(s, basis: MappedBasis, weights):
     """Yield (rows, t) over blocks of the points s.
 
-    ``t[k, j] = weights[j] / (s[rows][k] - mapped_nodes[j])``, computed in
-    place in one buffer that is reused for the next block, so a caller must be
-    done with ``t`` (and may overwrite it) before advancing.  ``weights`` may
-    be the scalar 1.0, which gives the plain reciprocals.  ``rows`` is the
-    slice of s in the block.  Callers iterate under
+    ``t[k, j] = weights[j] / (s[rows][k] - mapped_nodes[j])``, the differences
+    from one rank-2 product, bit-equal to the subtraction (:func:`_differences`),
+    in one buffer reused for the next block: a caller must be done with ``t``
+    (and may overwrite it) before advancing.  ``weights`` may be 1.0, for the
+    plain reciprocals; ``rows`` is the block's slice of s.  Callers iterate under
     ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``: a point
     whose image equals a mapped node exactly gives w_j / 0 = +-inf, since the
     weights are finite and nonzero, and a quotient may overflow; either way
     the row's result is non-finite, and :func:`_node_hits` sorts the two apart
     after the loop.
     """
-    m, n = s.size, mapped_nodes.size
+    m, n = s.size, len(basis)
     block = _block_rows(n)
     buf = np.empty((min(block, m), n))
+    left = np.ones((buf.shape[0], 2))
     for lo in range(0, m, block):
         rows = slice(lo, min(lo + block, m))
-        sr = s[rows]
-        t = buf[:sr.size]
-        np.subtract(sr[:, None], mapped_nodes[None, :], out=t)
+        k = rows.stop - lo
+        t = _differences(s[rows], basis.node_factor, buf[:k], left[:k])
         np.divide(weights, t, out=t)
         yield rows, t
 
@@ -274,11 +288,8 @@ def _first_form(s, interp: Interpolant) -> np.ndarray:
     mantissa and an exponent, so p is non-finite only if the sum is, or if p
     itself is not a finite double.
     """
-    nodes = interp.mapped_nodes
-    diff = np.empty((s.size + 1, nodes.size))
-    np.subtract(nodes[0], nodes, out=diff[0])
+    diff = _differences(np.append(interp.mapped_nodes[0], s), interp.node_factor)
     diff[0, 0] = 1.0
-    np.subtract(s[:, None], nodes[None, :], out=diff[1:])
     prod, exp = _row_products(diff)
     mant, e = np.frexp(prod)
     e = e if exp is None else e + exp
@@ -299,14 +310,19 @@ def build_interpolant(nodes, values, chain: MapChain | None = None) -> Interpola
     return _interpolant(mapped_basis(nodes, chain), values)
 
 
-def _interpolant(basis: MappedBasis, values) -> Interpolant:
-    """The interpolant in the basis of the values at the caller's nodes."""
+def _sample_values(values, nodes: np.ndarray) -> np.ndarray:
+    """The values as floats, one per node; ValueError unless all are finite."""
     f = np.asarray(values, dtype=float)
-    if f.shape != basis.order.shape:
-        raise ValueError(f"got {f.size} values for {basis.order.size} nodes")
+    if f.shape != nodes.shape:
+        raise ValueError(f"got {f.size} values for {nodes.size} nodes")
     if not np.isfinite(f).all():
         raise ValueError("sample values must be finite")
-    f = f[basis.order]
+    return f
+
+
+def _interpolant(basis: MappedBasis, values) -> Interpolant:
+    """The interpolant in the basis of the values at the caller's nodes."""
+    f = _sample_values(values, basis.order)[basis.order]
     f.setflags(write=False)
     return Interpolant(**vars(basis), values=f)
 
@@ -327,7 +343,7 @@ def eval_interpolant(interp: Interpolant, x):
     s = interp.map(x)
     out = np.empty(s.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, r in _quotient_blocks(s, interp.mapped_nodes, 1.0):
+        for rows, r in _quotient_blocks(s, interp, 1.0):
             sums = r @ interp.columns
             np.divide(sums[:, 0], sums[:, 1], out=out[rows])
     hit_row, hit_col, misses = _node_hits(s, np.isfinite(out), interp.mapped_nodes)
@@ -344,12 +360,10 @@ def vandermonde_coefficients(nodes, values, chain: MapChain | None = None) -> np
 
     Low-degree oracle path only: refuses degree > 12, where the mapped
     Vandermonde system is too ill-conditioned to trust; use the barycentric
-    interpolant instead.
+    interpolant instead.  Non-finite values raise ValueError.
     """
     x = _node_array(nodes)
-    f = np.asarray(values, dtype=float)
-    if f.shape != x.shape:
-        raise ValueError(f"got {f.size} values for {x.size} nodes")
+    f = _sample_values(values, x)
     degree = x.size - 1
     if degree > VANDERMONDE_MAX_DEGREE:
         raise ValueError(

@@ -45,8 +45,9 @@ import numpy as np
 
 from .domain import NodePartition, PiecewiseDomain, _node_array
 from .exceptions import EvaluationError, PredictionUnavailableError
-from .interpolation import (MappedBasis, _node_hits, _quotient_blocks, _reciprocals,
-                            _row_products, _shaped, _weight_products, mapped_basis)
+from .interpolation import (MappedBasis, _differences, _node_factor, _node_hits,
+                            _quotient_blocks, _reciprocals, _row_products, _shaped,
+                            _weight_products, mapped_basis)
 from .maps import MapChain
 
 __all__ = [
@@ -107,7 +108,7 @@ def _lebesgue_values(s, basis: MappedBasis) -> np.ndarray:
     behind :func:`lebesgue_function`, the cell search and the even split."""
     lam = np.empty(s.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t in _quotient_blocks(s, basis.mapped_nodes, basis.weights):
+        for rows, t in _quotient_blocks(s, basis, basis.weights):
             den = np.abs(t.sum(axis=1))
             lam[rows] = np.abs(t, out=t).sum(axis=1) / den
     hit_row, _, misses = _node_hits(s, np.isfinite(lam), basis.mapped_nodes)
@@ -270,7 +271,7 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
     s = basis.map(g)
     mat = np.empty((basis.order.size, s.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t in _quotient_blocks(s, basis.mapped_nodes, basis.weights):
+        for rows, t in _quotient_blocks(s, basis, basis.weights):
             np.divide(t, t.sum(axis=1)[:, None], out=t)
             mat[basis.order, rows] = np.abs(t, out=t).T  # row i is node order[i]
     hit_row, hit_col, misses = _node_hits(s, np.isfinite(mat).all(axis=0),
@@ -306,7 +307,7 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     prod, exp = _weight_products(x1)
     cap = (x1.max() - x1.min()) / 4.0
-    omega, omega_exp = _row_products((pts[:, None] - x2[None, :]) / cap)
+    omega, omega_exp = _row_products(_differences(pts, _node_factor(x2)) / cap)
     # an exponent of None is 0: every row kept its plain product
     w, k = _reciprocals(prod, 0 if exp is None else exp)
     with np.errstate(over="ignore", invalid="ignore"):

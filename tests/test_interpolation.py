@@ -19,6 +19,7 @@ from graspa import (
     build_interpolant,
     equispaced_nodes,
     eval_monomial,
+    even_split_residual_sum,
     f1,
     graspa_chain,
     lebesgue_function,
@@ -108,6 +109,23 @@ def test_vandermonde_guard():
     nodes = equispaced_nodes(13)
     with pytest.raises(ValueError, match="barycentric"):
         vandermonde_coefficients(nodes, np.ones(14))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vandermonde_refuses_non_finite_values(bad):
+    # as build_interpolant does, rather than returning non-finite coefficients
+    for fit in (vandermonde_coefficients, build_interpolant):
+        with pytest.raises(ValueError, match="sample values must be finite"):
+            fit([-1.0, 0.0, 1.0], [1.0, bad, 2.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_refused_before_any_product(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        barycentric_weights([0.0, bad, 2.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        even_split_residual_sum([-1.0, bad, 0.0], [0.5, 1.0], [0.7])
 
 
 def test_barycentric_matches_vandermonde_low_degree():

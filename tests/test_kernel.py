@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspa import (
     Interval,
@@ -13,13 +15,14 @@ from graspa import (
     build_interpolant,
     equispaced_nodes,
     eval_interpolant,
+    even_split_residual_sum,
     f2,
     graspa_chain,
     lagrange_matrix,
     lebesgue_function,
     sgibbs_chain,
 )
-from graspa import interpolation
+from graspa import interpolation, stability
 from graspa.exceptions import EvaluationError
 from graspa.interpolation import _block_rows, _node_images
 
@@ -244,3 +247,83 @@ def test_lebesgue_and_basis_matrix_keep_the_row_sum_quotient():
                                   _bits(np.abs(t).sum(axis=1) / np.abs(t.sum(axis=1))))
     np.testing.assert_array_equal(_bits(lagrange_matrix(nodes, CHAIN_F2, x)),
                                   _bits(np.abs(t / t.sum(axis=1)[:, None]).T))
+
+
+# --- differences from one rank-2 product ----------------------------------------
+
+
+def _subtracted(s, factor, out=None, left=None):
+    """The broadcast subtraction s_i - x_j that ``_differences`` replaces, with
+    x = -factor[1] (a negation, exact): the reference."""
+    return np.subtract(np.asarray(s)[:, None], -factor[1], out=out)
+
+
+def _same_differences(got, want):
+    # a zero's sign may differ; a node hit is an exact zero either way
+    return bool(((got == want) | (np.isnan(got) & np.isnan(want))).all())
+
+
+@settings(max_examples=400, deadline=None)
+@given(s=st.lists(st.floats(width=64), min_size=1, max_size=40),
+       x=st.lists(st.floats(width=64), min_size=1, max_size=40),
+       hits=st.integers(0, 40), flips=st.integers(0, 40))
+def test_differences_have_the_bits_of_the_subtraction(s, x, hits, flips):
+    # every double: subnormals, 1e308 and inf; x[:hits] are exact node hits,
+    # and -x[:flips] give sums that overflow to +-inf where |x_j| is large
+    s = np.array(s + x[:hits] + [-v for v in x[:flips]])
+    x = np.array(x)
+    factor = interpolation._node_factor(x)
+    out, left = np.full((s.size, x.size), np.nan), np.ones((s.size + 2, 2))
+    with np.errstate(all="ignore"):
+        want = _subtracted(s, factor)
+        assert _same_differences(interpolation._differences(s, factor), want)
+        # into dirty buffers, as the blocked kernel calls it
+        interpolation._differences(s, factor, out, left[:s.size])
+    assert _same_differences(out, want)
+
+
+def test_differences_have_the_bits_of_the_subtraction_at_blas_sizes():
+    # large enough for the blocked BLAS kernels, with exponents from the
+    # subnormal range to 2**1023
+    rng = np.random.default_rng(11)
+
+    def draw(k):
+        return rng.choice((-1.0, 1.0), k) * np.ldexp(rng.uniform(0.5, 1.0, k),
+                                                     rng.integers(-1074, 1024, k))
+
+    x = draw(517)
+    x[20:40] = np.ldexp(x[20:40], 1024 - np.frexp(x[20:40])[1])  # |x| above 9e307
+    x[40:60] = np.ldexp(x[40:60], -1030 - np.frexp(x[40:60])[1])  # subnormal
+    s = np.concatenate((draw(300), x[:20], -x[20:40], x[40:60] / 3))
+    with np.errstate(all="ignore"):
+        got = interpolation._differences(s, interpolation._node_factor(x))
+        want = _subtracted(s, interpolation._node_factor(x))
+    assert np.isinf(want).any() and (want == 0).any() and (np.abs(want) < 2.0**-1022).any()
+    assert _same_differences(got, want)
+
+
+def test_every_pairwise_site_keeps_the_bits_of_the_subtraction(monkeypatch):
+    # points across two block boundaries, with node hits at both; each site
+    # gives the bits it gives with the broadcast subtraction in its place
+    nodes = equispaced_nodes(89)
+    interp = build_interpolant(nodes, f2(nodes.nodes), CHAIN_F2)
+    block = _block_rows(90)
+    x = np.random.default_rng(13).uniform(-1, 1, 2 * block + 5)
+    x[[block - 1, block, 2 * block]] = nodes.nodes[[3, 40, 77]]
+    s = interp.map(x)
+    s = s[~np.isin(s, interp.mapped_nodes)]
+    left, right = np.linspace(-1, -0.01, 45), np.linspace(0.01, 1, 44)
+
+    def sites():
+        prod, exp = interpolation._weight_products(interp.mapped_nodes)
+        return [prod, [] if exp is None else exp, interpolation._first_form(s, interp),
+                even_split_residual_sum(left, right, x), interp(x),
+                lebesgue_function(nodes, CHAIN_F2, x), lagrange_matrix(nodes, CHAIN_F2, x)]
+
+    got = sites()
+    monkeypatch.setattr(interpolation, "_differences", _subtracted)
+    monkeypatch.setattr(stability, "_differences", _subtracted)
+    want = sites()
+    assert np.isfinite(got[2]).all()  # the first form answers every point
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(_bits(a), _bits(b))

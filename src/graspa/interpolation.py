@@ -234,46 +234,36 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
-def _quotient_blocks(s, basis: MappedBasis, weights):
-    """Yield (rows, t) over blocks of the points s.
+def _evaluate(s, basis: MappedBasis, weights, reduce, out):
+    """Fill ``out`` block by block through ``reduce``; return the node hits.
 
-    ``t[k, j] = weights[j] / (s[rows][k] - mapped_nodes[j])``, the differences
-    from one rank-2 product, bit-equal to the subtraction (:func:`_differences`),
-    in one buffer reused for the next block: a caller must be done with ``t``
-    (and may overwrite it) before advancing.  ``weights`` may be 1.0, for the
-    plain reciprocals; ``rows`` is the block's slice of s.  Callers iterate under
-    ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``: a point
-    whose image equals a mapped node exactly gives w_j / 0 = +-inf, since the
-    weights are finite and nonzero, and a quotient may overflow; either way
-    the row's result is non-finite, and :func:`_node_hits` sorts the two apart
-    after the loop.
+    ``reduce(rows, t)`` gets a block's slice of s and its terms
+    ``t[k, j] = weights[j] / (s[rows][k] - mapped_nodes[j])`` (weights may be
+    1.0) from :func:`_differences`, in a buffer that the next block reuses, and
+    writes the block's results into ``out``, whose first axis is the points.
+    Division by zero, overflow and invalid values pass silently: a point whose
+    image equals a mapped node gives w_j / 0 = +-inf, and a quotient may
+    overflow; either way its result is non-finite.  Only such points are
+    compared with the mapped nodes, at one byte per point and node.  Returns
+    (rows, cols, misses): ``rows`` index the points equal to a mapped node and
+    ``cols`` those nodes; ``misses`` are the other non-finite points.
     """
     m, n = s.size, len(basis)
     block = _block_rows(n)
     buf = np.empty((min(block, m), n))
     left = np.ones((buf.shape[0], 2))
-    for lo in range(0, m, block):
-        rows = slice(lo, min(lo + block, m))
-        k = rows.stop - lo
-        t = _differences(s[rows], basis.node_factor, buf[:k], left[:k])
-        np.divide(weights, t, out=t)
-        yield rows, t
-
-
-def _node_hits(s, finite, mapped_nodes):
-    """(rows, cols, misses) for the points s whose result is not ``finite``.
-
-    Only those points are compared with the mapped nodes, since a node hit
-    always makes its row non-finite; the comparison takes one byte per such
-    point and node.  ``rows`` are the points whose image s equals a mapped
-    node exactly and ``cols`` those nodes; ``misses`` are the other
-    non-finite points.  ``rows`` and ``misses`` index s, ``cols`` indexes
-    mapped_nodes.
-    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, m, block):
+            rows = slice(lo, min(lo + block, m))
+            k = rows.stop - lo
+            t = _differences(s[rows], basis.node_factor, buf[:k], left[:k])
+            np.divide(weights, t, out=t)
+            reduce(rows, t)
+    finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
     if finite.all():
         return _NO_HITS
     rows = np.flatnonzero(~finite)
-    hit_row, hit_col = np.nonzero(s[rows, None] == mapped_nodes)
+    hit_row, hit_col = np.nonzero(s[rows, None] == basis.mapped_nodes)
     misses = _NO_HITS[0] if hit_row.size == rows.size else np.delete(rows, hit_row)
     return rows[hit_row], hit_col, misses
 
@@ -342,11 +332,12 @@ def eval_interpolant(interp: Interpolant, x):
     """
     s = interp.map(x)
     out = np.empty(s.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, r in _quotient_blocks(s, interp, 1.0):
-            sums = r @ interp.columns
-            np.divide(sums[:, 0], sums[:, 1], out=out[rows])
-    hit_row, hit_col, misses = _node_hits(s, np.isfinite(out), interp.mapped_nodes)
+
+    def quotients(rows, r):
+        sums = r @ interp.columns
+        np.divide(sums[:, 0], sums[:, 1], out=out[rows])
+
+    hit_row, hit_col, misses = _evaluate(s, interp, 1.0, quotients, out)
     out[hit_row] = interp.values[hit_col]
     if misses.size:
         out[misses] = _first_form(s[misses], interp)

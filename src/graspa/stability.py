@@ -45,9 +45,9 @@ import numpy as np
 
 from .domain import NodePartition, PiecewiseDomain, _node_array
 from .exceptions import EvaluationError, PredictionUnavailableError
-from .interpolation import (MappedBasis, _differences, _node_factor, _node_hits,
-                            _quotient_blocks, _reciprocals, _row_products, _shaped,
-                            _weight_products, mapped_basis)
+from .interpolation import (MappedBasis, _differences, _evaluate, _node_factor,
+                            _reciprocals, _row_products, _shaped, _weight_products,
+                            mapped_basis)
 from .maps import MapChain
 
 __all__ = [
@@ -107,11 +107,12 @@ def _lebesgue_values(s, basis: MappedBasis) -> np.ndarray:
     """Lebesgue function of the basis at the mapped points s; the one evaluator
     behind :func:`lebesgue_function`, the cell search and the even split."""
     lam = np.empty(s.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t in _quotient_blocks(s, basis, basis.weights):
-            den = np.abs(t.sum(axis=1))
-            lam[rows] = np.abs(t, out=t).sum(axis=1) / den
-    hit_row, _, misses = _node_hits(s, np.isfinite(lam), basis.mapped_nodes)
+
+    def quotients(rows, t):
+        den = np.abs(t.sum(axis=1))
+        lam[rows] = np.abs(t, out=t).sum(axis=1) / den
+
+    hit_row, _, misses = _evaluate(s, basis, basis.weights, quotients, lam)
     if misses.size:
         raise EvaluationError("Lebesgue function evaluation lost finiteness")
     lam[hit_row] = 1.0
@@ -270,12 +271,12 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
     basis = mapped_basis(nodes, chain)
     s = basis.map(g)
     mat = np.empty((basis.order.size, s.size))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, t in _quotient_blocks(s, basis, basis.weights):
-            np.divide(t, t.sum(axis=1)[:, None], out=t)
-            mat[basis.order, rows] = np.abs(t, out=t).T  # row i is node order[i]
-    hit_row, hit_col, misses = _node_hits(s, np.isfinite(mat).all(axis=0),
-                                          basis.mapped_nodes)
+
+    def columns(rows, t):
+        np.divide(t, t.sum(axis=1)[:, None], out=t)
+        mat[basis.order, rows] = np.abs(t, out=t).T  # row i is node order[i]
+
+    hit_row, hit_col, misses = _evaluate(s, basis, basis.weights, columns, mat.T)
     if misses.size:
         raise EvaluationError("Lagrange matrix evaluation lost finiteness")
     mat[:, hit_row] = 0.0

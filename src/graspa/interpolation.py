@@ -16,27 +16,28 @@ beyond toy sizes, so it is guarded, never the production path.
 An :class:`Interpolant` is a :class:`MappedBasis` (nodes sorted by image,
 their images, weights and chain; built by ``mapped_basis``) with values, and
 the evaluators in ``stability`` take a basis too, so no result depends on the
-order of the node list.  All their quotient terms ``w_j / (s - s_j)`` come
-from one private kernel, ``_quotient_blocks``: it fills a single reused buffer
-of about 512 KiB one block of evaluation points at a time, so evaluating m
-points at n nodes needs O(m + block * n) memory rather than O(m * n).  Its
-differences, like every s - s_j in the package, come from one rank-2 product
-[s, 1] @ [1; -s_j] (``_differences``), bit-equal to the subtraction.  Each
-row is reduced exactly as in the unblocked formula, so per-point Lebesgue
-values do not depend on the block size.  The interpolant asks the kernel for
-the plain reciprocals ``1 / (s - s_j)`` and takes each block's numerator and
-denominator from one matrix product with the two columns ``[w * f, w]`` it
-formed when it was built.  A point whose image equals a mapped node exactly
-gives an infinite reciprocal, so its row's result is non-finite; only after
-the loop does ``_node_hits`` sort the non-finite rows into node hits and
-misses.  A hit returns the node's stored value (Berrut & Trefethen, SIAM Rev.
-2004).  The interpolant takes a miss (a denominator that cancelled to 0, or a
-sum that overflowed) again in the first, modified Lagrange form
+order of the node list.  The interpolant, the Lebesgue function and the basis
+matrix all run one private evaluator, ``_evaluate``: it forms the quotient
+terms ``w_j / (s - s_j)`` in one reused buffer of about 512 KiB, a block of
+points at a time (O(m + block * n) memory for m points at n nodes, not
+O(m * n)), and hands each block to the caller's reduction.  Its differences,
+like every s - s_j in the package, come from one rank-2 product
+[s, 1] @ [1; -s_j] (``_differences``), bit-equal to the subtraction.  The
+Lebesgue function and the basis matrix reduce each row as the unblocked
+formula does, so their values do not depend on the block size; the
+interpolant takes each block's numerator and denominator from one matrix
+product of the reciprocals ``1 / (s - s_j)`` with the columns ``[w * f, w]``.
+A point whose image equals a mapped node exactly makes its result non-finite,
+so after the loop only the non-finite points are compared with the mapped
+nodes; each evaluator applies its own policy to the hits and the misses.  A
+hit returns the node's stored value (Berrut & Trefethen, SIAM Rev. 2004).
+The interpolant takes a miss (a denominator that cancelled to 0, or a sum
+that overflowed) again in the first, modified Lagrange form
 ``p(s) = l(s) sum_j w*_j f_j / (s - s_j)``, which is backward stable (Higham,
 IMA J. Numer. Anal. 2004); ``l(s)`` is exponent-tracked, and the true weights
-``w*_j`` are the stored ones without their common scale.  A row that is still
-non-finite, and any miss of the Lebesgue function or the basis matrix, raises
-EvaluationError.
+``w*_j`` are the stored ones without their common scale.  A row that is
+still non-finite, and any miss of the Lebesgue function or the basis matrix,
+raises EvaluationError; a non-finite evaluation point raises ValueError.
 """
 
 from __future__ import annotations
@@ -67,14 +68,18 @@ _MAX_WEIGHT_SPAN = 2.0**53  # 1/u: the widest max|w| / min|w| accepted
 
 
 def _node_factor(x) -> np.ndarray:
-    return np.array((np.ones(x.size), -x))
+    factor = np.empty((2, x.size))
+    factor[0] = 1.0
+    np.negative(x, out=factor[1])
+    return factor
 
 
 def _differences(s, factor, out=None, left=None) -> np.ndarray:
     """s_i - x_j as [s, 1] @ factor, factor = [1; -x]: two exact products, rounded
-    once, so the subtraction's bits (a zero's sign aside).  left: ones in column 1."""
-    left = np.ones((s.size, 2)) if left is None else left
+    once, so the subtraction's bits (a zero's sign aside); left takes [s, 1]."""
+    left = np.empty((s.size, 2)) if left is None else left
     left[:, 0] = s
+    left[:, 1] = 1.0
     return np.matmul(left, factor, out=out)
 
 
@@ -173,8 +178,15 @@ class MappedBasis:
     node_factor: np.ndarray  # [1; -mapped_nodes], the right factor of _differences
 
     def map(self, x) -> np.ndarray:
-        """Mapped images of the points x, flattened to 1-D; non-finite ones raise."""
-        return self.chain(np.asarray(x, dtype=float).ravel())
+        """Mapped images of the points x, flattened to 1-D; non-finite points
+        raise ValueError, non-finite images of finite ones EvaluationError."""
+        x = np.asarray(x, dtype=float).ravel()
+        try:
+            return self.chain(x)
+        except EvaluationError:
+            if not np.isfinite(x).all():  # checked only once the chain failed
+                raise ValueError("points must be finite") from None
+            raise
 
     def __len__(self) -> int:
         return int(self.nodes.size)
@@ -251,15 +263,14 @@ def _evaluate(s, basis: MappedBasis, weights, reduce, out):
     m, n = s.size, len(basis)
     block = _block_rows(n)
     buf = np.empty((min(block, m), n))
-    left = np.ones((buf.shape[0], 2))
+    left = np.empty((buf.shape[0], 2))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, m, block):
-            rows = slice(lo, min(lo + block, m))
-            k = rows.stop - lo
-            t = _differences(s[rows], basis.node_factor, buf[:k], left[:k])
+            rows = slice(lo, lo + block)  # the last block's slice ends past m
+            t = _differences(s[rows], basis.node_factor, buf[:m - lo], left[:m - lo])
             np.divide(weights, t, out=t)
             reduce(rows, t)
-    finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
+    finite = np.isfinite(out) if out.ndim == 1 else np.isfinite(out).all(axis=1)
     if finite.all():
         return _NO_HITS
     rows = np.flatnonzero(~finite)

@@ -296,8 +296,8 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     exponent-tracked wherever a plain one leaves the normal float range, and
     the two exponents are added before the result is formed, so
     EvaluationError is raised only where the sum itself is not a finite
-    double.  The sum has only positive terms, so the weights need no span
-    guard.
+    double; non-finite nodes or points raise ValueError before any product.
+    The sum has only positive terms, so the weights need no span guard.
     """
     x1 = np.asarray(left_nodes, dtype=float)
     x2 = np.asarray(right_nodes, dtype=float)
@@ -306,6 +306,8 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
             f"even split needs |left| = |right| + 1, got {x1.size} and {x2.size}"
         )
     pts = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (np.isfinite(x2).all() and np.isfinite(pts).all()):
+        raise ValueError("right nodes and points must be finite")
     prod, exp = _weight_products(x1)
     cap = (x1.max() - x1.min()) / 4.0
     omega, omega_exp = _row_products(_differences(pts, _node_factor(x2)) / cap)

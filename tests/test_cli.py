@@ -369,3 +369,17 @@ def test_empty_grid_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--grid", "0", "--out-dir", str(tmp_path)]) == 2
     assert "grid" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nodes", "--n", "5", "--interval", "1,2,3"], "interval must be 'a,b'"),
+    (["map", "--map", "kte", "--interval", "1,2,3"], "interval must be 'a,b'"),
+    (["lebesgue", "--n", "5", "--interval", "1,2,3"], "interval must be 'a,b'"),
+    (["lagmatrix", "--n", "5", "--interval", "1,2,3"], "interval must be 'a,b'"),
+    (["nodes", "--n", "5", "--interval=-1,inf"], "endpoints must be finite"),
+    (["nodes", "--n", "5", "--map", "sgibbs", "--cuts", "nan"], "cut points must be finite"),
+])
+def test_malformed_domain_exits_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

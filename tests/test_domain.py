@@ -30,6 +30,17 @@ def test_domain_cut_validation():
         PiecewiseDomain(Interval(-1, 1), (1.5,))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Interval(-np.inf, 1.0), "endpoints must be finite"),
+    (lambda: Interval(-1.0, np.nan), "endpoints must be finite"),
+    (lambda: PiecewiseDomain(Interval(-1, 1), (np.nan,)), "cut points must be finite"),
+    (lambda: PiecewiseDomain(Interval(-1, 1), (0.0, np.inf)), "cut points must be finite"),
+], ids=["interval-inf", "interval-nan", "cut-nan", "cut-inf"])
+def test_non_finite_interval_or_cut_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_membership_cut_goes_left():
     dom = PiecewiseDomain(Interval(-1, 1), (0.0,))
     assert dom.subinterval_index(-0.3) == 1

@@ -59,6 +59,20 @@ def test_rmae_trivial_cases():
         rmae(exact, np.zeros_like(grid), grid)
 
 
+@pytest.mark.parametrize("compute, error, message", [
+    (lambda: rmae(np.sin, [], []), ValueError, "empty evaluation grid"),
+    (lambda: rmae(np.sin, np.ones(3), np.linspace(-1, 1, 4)), ValueError, "sizes differ"),
+    (lambda: rmae(np.sin, [1.0, np.nan], [0.0, 1.0]), ValueError, "must be finite"),
+    (lambda: ExperimentConfig(rmae_grid=1), ValueError, "at least 2 points"),
+    (lambda: run_comparison(ExperimentConfig(n_values=(3,), methods=("classical",)),
+                            ("rmae",)).cell("graspa", 3), KeyError, "no cell"),
+], ids=["rmae-empty-grid", "rmae-sizes-differ", "rmae-non-finite-truth",
+        "rmae-grid-below-2", "cell-not-in-the-sweep"])
+def test_malformed_rmae_inputs_and_cell_lookups_are_refused(compute, error, message):
+    with pytest.raises(error, match=message):
+        compute()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(function="f3")
@@ -235,17 +249,40 @@ def test_fixed_shift_divergence_onset_f2():
     assert lam[93] > 10.0 * lam[41]
 
 
+_LAMBDA = ("lambda_classical", "lambda_sgibbs", "lambda_graspa")
+_RMAE = ("rmae_classical", "rmae_sgibbs", "rmae_graspa")
+_CURVES = ("x", "f", "r_classical", "r_sgibbs", "r_graspa")
+_MATRIX = tuple(experiments.FLOAT_FORMAT % x for x in np.linspace(-1.0, 1.0, 100))
+# figure id -> (name, header, row count) of each table it builds
+_FIGURE_TABLES = {
+    "fig1": [("fig1", ("x",) + _LAMBDA, 4821)],
+    "fig2": [("fig2", ("n",) + _LAMBDA, 11)],
+    "fig3": [("fig3", _CURVES, 332)],
+    "fig3bis": [("fig3bis", ("n",) + _RMAE, 11)],
+    "fig4": [("fig4", _MATRIX, 51), ("fig4_vn", _MATRIX, 51)],
+    "fig5": [("fig5", ("n", "lambda_classical", "lambda_sgibbs", "lambda_graspa_vn",
+                       "rmae_classical", "rmae_sgibbs", "rmae_graspa_vn"), 11)],
+    "fig6": [("fig6", ("x",) + _LAMBDA, 12025)],
+    "fig7": [("fig7", _CURVES, 332)],
+    "fig8": [("fig8", ("n",) + _LAMBDA, 10)],
+    "fig8bis": [("fig8bis", ("n",) + _RMAE, 10)],
+    "fig9": [("fig9", ("n", "lambda_graspa"), 20)],
+}
+
+
 def test_figure_tables_schema():
-    (fig2,) = build_figure("fig2")
-    assert fig2.header == ("n", "lambda_classical", "lambda_sgibbs", "lambda_graspa")
-    assert fig2.rows.shape == (11, 4)
-    (fig3bis,) = build_figure("fig3bis")
-    assert fig3bis.header == ("n", "rmae_classical", "rmae_sgibbs", "rmae_graspa")
-    fig4, fig4_vn = build_figure("fig4")
-    assert fig4.kind == "matrix" and fig4.rows.shape == (51, 100)
-    assert fig4_vn.rows.shape == (51, 100)
-    (fig9,) = build_figure("fig9")
-    assert fig9.header == ("n", "lambda_graspa")
-    assert fig9.rows[-1, 0] == 89.0
+    # every figure id: the tables' names, headers and shapes, finite values,
+    # and Lebesgue values of at least 1
+    assert tuple(_FIGURE_TABLES) == experiments.FIGURE_IDS
+    built = {fig_id: build_figure(fig_id) for fig_id in _FIGURE_TABLES}
+    for fig_id, want in _FIGURE_TABLES.items():
+        assert [(t.name, t.header, t.rows.shape) for t in built[fig_id]] == [
+            (name, header, (rows, len(header))) for name, header, rows in want]
+        for t in built[fig_id]:
+            assert np.isfinite(t.rows).all(), t.name
+            lam = [i for i, h in enumerate(t.header) if h.startswith("lambda_")]
+            assert (t.rows[:, lam] >= 1.0).all(), t.name
+    assert built["fig4"][0].kind == "matrix"
+    assert built["fig9"][0].rows[-1, 0] == 89.0
     with pytest.raises(ValueError):
         build_figure("fig10")

@@ -22,6 +22,7 @@ from graspa import (
     even_split_residual_sum,
     f1,
     graspa_chain,
+    lagrange_matrix,
     lebesgue_function,
     lebesgue_max,
     method_chain,
@@ -126,6 +127,24 @@ def test_non_finite_points_are_refused_before_any_product(bad):
         barycentric_weights([0.0, bad, 2.0])
     with pytest.raises(ValueError, match="must be finite"):
         even_split_residual_sum([-1.0, bad, 0.0], [0.5, 1.0], [0.7])
+    for right, x in (([bad, 1.0], [0.7]), ([0.5, 1.0], [bad]), ([], [0.3, bad])):
+        with pytest.raises(ValueError, match="must be finite"):
+            even_split_residual_sum([-1.0, -0.5, 0.0][:len(right) + 1], right, x)
+    # evaluation points, through the identity chain's finiteness check
+    nodes = equispaced_nodes(9)
+    interp = build_interpolant(nodes, nodes.nodes**2)
+    for evaluate in (interp, functools.partial(lebesgue_function, nodes, None),
+                     functools.partial(lagrange_matrix, nodes, None)):
+        with pytest.raises(ValueError, match="points must be finite"):
+            evaluate([0.3, bad])
+
+
+@pytest.mark.parametrize("points", [[0.5, 0.5], [0.0, 1.0, 1.0]],
+                         ids=["zero-span", "repeated-point"])
+def test_weights_refuse_points_that_are_not_distinct(points):
+    # the first has no span to scale by; the second has a zero product
+    with pytest.raises(ValueError, match="points must be distinct"):
+        barycentric_weights(points)
 
 
 def test_barycentric_matches_vandermonde_low_degree():

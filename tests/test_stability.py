@@ -93,6 +93,21 @@ def test_grid_spec_validation():
         lebesgue_grid(DOM0, nodes, "fine")
 
 
+@pytest.mark.parametrize("compute, message", [
+    (lambda: even_split_residual_sum([-1.0, -0.5], [0.5, 1.0], [0.7]), "even split needs"),
+    (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), 1), "at least 2 points"),
+    (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), [-1.5, 0.0]), "outside the domain"),
+    (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), [0.0, 1.5]), "outside the domain"),
+    (lambda: limit_lebesgue_prediction(partition_nodes(equispaced_nodes(9), DOM1), DOM1,
+                                       np.linspace(-1.0, -0.5, 50)),
+     "empty subinterval grid"),
+], ids=["even-split-counts", "grid-count-below-2", "grid-below-a", "grid-above-b",
+        "subinterval-without-grid-points"])
+def test_malformed_grids_and_splits_are_refused(compute, message):
+    with pytest.raises(ValueError, match=message):
+        compute()
+
+
 def test_mapped_equals_classical_of_mapped_data():
     # shift the basis, then compare against the classical constant of the
     # shifted nodes evaluated on the shifted grid

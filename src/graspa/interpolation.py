@@ -254,11 +254,12 @@ def _evaluate(s, basis: MappedBasis, weights, reduce, out):
     1.0) from :func:`_differences`, in a buffer that the next block reuses, and
     writes the block's results into ``out``, whose first axis is the points.
     Division by zero, overflow and invalid values pass silently: a point whose
-    image equals a mapped node gives w_j / 0 = +-inf, and a quotient may
-    overflow; either way its result is non-finite.  Only such points are
-    compared with the mapped nodes, at one byte per point and node.  Returns
-    (rows, cols, misses): ``rows`` index the points equal to a mapped node and
-    ``cols`` those nodes; ``misses`` are the other non-finite points.
+    image equals a mapped node gives w_j / 0 = +-inf (w_j is finite and
+    nonzero), and a quotient may overflow; either way its result is
+    non-finite.  Only such points are compared with the mapped nodes, at one
+    byte per point and node.  Returns (rows, cols, misses): ``rows`` index the
+    points equal to a mapped node and ``cols`` those nodes; ``misses`` are the
+    other non-finite points.
     """
     m, n = s.size, len(basis)
     block = _block_rows(n)

@@ -121,22 +121,34 @@ def _reciprocals(prod, exp) -> tuple[np.ndarray, int]:
     return np.ldexp(mant, w_exp - top), top
 
 
-def _weight_products(points) -> tuple[np.ndarray, np.ndarray | None]:
+def _weight_products(s, factor) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`_row_products` of prod_{j != i} (s_i - s_j) / cap, where cap is
-    one quarter of the span of the points s."""
-    s = _node_array(points)  # nonempty, 1-D and finite: checked before any product
+    one quarter of the span of the checked points s (nonempty, 1-D and
+    finite) and factor is their [1; -s]."""
     if s.size == 1:
         return np.ones(1), None
     cap = (s.max() - s.min()) / 4.0
     if not cap > 0:
         raise ValueError("points must be distinct")
-    diff = _differences(s, _node_factor(s))
+    diff = _differences(s, factor)
     diff /= cap
     np.fill_diagonal(diff, 1.0)
     prod, exp = _row_products(diff)
     if not prod.all():  # a zero product has a zero factor: a repeated point
         raise ValueError("points must be distinct")
     return prod, exp
+
+
+def _weights(s, factor) -> np.ndarray:
+    """:func:`barycentric_weights` of the checked points s, factor = [1; -s]."""
+    prod, exp = _weight_products(s, factor)
+    if exp is None:
+        return 1.0 / prod
+    weights, _ = _reciprocals(prod, exp)
+    size = np.abs(weights)
+    if not size.max() <= _MAX_WEIGHT_SPAN * size.min():
+        raise EvaluationError("barycentric weight products left the float range")
+    return weights
 
 
 def barycentric_weights(points) -> np.ndarray:
@@ -153,16 +165,11 @@ def barycentric_weights(points) -> np.ndarray:
     rescaled weights then span more than 2**53 (max |w| / min |w|), the
     smallest of them would be lost against the largest in the quotient's
     sums, and EvaluationError is raised as for products that leave the float
-    range.
+    range.  Points that are not nonempty, 1-D and finite raise ValueError
+    before any product.
     """
-    prod, exp = _weight_products(points)
-    if exp is None:
-        return 1.0 / prod
-    weights, _ = _reciprocals(prod, exp)
-    size = np.abs(weights)
-    if not size.max() <= _MAX_WEIGHT_SPAN * size.min():
-        raise EvaluationError("barycentric weight products left the float range")
-    return weights
+    s = _node_array(points)
+    return _weights(s, _node_factor(s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,11 +217,10 @@ class Interpolant(MappedBasis):
         return eval_interpolant(self, x)
 
 
-def _node_images(nodes, chain: MapChain | None) -> tuple[np.ndarray, np.ndarray]:
-    """Mapped images of the nodes, which must be distinct, and the permutation
-    that sorts them.  ``chain=None`` is the identity map.
+def _node_images(x, chain: MapChain | None) -> tuple[np.ndarray, np.ndarray]:
+    """Mapped images of the checked nodes x, which must be distinct, and the
+    permutation that sorts them.  ``chain=None`` is the identity map.
     """
-    x = _node_array(nodes)
     s = np.asarray(chain(x), dtype=float) if chain is not None else x.astype(float)
     order = np.argsort(s, kind="stable")
     if (np.diff(s[order]) <= 0).any():
@@ -227,10 +233,11 @@ def mapped_basis(nodes, chain: MapChain | None = None) -> MappedBasis:
     for nodes that are not nonempty, 1-D and finite or whose images collide, and
     EvaluationError for non-finite images or weights out of the float range."""
     chain = chain if chain is not None else MapChain()
-    x = _node_array(nodes)
+    x = _node_array(nodes)  # the one check of the build
     s, order = _node_images(x, chain)
     x, s = x[order], s[order]
-    w, factor = barycentric_weights(s), _node_factor(s)
+    factor = _node_factor(s)
+    w = _weights(s, factor)
     for arr in (x, s, w, order, factor):
         arr.setflags(write=False)
     return MappedBasis(x, s, w, chain, order, factor)

@@ -24,17 +24,23 @@ then looks around the best coarse point alone, and may pick another grid point
 than the dense sweep, or miss a dense sample that cancelled to a non-finite
 value.
 
-For piecewise-shifted bases the module also evaluates what the Lebesgue
-constant tends to as the shift grows without bound: per-subinterval classical
-constants for the balanced odd and equal-cardinality multi-cut splits, and
-the residual-augmented maximum for the even split.  The even split's residual
-sum takes the left set's weight products from the ones behind
-:func:`barycentric_weights` and divides the right set's nodal polynomial by
-the same capacity, a quarter of the left set's span; both products carry an
-exponent wherever a plain one leaves the float range, so the sum stays
-finite wherever it is a finite double.  Those predictions come
-from closed forms; brute-force large-shift evaluation is only ever a test
-oracle.
+For piecewise-shifted bases the module also evaluates the limit of the
+Lebesgue constant as the S-Gibbs shift kappa grows without bound.  Take x in
+subinterval tau, with k_nu nodes in subinterval nu.  Every difference across
+subintervals is (tau - nu) kappa to leading order, so the basis function of a
+node j in mu != tau behaves as c(mu, tau) omega_tau(x) w_j^(mu)
+kappa^(k_mu - k_tau - 1): omega_tau is the nodal polynomial of tau's nodes,
+w^(mu) are the weights of mu's nodes alone and c is :func:`c_factor`, while
+tau's own nodes give its classical basis.  So lambda stays bounded exactly
+when max k - min k <= 1 (``NodePartition.balanced``), and on subinterval tau
+
+    lambda_inf(x) = lambda_tau(x) + |omega_tau(x)|
+                    * sum_{mu: k_mu = k_tau + 1} c(mu, tau) sum_j |w_j^(mu)|,
+
+each inner sum being :func:`even_split_residual_sum` of the pair (mu, tau).
+Equal counts leave the classical side constants alone; one cut has c = 1.
+The predictions come from these closed forms; brute-force large-shift
+evaluation is only ever a test oracle.
 """
 
 from __future__ import annotations
@@ -79,11 +85,13 @@ class LimitQuantities:
     """Closed-form infinite-shift prediction and its ingredients.
 
     ``side_constants`` are the per-subinterval classical Lebesgue constants.
-    For the even split, ``r_max`` is the maximum over the right subinterval of
-    the residual sum plus the right-side Lebesgue function, and ``r_samples``
-    holds that integrand on the grid.  ``c_table`` maps (mu, tau) index pairs
-    to the cross-subinterval amplification factors (diagonal entries are not
-    stored; they count as 1).
+    ``c_table`` maps 1-based (mu, tau) index pairs to the cross-subinterval
+    amplification factors that weight the prediction's residual sums; it is
+    empty for a single cut, where the factor is 1.  ``r_samples`` holds the
+    augmented integrand lambda_tau plus its weighted residual sums on the
+    grid of each subinterval tau that has a heavier one, concatenated in
+    subinterval order, and ``r_max`` its maximum; both are None where every
+    subinterval gives its side constant.
     """
 
     case: str
@@ -285,17 +293,19 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
 
 
 def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
-    """sum_i |r_i(x)| for the even split: |left| = |right| + 1.
+    """sum_i |r_i(x)| for a heavier node set and a lighter one: |left| = |right| + 1.
 
-    Each r_i is the nodal polynomial omega over the right node set times the
-    i-th barycentric weight of the left set, so the sum factorizes.  The left
-    weights are the reciprocals of the capacity-scaled products behind
-    :func:`barycentric_weights` (the capacity is a quarter of the left set's
-    span), and omega's differences are divided by the same capacity, which
-    cancels because the factor counts match.  Both products are
-    exponent-tracked wherever a plain one leaves the normal float range, and
-    the two exponents are added before the result is formed, so
-    EvaluationError is raised only where the sum itself is not a finite
+    The names are the even split's, but either set may lie left of the other:
+    this is the residual of any heavier/lighter pair, the even split's and each
+    cross term of :func:`limit_lebesgue_prediction`.  Each r_i is the nodal
+    polynomial omega over the lighter set times the i-th barycentric weight of
+    the heavier set, so the sum factorizes.  Those weights are the reciprocals
+    of the capacity-scaled products behind :func:`barycentric_weights` (the
+    capacity is a quarter of the heavier set's span), and omega's differences
+    are divided by the same capacity, which cancels because the factor counts
+    match.  Both products are exponent-tracked wherever a plain one leaves the
+    float range, and the two exponents are added before the result is formed,
+    so EvaluationError is raised only where the sum itself is not a finite
     double; non-finite nodes or points raise ValueError before any product.
     The sum has only positive terms, so the weights need no span guard.
     """
@@ -308,7 +318,7 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     if not (np.isfinite(x2).all() and np.isfinite(pts).all()):
         raise ValueError("right nodes and points must be finite")
-    prod, exp = _weight_products(x1)
+    prod, exp = _weight_products(_node_array(x1), _node_factor(x1))
     cap = (x1.max() - x1.min()) / 4.0
     omega, omega_exp = _row_products(_differences(pts, _node_factor(x2)) / cap)
     # an exponent of None is 0: every row kept its plain product
@@ -323,21 +333,25 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
 
 def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
                               grid_spec="auto") -> LimitQuantities:
-    """Infinite-shift Lebesgue constant from its closed form.
+    """Infinite-shift Lebesgue constant: the grid maximum of lambda_inf.
 
-    Covers the single-cut splits with per-side counts equal (odd case: the
-    larger of the two classical side constants) or left-larger-by-one (even
-    case: the left classical constant against the residual-augmented right
-    maximum), and the multi-cut split with all counts equal.  Anything else is
-    refused: outside the balance condition the limit is unbounded, and the
-    mirrored even split is not implemented -- mirror the domain instead.
+    lambda_inf (module docstring) is taken one subinterval tau at a time: the
+    classical side constant where no subinterval holds one node more than
+    tau, else the maximum of lambda_tau plus the c-weighted residual sums of
+    the heavier ones.  ``case`` names the counts: "odd" or "even" for one cut
+    (equal, or either side heavier), "multi-equal" or "multi-balanced" for
+    more.  A domain without cuts is refused, and so is a partition that is
+    not ``balanced``, whose limit is unbounded.
     """
-    cards = partition.cardinalities
+    parts, cards = partition.parts, partition.cardinalities
     d = len(cards) - 1
     if d < 1:
         raise PredictionUnavailableError("the domain has no cuts; nothing to predict")
-    all_nodes = np.concatenate(partition.parts)
-    grid = lebesgue_grid(domain, all_nodes, grid_spec)
+    if not partition.balanced:
+        raise PredictionUnavailableError(
+            f"per-subinterval counts {cards} differ by more than one; the limit "
+            "is unbounded outside the balance condition")
+    grid = lebesgue_grid(domain, np.concatenate(parts), grid_spec)
     # classical per-side Lebesgue functions are continuous, so the supremum
     # over a half-open subinterval equals the maximum over its closure; use
     # closed masks (cut points count for both neighbours)
@@ -345,43 +359,28 @@ def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
     side_grids = [grid[(grid >= bp[i]) & (grid <= bp[i + 1])] for i in range(d + 1)]
     if min(g.size for g in side_grids) == 0:
         raise ValueError("empty subinterval grid")
-    bases = [mapped_basis(part) for part in partition.parts]
+    bases = [mapped_basis(part) for part in parts]
     side_constants = tuple(_cell_search_max(b, g) for b, g in zip(bases, side_grids))
-    c_table = {}
-    if d >= 2:
-        for mu in range(1, d + 2):
-            for tau in range(1, d + 2):
-                if mu != tau:
-                    c_table[(mu, tau)] = c_factor(mu, tau, cards)
-    if d == 1:
-        n1, n2 = cards
-        if n1 == n2:
-            return LimitQuantities("odd", max(side_constants), side_constants, c_table)
-        if n1 == n2 + 1:
-            r_vals = even_split_residual_sum(partition.parts[0], partition.parts[1],
-                                             side_grids[1])
-            integrand = r_vals + _lebesgue_values(bases[1].map(side_grids[1]), bases[1])
-            integrand.setflags(write=False)
-            r_max = float(integrand.max())
-            return LimitQuantities("even", max(side_constants[0], r_max),
-                                   side_constants, c_table, r_max=r_max,
-                                   r_samples=integrand)
-        if n2 == n1 + 1:
-            raise PredictionUnavailableError(
-                "even split with the larger set on the right is not handled; "
-                "mirror the domain and nodes"
-            )
-        raise PredictionUnavailableError(
-            f"per-side counts {cards} differ by more than one; the "
-            "infinite-shift Lebesgue constant is unbounded outside the "
-            "balance condition"
-        )
-    if len(set(cards)) == 1:
-        return LimitQuantities("multi-equal", max(side_constants), side_constants,
-                               c_table)
-    raise PredictionUnavailableError(
-        f"multi-cut closed form needs equal per-subinterval counts, got {cards}"
-    )
+    c_table = {(mu, tau): c_factor(mu, tau, cards) for mu in range(1, d + 2)
+               for tau in range(1, d + 2) if mu != tau} if d >= 2 else {}
+    tops, samples = list(side_constants), []
+    for tau, (basis, g) in enumerate(zip(bases, side_grids)):
+        heavier = [mu for mu, k in enumerate(cards) if k == cards[tau] + 1]
+        if heavier:
+            integrand = _lebesgue_values(basis.map(g), basis)
+            for mu in heavier:  # c is an exact 1.0 for one cut
+                c = c_table.get((mu + 1, tau + 1), 1.0)
+                integrand += c * even_split_residual_sum(parts[mu], parts[tau], g)
+            tops[tau] = float(integrand.max())
+            samples.append(integrand)
+    r_max = r_samples = None
+    if samples:
+        r_samples = np.concatenate(samples)
+        r_samples.setflags(write=False)
+        r_max = float(r_samples.max())
+    names = ("odd", "even") if d == 1 else ("multi-equal", "multi-balanced")
+    return LimitQuantities(names[len(set(cards)) > 1], max(tops), side_constants,
+                           c_table, r_max, r_samples)
 
 
 def c_factor(mu: int, tau: int, cardinalities) -> float:

@@ -18,7 +18,7 @@ from graspa import (
     run_comparison,
     sgibbs_chain,
 )
-from graspa import experiments, interpolation, stability
+from graspa import interpolation
 from graspa.exceptions import EvaluationError
 from graspa.experiments import DEFAULT_KAPPA, FUNCTIONS
 from graspa.interpolation import mapped_basis
@@ -92,13 +92,28 @@ def test_grid_midpoints_are_those_of_neighbours_on_the_line(spec):
     assert np.isin((x[:-1] + x[1:]) / 2.0, grid).all()
 
 
+@pytest.mark.parametrize("entry, expected", [
+    (lambda x: mapped_basis(x, method_chain("graspa", DOM1, 1e4)),
+     ["_node_array", "_node_factor"]),
+    (interpolation.barycentric_weights, ["_node_array", "_node_factor"]),
+    (lambda x: interpolation.vandermonde_coefficients(x, np.ones(x.size)), ["_node_array"]),
+], ids=["mapped_basis", "barycentric_weights", "vandermonde_coefficients"])
+def test_each_entry_checks_its_nodes_and_forms_their_factor_once(monkeypatch, entry,
+                                                                 expected):
+    calls = []
+    for name in ("_node_array", "_node_factor"):
+        real = getattr(interpolation, name)
+        monkeypatch.setattr(interpolation, name, lambda x, name=name, real=real:
+                            calls.append(name) or real(x))
+    entry(equispaced_nodes(11).nodes)
+    assert calls == expected
+
+
 def test_a_two_field_sweep_forms_each_cells_weights_once(monkeypatch):
     calls = []
-    real = interpolation.barycentric_weights
-    for module in (interpolation, stability, experiments):  # wherever it is bound
-        if getattr(module, "barycentric_weights", None) is real:
-            monkeypatch.setattr(module, "barycentric_weights",
-                                lambda s: calls.append(s.size) or real(s))
+    real = interpolation._weights  # what barycentric_weights and mapped_basis run
+    monkeypatch.setattr(interpolation, "_weights",
+                        lambda s, factor: calls.append(s.size) or real(s, factor))
     cfg = ExperimentConfig(function="f1", n_values=(11, 23), methods=("sgibbs", "graspa"))
     res = run_comparison(cfg, ("rmae", "lebesgue"))
     assert all(c.ok and c.rmae > 0 and c.lebesgue > 1 for c in res.cells)

@@ -216,7 +216,7 @@ def test_subnormal_weight_products_raise():
     nodes = equispaced_nodes(79)
     chain = graspa_chain(5e4, dom)
     with pytest.raises(EvaluationError):
-        barycentric_weights(_node_images(nodes, chain)[0])
+        barycentric_weights(_node_images(nodes.nodes, chain)[0])
     with pytest.raises(EvaluationError):
         build_interpolant(nodes, f1(nodes.nodes), chain)
 
@@ -245,7 +245,7 @@ def _mapped(function, method, n):
     chain = method_chain(method, PiecewiseDomain(Interval(-1, 1), FUNCTIONS[function][1]),
                          KAPPA)
     nodes = equispaced_nodes(n)
-    return nodes, chain, np.sort(_node_images(nodes, chain)[0])
+    return nodes, chain, np.sort(_node_images(nodes.nodes, chain)[0])
 
 
 def _mp_weights(s, digits):
@@ -364,7 +364,7 @@ def test_property_scan_of_configs_whose_capacity_products_leave_the_range():
         x = rng.uniform(-1, 1, 3)
         chain = named_chain(method, PiecewiseDomain(Interval(-1, 1), cuts), kappa)
         nodes = equispaced_nodes(n)
-        s = np.sort(_node_images(nodes, chain)[0])
+        s = np.sort(_node_images(nodes.nodes, chain)[0])
         if not _leaves_normal_range(_capacity_product(s)):
             counts["in range"] += 1
             continue

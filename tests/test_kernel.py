@@ -241,7 +241,7 @@ def test_lebesgue_and_basis_matrix_keep_the_row_sum_quotient():
     # grid rests
     nodes = equispaced_nodes(89)
     x = np.random.default_rng(7).uniform(-1, 1, 2 * _block_rows(90) + 5)
-    s_nodes = _node_images(nodes, CHAIN_F2)[0]
+    s_nodes = _node_images(nodes.nodes, CHAIN_F2)[0]
     t = barycentric_weights(s_nodes) / (CHAIN_F2(x)[:, None] - s_nodes[None, :])
     np.testing.assert_array_equal(_bits(lebesgue_function(nodes, CHAIN_F2, x)),
                                   _bits(np.abs(t).sum(axis=1) / np.abs(t.sum(axis=1))))
@@ -315,7 +315,8 @@ def test_every_pairwise_site_keeps_the_bits_of_the_subtraction(monkeypatch):
     left, right = np.linspace(-1, -0.01, 45), np.linspace(0.01, 1, 44)
 
     def sites():
-        prod, exp = interpolation._weight_products(interp.mapped_nodes)
+        prod, exp = interpolation._weight_products(interp.mapped_nodes,
+                                                   interp.node_factor)
         return [prod, [] if exp is None else exp, interpolation._first_form(s, interp),
                 even_split_residual_sum(left, right, x), interp(x),
                 lebesgue_function(nodes, CHAIN_F2, x), lagrange_matrix(nodes, CHAIN_F2, x)]

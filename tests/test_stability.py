@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import tracemalloc
 import warnings
@@ -271,9 +272,9 @@ def test_cell_search_evaluates_the_reference_points(monkeypatch, nodes, chain, d
 
 def test_cell_search_forms_the_weights_once(monkeypatch):
     calls = []
-    real = interpolation.barycentric_weights
-    monkeypatch.setattr(interpolation, "barycentric_weights",
-                        lambda s: calls.append(s.size) or real(s))
+    real = interpolation._weights  # what barycentric_weights and mapped_basis run
+    monkeypatch.setattr(interpolation, "_weights",
+                        lambda s, factor: calls.append(s.size) or real(s, factor))
     lebesgue_max(equispaced_nodes(23), graspa_chain(1e4, DOM1), DOM1)
     assert calls == [24]
 
@@ -449,23 +450,103 @@ def test_multi_cut_equal_cardinality_limit():
         assert abs(rep.lebesgue_constant - pred.predicted) <= 0.01 * pred.predicted
 
 
+def _large_shift_max(nodes, dom):
+    """Largest sgibbs Lebesgue value at kappa = 1e8 over the grid and the
+    points 1e-9 either side of each cut, where a one-sided supremum may sit."""
+    cuts = np.asarray(dom.cuts)
+    pts = np.concatenate([lebesgue_grid(dom, nodes), cuts - 1e-9, cuts + 1e-9])
+    return float(lebesgue_function(nodes, sgibbs_chain(1e8, dom), pts).max())
+
+
+@pytest.mark.parametrize("counts, cuts, case", [
+    ((8, 7, 7, 8), (-0.5, 0.0, 0.5), "multi-balanced"),
+    ((2, 3), (-0.1,), "even"),
+    ((10, 11), (-0.05,), "even"),
+    ((11, 10), (0.0,), "even"),
+    ((7, 6, 7), None, "multi-balanced"),
+    ((7, 6, 6), None, "multi-balanced"),
+    ((8, 8, 7, 8), None, "multi-balanced"),
+    ((6, 6, 6), None, "multi-equal"),
+], ids=["8-7-7-8", "2-3", "10-11", "11-10", "7-6-7", "7-6-6", "8-8-7-8", "6-6-6"])
+def test_balanced_layouts_match_a_large_shift(counts, cuts, case):
+    # equispaced nodes; cuts midway between the nodes the counts separate
+    # unless given.  (11, 10) at cut 0 peaks just right of the cut, 1.3%
+    # above its grid maximum
+    nodes = equispaced_nodes(sum(counts) - 1)
+    if cuts is None:
+        ends = np.cumsum(counts)[:-1]
+        cuts = tuple((nodes.nodes[ends - 1] + nodes.nodes[ends]) / 2.0)
+    dom = PiecewiseDomain(Interval(-1, 1), cuts)
+    part = partition_nodes(nodes, dom)
+    assert part.cardinalities == counts
+    pred = limit_lebesgue_prediction(part, dom)
+    assert pred.case == case
+    assert (pred.r_samples is None) == (len(set(counts)) == 1)
+    if pred.r_samples is not None:
+        assert pred.r_max == pred.r_samples.max() <= pred.predicted
+    assert abs(_large_shift_max(nodes, dom) - pred.predicted) <= 1e-6 * pred.predicted
+
+
+_DOM_TWO = PiecewiseDomain(Interval(-1, 1), (-1.0 / 3.0, 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("dom, n, case, predicted, sides, r_max, r_sha256", [
+    (DOM1, 4, "even", "0x1.c000000000000p+2",
+     ("0x1.4000000000001p+0", "0x1.8000000000000p+1"), "0x1.c000000000000p+2",
+     "b9db6d8e3640f0138c5274ac3e14f4cdc3655ba719a88d4a79e5aa3ac10760ab"),
+    (DOM1, 10, "even", "0x1.f800000000009p+5",
+     ("0x1.8d9b18ab164f9p+1", "0x1.f00000000000ap+4"), "0x1.f800000000009p+5",
+     "1bd371f982cd157e49c8b95c2d6ae1551c5a15d64883a319528a6577833aacb6"),
+    (DOM1, 23, "odd", "0x1.6cce0000001c7p+9",
+     ("0x1.6cce0000001c7p+9", "0x1.6cce0000000a3p+9"), None, None),
+    (DOM1, 50, "even", "0x1.ffffff81ff7d9p+25",
+     ("0x1.fe5b5d20ec991p+17", "0x1.ffffff03fef98p+24"), "0x1.ffffff81ff7d9p+25",
+     "7a2f4147f03c9789360ad770dced0a1f36403e4fdf1c2161f18ae0a0286c0b71"),
+    (DOM1, 89, "odd", "0x1.5f9a00e34879ap+41",
+     ("0x1.5f9a00e34879ap+41", "0x1.5f9004d0bff63p+41"), None, None),
+    (_DOM_F2, 87, "multi-equal", "0x1.89a5d8e07470ep+20",
+     ("0x1.89a5d8e00d54ep+20", "0x1.014fc5fecf16ep+19", "0x1.014fc5ff5403bp+19",
+      "0x1.89a5d8e07470ep+20"), None, None),
+    (_DOM_TWO, 17, "multi-equal", "0x1.d44d41ab04919p+4",
+     ("0x1.d44d41ab04919p+4", "0x1.47980e0bf08b6p+3", "0x1.d44d41ab048e6p+4"), None, None),
+    (_DOM_TWO, 29, "multi-equal", "0x1.783d92bc89f00p+8",
+     ("0x1.783d92bc89e57p+8", "0x1.857efab5eea7ep+6", "0x1.783d92bc89f00p+8"), None, None),
+], ids=["f1-4", "f1-10", "f1-23", "f1-50", "f1-89", "f2-87", "two-cuts-17", "two-cuts-29"])
+def test_limit_predictions_keep_their_bits(dom, n, case, predicted, sides, r_max, r_sha256):
+    # the odd, even and multi-equal splits as their own closed forms give
+    # them: the one formula adds no term to the first and third, and an exact
+    # 1.0 times the residual sum to the second
+    pred = limit_lebesgue_prediction(partition_nodes(equispaced_nodes(n), dom), dom)
+    assert pred.case == case
+    assert pred.predicted.hex() == predicted
+    assert tuple(c.hex() for c in pred.side_constants) == sides
+    assert (None if pred.r_max is None else pred.r_max.hex()) == r_max
+    samples = pred.r_samples
+    assert (None if samples is None else hashlib.sha256(samples.tobytes()).hexdigest()
+            ) == r_sha256
+
+
 def test_prediction_refusals():
     # unbalanced single cut
     dom = PiecewiseDomain(Interval(-1, 1), (0.9,))
     part = partition_nodes(equispaced_nodes(10), dom)
     with pytest.raises(PredictionUnavailableError, match="balance"):
         limit_lebesgue_prediction(part, dom)
-    # mirrored even split (larger set on the right)
-    dom = PiecewiseDomain(Interval(-1, 1), (-0.1,))
-    part = partition_nodes(equispaced_nodes(4), dom)
-    assert part.cardinalities == (2, 3)
-    with pytest.raises(PredictionUnavailableError, match="mirror"):
+    # unbalanced two cuts
+    dom = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.9))
+    part = partition_nodes(equispaced_nodes(10), dom)
+    assert part.cardinalities == (3, 7, 1)
+    with pytest.raises(PredictionUnavailableError, match="balance"):
         limit_lebesgue_prediction(part, dom)
-    # multi-cut with unequal counts
-    dom = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
-    part = partition_nodes(equispaced_nodes(29), dom)
-    with pytest.raises(PredictionUnavailableError, match="equal"):
-        limit_lebesgue_prediction(part, dom)
+    # the mirrored even split (2, 3) and f2's (8, 7, 7, 8) at n = 29 are
+    # balanced, so each has a limit
+    for cuts, n, counts in (((-0.1,), 4, (2, 3)), ((-0.5, 0.0, 0.5), 29, (8, 7, 7, 8))):
+        dom = PiecewiseDomain(Interval(-1, 1), cuts)
+        nodes = equispaced_nodes(n)
+        part = partition_nodes(nodes, dom)
+        assert part.cardinalities == counts
+        pred = limit_lebesgue_prediction(part, dom)
+        assert abs(_large_shift_max(nodes, dom) - pred.predicted) <= 1e-6 * pred.predicted
     # no cuts at all
     part = partition_nodes(equispaced_nodes(4), DOM0)
     with pytest.raises(PredictionUnavailableError):

@@ -87,14 +87,16 @@ class PiecewiseDomain:
     def subinterval_index(self, x):
         """1-based subinterval index of x; cut points resolve to the left."""
         xs = np.asarray(x, dtype=float)
-        if (xs < self.interval.a).any() or (xs > self.interval.b).any():
+        mask = np.empty(xs.shape, dtype=bool)  # one comparison buffer for all tests
+        if (np.less(xs, self.interval.a, out=mask).any()
+                or np.greater(xs, self.interval.b, out=mask).any()):
             raise ValueError("point outside the domain")
         # one comparison per cut is several times faster than a binary search
         # on unsorted points; NaN compares false, so it lands in the last
         # subinterval, where a search would put it too
         idx = np.full(xs.shape, self.n_subintervals, dtype=np.intp)
         for c in self.cuts:
-            idx -= xs <= c
+            idx -= np.less_equal(xs, c, out=mask)
         return int(idx) if xs.ndim == 0 else idx
 
     def to_dict(self) -> dict:

@@ -14,6 +14,15 @@ so that experiment configurations can be serialized and logged; every atom
 is injective on its declared domain.  :func:`named_chain` is the one table
 from a map name (``CHAIN_NAMES``) to its atoms; the GRASPA helpers and the
 experiment methods are views of it.
+
+A chain maps m points in place: its first piecewise atom writes the images
+into one new array of m floats, and every later one overwrites it, reading
+each point before it writes the point's image.  The caller's array is never
+written.  Beside the result, a call holds the subinterval index (m integers),
+at most one per-point scratch array of floats and a few masks of m bytes, so
+the GRASPA chain peaks at about 3.4 * 8m bytes (the S-Gibbs shift alone at
+2 * 8m).  The evaluator behind it needs O(m + block * n) for n nodes: the
+images, the results and a 512 KiB block buffer (see ``interpolation``).
 """
 
 from __future__ import annotations
@@ -53,7 +62,9 @@ def _check_kappa(kappa: float) -> None:
 
 
 def _unwrap(x, out: np.ndarray):
-    return float(out) if np.ndim(x) == 0 else out
+    """The images out of the points x in the shape of x; a scalar x gives a float."""
+    out = out.reshape(np.shape(x))
+    return float(out) if out.ndim == 0 else out
 
 
 def affine_to_reference(x, sub: int, domain: PiecewiseDomain):
@@ -118,29 +129,37 @@ class KteMap:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
+        xs = np.asarray(x, dtype=float).ravel()
         # outside [-1, 1] the sine folds back and the map stops being
         # injective; NaN passes, for a chain's finiteness check to report
         if (xs < -1.0).any() or (xs > 1.0).any():
             raise ValueError("point outside the domain")
-        return _unwrap(x, self._stretch(xs))
+        return _unwrap(x, self._stretch(xs, np.empty_like(xs)))
 
-    def _stretch(self, xs):
+    def _stretch(self, xs, out):
+        """sin(alpha pi xs / 2) / sin(alpha pi / 2) of the 1-D xs, written into
+        out, which may be xs."""
         half = self.alpha * np.pi / 2.0
-        return np.sin(half * xs) / np.sin(half)
+        np.multiply(xs, half, out=out)
+        np.sin(out, out=out)
+        out /= np.sin(half)
+        return out
 
     def to_dict(self) -> dict:
         return {"kind": "kte", "alpha": self.alpha}
 
 
 class _Piecewise:
-    """An atom on ``domain`` whose ``_apply(xs, idx)`` takes the subinterval index of xs."""
+    """An atom on ``domain``.  ``_apply(xs, idx, out)`` writes the images of the
+    1-D points xs, whose subinterval index is idx, into out and returns it; out
+    may be xs itself, so an atom reads each point before it writes its image."""
 
     keeps_subinterval = False  # True where every image stays in its point's subinterval
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        return _unwrap(x, self._apply(xs, self.domain.subinterval_index(xs)))
+        xs = np.asarray(x, dtype=float).ravel()
+        out = self._apply(xs, self.domain.subinterval_index(xs), np.empty_like(xs))
+        return _unwrap(x, out)
 
 
 @dataclass(frozen=True)
@@ -150,12 +169,17 @@ class SGibbsMap(_Piecewise):
 
     def __post_init__(self) -> None:
         _check_kappa(self.kappa)
-
-    def _apply(self, xs, idx):
         # a shift past the float range is inf, which the chain reports as an
         # EvaluationError; no overflow warning comes first
         with np.errstate(over="ignore"):
-            return xs + (idx - 1.0) * self.kappa
+            shifts = (np.arange(self.domain.n_subintervals + 1) - 1.0) * self.kappa
+        object.__setattr__(self, "_shifts", shifts)  # (tau - 1) kappa at index tau
+
+    def _apply(self, xs, idx, out):
+        # the shifts are gathered into out itself, unless out is xs
+        shift = self._shifts.take(idx, out=None if out is xs else out, mode="clip")
+        with np.errstate(over="ignore"):
+            return np.add(xs, shift, out=out)
 
     def to_dict(self) -> dict:
         return {"kind": "sgibbs", "kappa": self.kappa, "domain": self.domain.to_dict()}
@@ -169,25 +193,43 @@ class MkteMap(_Piecewise):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_kte", KteMap(self.alpha))  # checks alpha
+        # the ends lo, hi of subinterval tau at index tau (entry 0 is unused),
+        # its width and the float just inside its open left end
+        hi = np.array(self.domain.breakpoints)
+        lo = np.append(hi[0], hi[:-1])
+        object.__setattr__(self, "_ends", (lo, hi - lo, hi, np.nextafter(lo, hi)))
 
-    def _apply(self, xs, idx):
-        bp = np.asarray(self.domain.breakpoints)
-        lo = bp[idx - 1]
-        hi = bp[idx]
-        u = 2.0 * (xs - lo) / (hi - lo) - 1.0
-        # clipped to [-1, 1], so the stretch needs no bounds check
-        v = self._kte._stretch(np.minimum(np.maximum(u, -1.0), 1.0))
-        y = lo + (hi - lo) * (v + 1.0) / 2.0
+    def _apply(self, xs, idx, out):
+        lo, width, hi, inside = self._ends
+        t = lo.take(idx)  # the one per-point scratch array, refilled by take
+        above = xs > t  # read before out, which may be xs, is written
+        # u = 2 (x - lo) / (hi - lo) - 1, clipped to [-1, 1], so the stretch
+        # needs no bounds check; then lo + (hi - lo) (M(u) + 1) / 2
+        np.subtract(xs, t, out=out)
+        out *= 2.0
+        out /= width.take(idx, out=t, mode="clip")
+        out -= 1.0
+        top, bottom = out >= 1.0, out <= -1.0
+        np.maximum(out, -1.0, out=out)
+        np.minimum(out, 1.0, out=out)
+        self._kte._stretch(out, out)
+        out += 1.0
+        out *= t
+        out /= 2.0
+        out += lo.take(idx, out=t, mode="clip")
         # Pin subinterval ends exactly, and keep every interior image strictly
         # inside its half-open source cell: the sine flattens quadratically at the
         # ends, and an image rounded onto the open left edge would flip the
         # piecewise dispatch of any shift applied next.
-        y = np.where(u >= 1.0, hi,
-                     np.where(u <= -1.0, lo, np.minimum(np.maximum(y, lo), hi)))
-        stuck = (xs > lo) & (y <= lo)
+        np.maximum(out, t, out=out)
+        np.minimum(out, hi.take(idx, out=t, mode="clip"), out=out)
+        np.copyto(out, t, where=top)
+        np.copyto(out, lo.take(idx, out=t, mode="clip"), where=bottom)
+        stuck = np.less_equal(out, t, out=top)
+        stuck &= above
         if stuck.any():
-            y = np.where(stuck, np.nextafter(lo, hi), y)
-        return y
+            out[stuck] = inside[idx[stuck]]
+        return out
 
     def to_dict(self) -> dict:
         return {"kind": "mkte", "alpha": self.alpha, "domain": self.domain.to_dict()}
@@ -209,11 +251,20 @@ class VnMap(_Piecewise):
             raise ValueError("the node correction is defined on [-1, 1] "
                              "with a single cut at 0")
 
-    def _apply(self, xs, idx):
+    def _apply(self, xs, idx, out):
+        # the identity left of the cut; right of it n x / (2 (n - 1)) up to
+        # the knee 2 / n, and (n x - 1) / (n - 1) past it
         n = self.n
-        knee = 2.0 / n
-        right = np.where(xs <= knee, n * xs / (2.0 * (n - 1.0)), (n * xs - 1.0) / (n - 1.0))
-        return np.where(idx == 1, xs, right)
+        right = idx != 1
+        flat = xs <= 2.0 / n
+        flat &= right
+        np.copyto(out, xs)  # a no-op where out is xs
+        np.multiply(out, n, out=out, where=right)
+        steep = np.logical_xor(right, flat, out=right)
+        np.divide(out, 2.0 * (n - 1.0), out=out, where=flat)
+        np.subtract(out, 1.0, out=out, where=steep)
+        np.divide(out, n - 1.0, out=out, where=steep)
+        return out
 
     def to_dict(self) -> dict:
         return {"kind": "vn", "n": self.n, "domain": self.domain.to_dict()}
@@ -225,22 +276,26 @@ class MapChain:
 
     The subinterval index is handed on past the atoms that keep every point
     in its subinterval (MKTE, the node correction), so a GRASPA chain computes
-    it once per call.  Any other map (KTE, or any callable on an array of
-    points) may stand in the chain too; after it, the index is recomputed.
+    it once per call.  Any other map (KTE, or any callable on a 1-D array of
+    points) may stand in the chain too; after it, the index is recomputed, and
+    the next atom writes into a new array, since the callable's result may be
+    the caller's array.  The result has the shape of x (a float for scalar x).
     """
 
     maps: tuple = ()
 
     def __call__(self, x):
-        out = np.asarray(x, dtype=float)
+        out = np.asarray(x, dtype=float).ravel()
+        own = False  # whether out is the chain's own array, which atoms overwrite
         idx = domain = None  # the subinterval index of out in domain, while valid
         for m in self.maps:
             if not isinstance(m, _Piecewise):
-                out, idx = np.asarray(m(out), dtype=float), None
+                out, own, idx = np.asarray(m(out), dtype=float).ravel(), False, None
                 continue
             if idx is None or m.domain != domain:
                 idx, domain = m.domain.subinterval_index(out), m.domain
-            out = m._apply(out, idx)
+            out = m._apply(out, idx, out if own else np.empty_like(out))
+            own = True
             if not m.keeps_subinterval:
                 idx = None
         if not np.isfinite(out).all():

@@ -132,7 +132,8 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
 
     Per subinterval, a uniform sweep (left-open subintervals drop their left
     edge, matching the membership rule), unioned with the midpoints of
-    adjacent nodes where the local maxima sit.  ``grid_spec`` is ``"auto"``
+    adjacent nodes where the local maxima sit; where a midpoint equals a sweep
+    point, the sweep point stays.  ``grid_spec`` is ``"auto"``
     (max(2000, 100 * node count) points per subinterval), an explicit
     per-subinterval count, or a ready-made array of points.
     """
@@ -153,12 +154,17 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
             raise ValueError("grid points outside the domain")
         return grid
     bp = domain.breakpoints
-    pieces = []
-    for i in range(domain.n_subintervals):
-        g = np.linspace(bp[i], bp[i + 1], per)
-        pieces.append(g if i == 0 else g[1:])
-    pieces.append((x[:-1] + x[1:]) / 2.0)  # none for a single node
-    return np.unique(np.concatenate(pieces))
+    grid = np.concatenate([np.linspace(bp[i], bp[i + 1], per)[i > 0:]
+                           for i in range(domain.n_subintervals)])
+    mid = (x[:-1] + x[1:]) / 2.0  # none for a single node; nondecreasing, as x is
+    if not (grid[1:] > grid[:-1]).all():  # a subinterval too narrow for per points
+        return np.unique(np.concatenate((grid, mid)))
+    # both are sorted, so the midpoints are merged in, each once and only where
+    # no sweep point has its value
+    at = np.searchsorted(grid, mid)
+    new = grid.take(at, mode="clip") != mid
+    new[1:] &= mid[1:] != mid[:-1]
+    return np.insert(grid, at[new], mid[new])
 
 
 # the fewest points a grid may resolve to for a Lebesgue-constant maximum

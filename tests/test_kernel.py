@@ -16,6 +16,7 @@ from graspa import (
     equispaced_nodes,
     eval_interpolant,
     even_split_residual_sum,
+    f1,
     f2,
     graspa_chain,
     lagrange_matrix,
@@ -26,6 +27,7 @@ from graspa import interpolation, stability
 from graspa.exceptions import EvaluationError
 from graspa.interpolation import _block_rows, _node_images
 
+DOM_F1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
 DOM_F2 = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
 CHAIN_F2 = graspa_chain(10000.0, DOM_F2)
 
@@ -132,6 +134,32 @@ def test_lebesgue_memory_is_flat_in_point_count():
         tracemalloc.stop()
     # one unblocked 100000 x 90 float64 array alone would be 72 MB
     assert peak < 25e6
+
+
+def _peak_bytes(call, x):
+    call(x)  # a first call may fill caches of its own
+    tracemalloc.start()
+    try:
+        call(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graspa_chain_memory_is_a_few_arrays_of_its_points():
+    # the images, the subinterval index, one scratch array and byte masks
+    m = 100_000
+    x = np.random.default_rng(7).uniform(-1, 1, m)
+    assert _peak_bytes(CHAIN_F2, x) <= 5.5 * 8 * m
+
+
+def test_graspa_evaluation_memory_is_near_the_evaluators_own():
+    # the evaluator holds the images, the results and its 512 KiB block buffer
+    # (about 1.05 MB here); the chain's own peak stays below that
+    nodes = equispaced_nodes(81)
+    interp = build_interpolant(nodes, f1(nodes.nodes), graspa_chain(1e4, DOM_F1))
+    x = np.random.default_rng(8).uniform(-1, 1, 32768)
+    assert _peak_bytes(interp, x) <= 1.5e6
 
 
 def _interpolate(nodes, chain, x):

@@ -13,6 +13,7 @@ from graspa import (
     Interval,
     KteMap,
     MapChain,
+    MkteMap,
     PiecewiseDomain,
     SGibbsMap,
     VnMap,
@@ -270,6 +271,100 @@ def test_chain_is_its_atoms_composed(name, data, kappa, alpha, n):
     for outside in (np.nextafter(a, -np.inf), np.append(x, np.nextafter(b, np.inf))):
         with pytest.raises(ValueError, match="outside the domain"):
             chain(outside)
+
+
+def _reference_images(chain, x):
+    """The chain's images by each atom's formulas as whole-array expressions:
+    the reference that the in-place atoms must match bit for bit."""
+    xs = np.asarray(x, dtype=float)
+    for m in chain.maps:
+        if isinstance(m, KteMap):
+            if (xs < -1.0).any() or (xs > 1.0).any():
+                raise ValueError("point outside the domain")
+            half = m.alpha * np.pi / 2.0
+            xs = np.sin(half * xs) / np.sin(half)
+            continue
+        idx = np.full(xs.shape, m.domain.n_subintervals, dtype=np.intp)
+        for c in m.domain.cuts:
+            idx -= xs <= c
+        if isinstance(m, SGibbsMap):
+            with np.errstate(over="ignore"):
+                xs = xs + (idx - 1.0) * m.kappa
+        elif isinstance(m, MkteMap):
+            bp = np.asarray(m.domain.breakpoints)
+            lo, hi = bp[idx - 1], bp[idx]
+            u = 2.0 * (xs - lo) / (hi - lo) - 1.0
+            half = m.alpha * np.pi / 2.0
+            v = np.sin(half * np.minimum(np.maximum(u, -1.0), 1.0)) / np.sin(half)
+            y = lo + (hi - lo) * (v + 1.0) / 2.0
+            y = np.where(u >= 1.0, hi,
+                         np.where(u <= -1.0, lo, np.minimum(np.maximum(y, lo), hi)))
+            stuck = (xs > lo) & (y <= lo)
+            xs = np.where(stuck, np.nextafter(lo, hi), y)
+        else:
+            n = m.n
+            right = np.where(xs <= 2.0 / n, n * xs / (2.0 * (n - 1.0)),
+                             (n * xs - 1.0) / (n - 1.0))
+            xs = np.where(idx == 1, xs, right)
+    return float(xs) if np.ndim(x) == 0 else xs
+
+
+TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320)  # +-0 and subnormals
+
+
+@st.composite
+def _bit_cases(draw, vn):
+    """A domain with 0-3 cuts (the node correction's own for vn), its ends and
+    cuts with their float neighbours, +-0 and subnormals inside it, and uniform
+    draws."""
+    dom = DOM1 if vn else draw(st.sampled_from(
+        (PiecewiseDomain(Interval(-1, 1)), DOM1, DOM3,
+         PiecewiseDomain(Interval(0.0, 3.0), (1.0,)), None)))
+    if dom is None:
+        a = draw(st.floats(-10.0, 10.0))
+        b = a + draw(st.floats(0.01, 20.0))
+        cuts = draw(st.lists(st.floats(0.001, 0.999), max_size=3, unique=True))
+        cuts = tuple(sorted(a + f * (b - a) for f in cuts))
+        assume(all(a < c < b for c in cuts) and len(set(cuts)) == len(cuts))
+        dom = PiecewiseDomain(Interval(a, b), cuts)
+    a, b = dom.interval.a, dom.interval.b
+    special = [a, b, np.nextafter(a, b), np.nextafter(b, a)]
+    for c in dom.cuts:
+        special += [c, np.nextafter(c, a), np.nextafter(c, b)]
+    special += [v for v in TINY if a <= v <= b]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.concatenate([special, rng.uniform(a, b, draw(st.integers(0, 60)))])
+    return dom, special, np.minimum(np.maximum(x, a), b)
+
+
+def _same_outcome(chain, x):
+    try:
+        want = _reference_images(chain, x)
+    except ValueError:
+        with pytest.raises(ValueError):
+            chain(x)
+        return
+    _same_bits(chain(x), want)
+
+
+@pytest.mark.parametrize("name", CHAIN_NAMES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), kappa=st.floats(0.1, 1e8),
+       alpha=st.floats(0.0, 1.0, exclude_min=True), half_n=st.integers(2, 60))
+def test_chain_keeps_the_bits_of_its_formulas(name, data, kappa, alpha, half_n):
+    # every atom works in place, yet each image must be the one that the
+    # whole-array formulas give, and the caller's array must stay as it was
+    dom, special, x = data.draw(_bit_cases(name == "graspa+vn"))
+    chain = named_chain(name, dom, kappa, alpha, 2 * half_n)
+    for v in special:
+        _same_outcome(chain, float(v))
+    for pts in (x, x[: x.size // 2 * 2].reshape(2, -1)):
+        kept = pts.copy()
+        _same_outcome(chain, pts)
+        assert pts.tobytes() == kept.tobytes()
+        kept.setflags(write=False)
+        _same_outcome(chain, kept)
+        assert pts.tobytes() == kept.tobytes()
 
 
 def test_chain_serialization_roundtrip():

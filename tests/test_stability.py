@@ -84,6 +84,29 @@ def test_report_max_matches_values():
     assert rep.grid.shape == rep.lebesgue_values.shape
 
 
+@pytest.mark.parametrize("cuts, a, b", [
+    ((), -1.0, 1.0), ((0.0,), -1.0, 1.0), ((-0.5, 0.0, 0.5), -1.0, 1.0),
+    ((-3.1, 1.7), -7.3, 2.9), ((0.5, 0.5 + 2.0**-50), -1.0, 1.0),  # 8 ulps: too narrow
+])
+def test_grid_is_the_sorted_union_of_sweeps_and_midpoints(cuts, a, b):
+    # the midpoints are merged into the sorted sweeps; the reference sorts
+    # and deduplicates all of them at once
+    dom = PiecewiseDomain(Interval(a, b), cuts)
+    rng = np.random.default_rng(len(cuts))
+    unit = [equispaced_nodes(41).nodes, bg_chebyshev_nodes(80, 0.1, 0.3).nodes,
+            rng.uniform(-1, 1, 200), np.array([-0.5, 0.25, 0.25, 0.25, 0.75]), [0.3]]
+    for x in unit:
+        nodes = a + (b - a) * (np.asarray(x) + 1.0) / 2.0
+        for spec in ("auto", 2, 7, 333):
+            per = max(2000, 100 * nodes.size) if spec == "auto" else spec
+            bp = dom.breakpoints
+            pieces = [np.linspace(bp[i], bp[i + 1], per)[i > 0:]
+                      for i in range(dom.n_subintervals)]
+            ordered = np.sort(nodes)
+            want = np.unique(np.concatenate(pieces + [(ordered[:-1] + ordered[1:]) / 2.0]))
+            assert lebesgue_grid(dom, nodes, spec).tobytes() == want.tobytes()
+
+
 def test_grid_spec_validation():
     nodes = equispaced_nodes(5)
     with pytest.raises(ValueError):

@@ -17,12 +17,16 @@ within rounding error of the best) find the cell's maximum.  Every value it
 evaluates has the bits the dense grid gives it, so the two maxima are equal.
 Its bookkeeping works only on the points it evaluates: one binary search per
 node bounds the cells, and the points of both passes are built cell by cell.
-Both passes evaluate one basis, through the evaluator that
-:func:`lebesgue_function` also wraps.  Where 16 (n+1) u (lambda + 1) reaches 1
-(u the unit roundoff) the computed values are noise on both paths: the search
-then looks around the best coarse point alone, and may pick another grid point
-than the dense sweep, or miss a dense sample that cancelled to a non-finite
-value.
+A grid given by a point count is never materialised for the search: it is
+described per subinterval by its sweep's start, step, count and end, plus
+the merged midpoints, and yields each point the search asks for with the bits
+the materialised grid holds.  So the search holds O(n + points evaluated)
+beside the kernel's block buffer.  Both passes evaluate one basis, through
+the evaluator that :func:`lebesgue_function` also wraps.  Where
+16 (n+1) u (lambda + 1) reaches 1 (u the unit roundoff) the computed values
+are noise on both paths: the search then looks around the best coarse point
+alone, and may pick another grid point than the dense sweep, or miss a dense
+sample that cancelled to a non-finite value.
 
 For piecewise-shifted bases the module also evaluates the limit of the
 Lebesgue constant as the S-Gibbs shift kappa grows without bound.  Take x in
@@ -37,7 +41,8 @@ when max k - min k <= 1 (``NodePartition.balanced``), and on subinterval tau
     lambda_inf(x) = lambda_tau(x) + |omega_tau(x)|
                     * sum_{mu: k_mu = k_tau + 1} c(mu, tau) sum_j |w_j^(mu)|,
 
-each inner sum being :func:`even_split_residual_sum` of the pair (mu, tau).
+each inner sum being :func:`even_split_residual_sum` of the pair (mu, tau),
+whose nodal polynomial is formed in row blocks as the Lebesgue function is.
 Equal counts leave the classical side constants alone; one cut has c = 1.
 The predictions come from these closed forms; brute-force large-shift
 evaluation is only ever a test oracle.
@@ -51,9 +56,9 @@ import numpy as np
 
 from .domain import NodePartition, PiecewiseDomain, _node_array
 from .exceptions import EvaluationError, PredictionUnavailableError
-from .interpolation import (MappedBasis, _differences, _evaluate, _node_factor,
-                            _reciprocals, _row_products, _shaped, _weight_products,
-                            mapped_basis)
+from .interpolation import (MappedBasis, _block_rows, _differences, _evaluate,
+                            _node_factor, _reciprocals, _row_products, _shaped,
+                            _weight_products, mapped_basis)
 from .maps import MapChain
 
 __all__ = [
@@ -137,6 +142,100 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
     (max(2000, 100 * node count) points per subinterval), an explicit
     per-subinterval count, or a ready-made array of points.
     """
+    return _points(_search_grid(domain, nodes, grid_spec))
+
+
+# the fewest points a grid may resolve to for a Lebesgue-constant maximum
+_MIN_GRID_POINTS = 1000
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u, for rounding-error bounds
+# the narrowest sweep step a _SweepGrid takes, in units of the spacing of
+# the floats at the larger end of its subinterval
+_MIN_STEP_SPACINGS = 16
+
+
+class _SweepGrid:
+    """:func:`lebesgue_grid`'s grid for a point count, without its points.
+
+    Subinterval i holds the sweep s_i(j) = j * step_i + start_i, j < per, its
+    last point pinned to end_i: the bits of ``np.linspace``.  Its point j has
+    position i (per - 1) + j in the sweeps' concatenation, where subinterval
+    i > 0 drops j = 0, its start being the previous end.  The midpoints that
+    equal no sweep point are merged in.  ``size``, ``take`` and
+    ``searchsorted`` give what the ndarray methods of the materialised grid
+    give, in memory O(points asked + node count).
+
+    Each computed sweep point lies within 2 spacings of j * step + start,
+    spacings of the floats at the larger end of its subinterval, so with a
+    step of at least ``_MIN_STEP_SPACINGS`` of them the sweeps strictly
+    increase, and the index floor((v - start) / step) is off by at most one
+    from the count of sweep points below v; the exact neighbours correct it.
+    """
+
+    def __init__(self, start, end, step, per, mid):
+        self.start, self.end, self.step, self.per = start, end, step, per
+        self.sweep_size = start.size * (per - 1) + 1
+        # each midpoint once, where no sweep point has its value
+        at = self._sweep_count(mid, "left")
+        new = self._sweep_take(np.minimum(at, self.sweep_size - 1)) != mid
+        new[1:] &= mid[1:] != mid[:-1]
+        self.mid = mid[new]
+        self.size = self.sweep_size + self.mid.size
+        # the midpoints' grid positions, closed by one that no point reaches
+        self.mid_pos = np.append(at[new] + np.arange(self.mid.size), self.size)
+
+    def _sweep_value(self, i, j):
+        """s_i(j) for arrays of subinterval i and index j."""
+        out = j * self.step[i]
+        out += self.start[i]
+        np.copyto(out, self.end[i], where=j == self.per - 1)
+        return out
+
+    def _sweep_take(self, pos):
+        """Sweep points at their positions in the sweeps' concatenation."""
+        i = np.minimum(np.maximum((pos - 1) // (self.per - 1), 0), self.start.size - 1)
+        return self._sweep_value(i, pos - i * (self.per - 1))
+
+    def _sweep_count(self, v, side):
+        """Sweep points below v (side "left") or not above it ("right")."""
+        below = np.less if side == "left" else np.less_equal
+        # subinterval i's sweep holds the first point not counted whole
+        i = np.searchsorted(self.end, v, side)
+        whole = i == self.start.size
+        i[whole] = 0
+        with np.errstate(over="ignore"):  # far past the end: clipped below
+            j = np.floor((v - self.start[i]) / self.step[i])
+        j = np.clip(j, -1, self.per - 2).astype(np.intp)  # per - 1 is end_i
+        j += below(self._sweep_value(i, j + 1), v)
+        j -= (j >= 0) & ~below(self._sweep_value(i, np.maximum(j, 0)), v)
+        count = i * (self.per - 1) + j + 1
+        count[whole] = self.sweep_size
+        return count
+
+    def points(self) -> np.ndarray:
+        """The grid as a new array: the sweeps, then the midpoints inserted."""
+        sweeps = np.empty(self.sweep_size)
+        for i in range(self.start.size):  # subinterval i's kept points, in order
+            j = np.arange(i > 0, self.per)
+            sweeps[i * (self.per - 1) + j[0]:][:j.size] = self._sweep_value(i, j)
+        at = self.mid_pos[:-1] - np.arange(self.mid.size)  # positions among the sweeps
+        return np.insert(sweeps, at, self.mid)
+
+    def searchsorted(self, v, side="left"):
+        v = np.asarray(v, dtype=float)
+        return self._sweep_count(v, side) + np.searchsorted(self.mid, v, side)
+
+    def take(self, idx):
+        idx = np.asarray(idx)
+        k = self.mid_pos.searchsorted(idx)  # midpoints before each position
+        out = self._sweep_take(idx - k)
+        on_mid = self.mid_pos[k] == idx
+        out[on_mid] = self.mid[k[on_mid]]
+        return out
+
+
+def _search_grid(domain: PiecewiseDomain, nodes, grid_spec):
+    """:func:`lebesgue_grid`'s grid: a :class:`_SweepGrid` for a point count,
+    a sorted array for explicit points or sweeps too narrow for one."""
     x = np.sort(_node_array(nodes))  # midpoints of neighbours on the line
     if isinstance(grid_spec, str):
         if grid_spec != "auto":
@@ -153,28 +252,29 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
         if grid[0] < domain.interval.a or grid[-1] > domain.interval.b:
             raise ValueError("grid points outside the domain")
         return grid
-    bp = domain.breakpoints
-    grid = np.concatenate([np.linspace(bp[i], bp[i + 1], per)[i > 0:]
-                           for i in range(domain.n_subintervals)])
+    bp = np.array(domain.breakpoints, dtype=float)
+    start, end = bp[:-1], bp[1:]
+    step = (end - start) / (per - 1)  # np.linspace's step
     mid = (x[:-1] + x[1:]) / 2.0  # none for a single node; nondecreasing, as x is
-    if not (grid[1:] > grid[:-1]).all():  # a subinterval too narrow for per points
-        return np.unique(np.concatenate((grid, mid)))
-    # both are sorted, so the midpoints are merged in, each once and only where
-    # no sweep point has its value
-    at = np.searchsorted(grid, mid)
-    new = grid.take(at, mode="clip") != mid
-    new[1:] &= mid[1:] != mid[:-1]
-    return np.insert(grid, at[new], mid[new])
+    spacing = np.spacing(np.maximum(np.abs(start), np.abs(end)))
+    if (step >= _MIN_STEP_SPACINGS * spacing).all():
+        return _SweepGrid(start, end, step, per, mid)
+    # a subinterval too narrow for the description: sort all points, then drop
+    # repeats, the sweep's value first among equal ones
+    grid = np.sort(np.concatenate([np.linspace(bp[i], bp[i + 1], per)[i > 0:]
+                                   for i in range(domain.n_subintervals)] + [mid]),
+                   kind="stable")
+    return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
-# the fewest points a grid may resolve to for a Lebesgue-constant maximum
-_MIN_GRID_POINTS = 1000
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u, for rounding-error bounds
+def _points(grid) -> np.ndarray:
+    """The points of a grid from :func:`_search_grid` as a sorted array."""
+    return grid if isinstance(grid, np.ndarray) else grid.points()
 
 
-def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec) -> np.ndarray:
-    """:func:`lebesgue_grid`, refused when too coarse for a Lebesgue constant."""
-    grid = lebesgue_grid(domain, nodes, grid_spec)
+def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec):
+    """:func:`_search_grid`, refused when too coarse for a Lebesgue constant."""
+    grid = _search_grid(domain, nodes, grid_spec)
     if grid.size < _MIN_GRID_POINTS:
         raise ValueError(f"grid resolves to {grid.size} points; "
                          f"need at least {_MIN_GRID_POINTS}")
@@ -184,7 +284,7 @@ def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec) -> np.ndarray:
 def lebesgue_constant(nodes, chain: MapChain | None, domain: PiecewiseDomain,
                       grid_spec="auto") -> StabilityReport:
     """Maximum of the mapped Lebesgue function over a dense grid."""
-    grid = _constant_grid(domain, nodes, grid_spec)
+    grid = _points(_constant_grid(domain, nodes, grid_spec))
     vals = lebesgue_function(nodes, chain, grid)
     grid.setflags(write=False)
     vals.setflags(write=False)
@@ -199,12 +299,14 @@ def lebesgue_max(nodes, chain: MapChain | None, domain: PiecewiseDomain,
     The maximum over the same grid, found by searching each cell between
     consecutive nodes in two passes instead of evaluating every point (see
     the module docstring); the same bits wherever lambda has a correct digit.
+    A point-count grid is never materialised: the search asks it for the
+    points it evaluates alone.
     """
     grid = _constant_grid(domain, nodes, grid_spec)
     return _cell_search_max(mapped_basis(nodes, chain), grid)
 
 
-def _cell_search_max(basis: MappedBasis, grid: np.ndarray) -> float:
+def _cell_search_max(basis: MappedBasis, grid) -> float:
     """Largest Lebesgue-function value over the sorted grid, found cell by cell.
 
     The nodes split the grid into cells, a point equal to a node closing the
@@ -225,20 +327,24 @@ def _cell_search_max(basis: MappedBasis, grid: np.ndarray) -> float:
     EvaluationError still fires.  If the nodes, sorted by image, do not
     increase (the chain does not increase on them), every point is evaluated.
 
-    The cells come from one binary search per node, and both stages' points
-    are built cell by cell, so apart from the kernel the work and memory are
-    O(n + points evaluated), not O(grid).
+    The grid is a sorted array or a :class:`_SweepGrid`; the search uses only
+    its ``size``, ``searchsorted`` and ``take``.  The cells come from one
+    binary search per node, both stages' points are built cell by cell, and
+    stage 1's per-point bookkeeping is freed before stage 2 evaluates, so
+    apart from the kernel the work and memory are O(n + points evaluated),
+    not O(grid).
     """
     x = basis.nodes
 
-    def values(idx):  # each stage maps only its own points
-        return _lebesgue_values(basis.map(grid[idx]), basis)
+    def values(points):  # each stage maps only its own points
+        return _lebesgue_values(basis.map(points), basis)
 
     if not (np.diff(x) > 0).all():
-        return float(values(slice(None)).max())
-    # cell bounds: the first grid point past each node; empty cells drop out
-    edges = np.unique(np.concatenate(([0], np.searchsorted(grid, x, side="right"),
-                                      [grid.size])))
+        return float(values(_points(grid)).max())
+    # cell bounds: the first grid point past each node, sorted as the nodes
+    # are; empty cells drop out
+    edges = np.concatenate(([0], grid.searchsorted(x, side="right"), [grid.size]))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     starts = edges[:-1]
     last = np.diff(edges) - 1  # offset of each cell's last point
     k = int(np.ceil(np.sqrt((last.max() + 1) / 2.0)))
@@ -248,7 +354,8 @@ def _cell_search_max(basis: MappedBasis, grid: np.ndarray) -> float:
     head = np.cumsum(per_cell) - per_cell  # each cell's first stage-1 entry
     step = np.arange(cell.size) - head[cell]
     first = starts[cell] + np.minimum(step * k, last[cell])
-    lam = values(first)
+    del step
+    lam = values(grid.take(first))
     # |computed - exact| <= eps = 4 (n+1) u lambda (lambda + 1) to first
     # order: the sums and quotients, and the weights' own rounding
     best = np.maximum.reduceat(lam, head)
@@ -259,6 +366,8 @@ def _cell_search_max(basis: MappedBasis, grid: np.ndarray) -> float:
     near_cell = cell[near]
     lo = np.maximum(first[near] - k, starts[near_cell])
     hi = np.minimum(first[near] + k, (starts + last)[near_cell])
+    top = lam.max()
+    del cell, first, lam, near
     # stage 2: the union of the windows [lo, hi], which are sorted and stay
     # inside their cells, minus the stage-1 points
     opens = np.ones(lo.size, dtype=bool)
@@ -269,8 +378,8 @@ def _cell_search_max(basis: MappedBasis, grid: np.ndarray) -> float:
     pos = span_lo[span] + np.arange(span.size) - (np.cumsum(span_len) - span_len)[span]
     offset = pos - starts[span_cell[span]]
     second = pos[(offset % k != 0) & (offset != last[span_cell[span]])]
-    lam2 = values(second)
-    return float(max(lam.max(), lam2.max(initial=-np.inf)))
+    del span, pos, offset
+    return float(max(top, values(grid.take(second)).max(initial=-np.inf)))
 
 
 def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
@@ -309,8 +418,13 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     of the capacity-scaled products behind :func:`barycentric_weights` (the
     capacity is a quarter of the heavier set's span), and omega's differences
     are divided by the same capacity, which cancels because the factor counts
-    match.  Both products are exponent-tracked wherever a plain one leaves the
-    float range, and the two exponents are added before the result is formed,
+    match.  omega is formed in row blocks of ``_block_rows`` points in one
+    reused buffer, as the Lebesgue function's kernel works, so memory is
+    O(m + block * n) for m points, not O(m * n).  Both products are
+    exponent-tracked wherever a plain one leaves the float range (omega's
+    decided block by block, so a row's bits depend only on whether a row of
+    its block leaves that range), and the two exponents are added before the
+    result is formed,
     so EvaluationError is raised only where the sum itself is not a finite
     double; non-finite nodes or points raise ValueError before any product.
     The sum has only positive terms, so the weights need no span guard.
@@ -326,12 +440,22 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
         raise ValueError("right nodes and points must be finite")
     prod, exp = _weight_products(_node_array(x1), _node_factor(x1))
     cap = (x1.max() - x1.min()) / 4.0
-    omega, omega_exp = _row_products(_differences(pts, _node_factor(x2)) / cap)
     # an exponent of None is 0: every row kept its plain product
     w, k = _reciprocals(prod, 0 if exp is None else exp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.ldexp(np.abs(omega) * np.abs(w).sum(),
-                       k if omega_exp is None else omega_exp + k)
+    w_sum = np.abs(w).sum()
+    factor = _node_factor(x2)
+    m = pts.size
+    block = _block_rows(max(x2.size, 1))
+    buf = np.empty((min(block, m), x2.size))
+    left = np.empty((buf.shape[0], 2))
+    out = np.empty(m)
+    for lo in range(0, m, block):  # omega a block of rows at a time, as _evaluate
+        diff = _differences(pts[lo:lo + block], factor, buf[:m - lo], left[:m - lo])
+        diff /= cap
+        omega, omega_exp = _row_products(diff)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.ldexp(np.abs(omega) * w_sum, k if omega_exp is None else omega_exp + k,
+                     out=out[lo:lo + block])
     if not np.all(np.isfinite(out)):
         raise EvaluationError("residual sum evaluation lost finiteness")
     return out

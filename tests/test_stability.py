@@ -1,7 +1,10 @@
 import hashlib
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -90,8 +93,11 @@ def test_report_max_matches_values():
 ])
 def test_grid_is_the_sorted_union_of_sweeps_and_midpoints(cuts, a, b):
     # the midpoints are merged into the sorted sweeps; the reference sorts
-    # and deduplicates all of them at once
+    # and deduplicates all of them at once.  The search's description of the
+    # grid answers size, take and searchsorted as the materialised grid does;
+    # only the too-narrow domain keeps its points in an array
     dom = PiecewiseDomain(Interval(a, b), cuts)
+    narrow = cuts == (0.5, 0.5 + 2.0**-50)
     rng = np.random.default_rng(len(cuts))
     unit = [equispaced_nodes(41).nodes, bg_chebyshev_nodes(80, 0.1, 0.3).nodes,
             rng.uniform(-1, 1, 200), np.array([-0.5, 0.25, 0.25, 0.25, 0.75]), [0.3]]
@@ -104,7 +110,22 @@ def test_grid_is_the_sorted_union_of_sweeps_and_midpoints(cuts, a, b):
                       for i in range(dom.n_subintervals)]
             ordered = np.sort(nodes)
             want = np.unique(np.concatenate(pieces + [(ordered[:-1] + ordered[1:]) / 2.0]))
-            assert lebesgue_grid(dom, nodes, spec).tobytes() == want.tobytes()
+            grid = lebesgue_grid(dom, nodes, spec)
+            assert grid.tobytes() == want.tobytes()
+            described = stability._search_grid(dom, nodes, spec)
+            assert isinstance(described, np.ndarray) is narrow
+            assert described.size == grid.size
+            assert described.take(np.arange(grid.size)).tobytes() == grid.tobytes()
+            picks = rng.integers(0, grid.size, 64)
+            assert described.take(picks).tobytes() == grid[picks].tobytes()
+            probes = np.concatenate((nodes, dom.breakpoints, grid[picks],
+                                     np.nextafter(grid[picks], -np.inf),
+                                     np.nextafter(grid[picks], np.inf)))
+            for side in ("left", "right"):
+                assert np.array_equal(described.searchsorted(probes, side=side),
+                                      grid.searchsorted(probes, side=side))
+            assert np.array_equal(described.searchsorted(nodes, side="right"),
+                                  grid.searchsorted(nodes, side="right"))
 
 
 def test_grid_spec_validation():
@@ -315,6 +336,40 @@ def test_cell_search_memory_stays_below_twice_the_grid():
     assert peak < 2 * grid.nbytes
 
 
+def test_cell_search_never_holds_a_point_count_grid():
+    # f2 GRASPA at n = 201: the auto grid has 80997 points (648 KB), and the
+    # kernel's block buffer is its own floor; the search holds neither the
+    # grid nor stage 1's per-point bookkeeping while stage 2 evaluates
+    nodes, chain = equispaced_nodes(201), graspa_chain(1e4, _DOM_F2)
+    grid_bytes = lebesgue_grid(_DOM_F2, nodes).nbytes
+    lebesgue_max(nodes, chain, _DOM_F2)  # a first call may fill caches of its own
+    tracemalloc.start()
+    try:
+        lebesgue_max(nodes, chain, _DOM_F2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_bytes + interpolation._BLOCK_BYTES
+
+
+def test_searches_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, which stays allocated
+    code = (
+        "import sys\n"
+        "from graspa import PiecewiseDomain, Interval, equispaced_nodes, graspa_chain, "
+        "lebesgue_max\n"
+        "from graspa.cli import main\n"
+        f"assert main(['experiment', 'fig2', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "dom = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))\n"
+        "lebesgue_max(equispaced_nodes(41), graspa_chain(1e4, dom), dom)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(stability.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_limit_side_constants_equal_dense_side_maxima():
     f2_dom = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
     two_cuts = PiecewiseDomain(Interval(-1, 1), (-1.0 / 3.0, 1.0 / 3.0))
@@ -433,6 +488,22 @@ def test_even_split_residual_sum_past_the_weights_range_matches_mpmath(n):
     got = even_split_residual_sum(part.parts[0], part.parts[1], [x])
     assert_allclose(got, [_exact_residual_sum(n, x)],
                     rtol=4 * n * sys.float_info.epsilon / 2)
+
+
+def test_even_split_residual_sum_forms_omega_in_row_blocks():
+    # 5200 points at 25 lighter nodes: one unblocked difference matrix alone
+    # would take 1.04 MB
+    rng = np.random.default_rng(3)
+    left, right = np.sort(rng.uniform(-1, 0, 26)), np.sort(rng.uniform(0, 1, 25))
+    x = np.linspace(0.0, 1.0, 5200)
+    even_split_residual_sum(left, right, x)
+    tracemalloc.start()
+    try:
+        even_split_residual_sum(left, right, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8e6
 
 
 def test_even_split_residual_sum_overflow_raises_without_warning():

@@ -1,4 +1,5 @@
-"""The SVG writer's polylines against a point-by-point reference, and its text escaping."""
+"""The SVG writer's polylines against a point-by-point reference, its column
+envelope of long curves, and its text escaping."""
 
 import re
 from xml.etree import ElementTree
@@ -6,7 +7,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from graspa.svgplot import _CHUNK, _H, _MB, _ML, _MR, _MT, _W, write_line_svg
+from graspa.svgplot import _CHUNK, _COLUMNS, _H, _MB, _ML, _MR, _MT, _W, write_line_svg
 
 
 def _reference_points(x, y, logy):
@@ -36,6 +37,45 @@ def test_polyline_matches_pointwise_formatting(tmp_path, size, logy):
     svg = (tmp_path / "p.svg").read_text()
     (points,) = re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
     assert points == _reference_points(x, y, logy)
+
+
+def _polyline(path):
+    (points,) = re.findall(r'<polyline [^>]*points="([^"]*)"', path.read_text())
+    return points.split(" ")
+
+
+@pytest.mark.parametrize("logy", (False, True))
+def test_long_curves_keep_each_columns_extremes(tmp_path, logy):
+    # 12025 samples of a fast oscillation over 630 pixel columns, as fig6
+    size = 12025
+    rng = np.random.default_rng(6)
+    x = np.linspace(-1.0, 1.0, size)
+    y = np.exp(3.0 * np.sin(400.0 * x) + rng.normal(0.0, 0.5, size))
+    write_line_svg(tmp_path / "p.svg", x, [("y", y)], logy=logy)
+    vertices = _polyline(tmp_path / "p.svg")
+    samples = _reference_points(x, y, logy).split(" ")
+    assert len(vertices) <= 4 * _COLUMNS
+    # every vertex is a sample, in x order
+    at = []
+    for v in vertices:
+        at.append(samples.index(v, at[-1] + 1 if at else 0))
+    assert at[0] == 0 and at[-1] == size - 1
+    # every sample lies within its column's [min, max] of the drawn vertices
+    px = _ML + (x - x[0]) / (x[-1] - x[0]) * _COLUMNS  # as the writer places them
+    col = np.minimum(px - _ML, _COLUMNS - 1).astype(int)
+    sample_y = np.array([float(p.split(",")[1]) for p in samples])
+    vertex_y = sample_y[at]
+    for c in np.unique(col):
+        inside = sample_y[col == c]
+        drawn = vertex_y[col[at] == c]
+        assert drawn.min() == inside.min() and drawn.max() == inside.max()
+
+
+def test_unsorted_long_curves_are_drawn_whole(tmp_path):
+    size = 4 * _COLUMNS + 1
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, size)
+    write_line_svg(tmp_path / "p.svg", x, [("y", x * x + 1.0)])
+    assert _polyline(tmp_path / "p.svg") == _reference_points(x, x * x + 1.0, False).split(" ")
 
 
 def test_text_is_escaped(tmp_path):

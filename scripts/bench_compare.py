@@ -15,6 +15,9 @@ pairs the change won (ties count for neither side); the medians of the raw
 workload with no seed run on both sides is skipped and listed under
 ``unpaired``.  A claim holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's quartile distance.
+The speed factor moves with the memory traffic of the code under test, so a
+``pass_s`` claim is also judged the same way on each seed's raw median pass
+wall, and that verdict is written as ``claim.raw``.
 Every run's metrics, median pass wall, speed factor and commit are copied in;
 traced runs are copied in with their per-layer metrics.
 """
@@ -72,8 +75,7 @@ def compare(parent: dict, change: dict, metrics: list) -> tuple[dict, list]:
             name, lower = spec["name"], spec["better"] == "lower"
             vals = {side: [r["result"]["metrics"][name]["value"] for r in runs]
                     for side, runs in sides.items()}
-            wins = sum((c < p) if lower else (c > p)
-                       for p, c in zip(vals["parent"], vals["change"]))
+            wins = verdict(vals["parent"], vals["change"], lower)["change_wins"]
             table[name] = {"unit": spec["unit"], "better": spec["better"], "change_wins": wins,
                            **{side: {"values": v, **spread(v)} for side, v in vals.items()}}
         walls = {side: spread([copied(r)["pass_wall_median_s"] for r in runs])
@@ -85,16 +87,29 @@ def compare(parent: dict, change: dict, metrics: list) -> tuple[dict, list]:
     return out, unpaired
 
 
+def verdict(parent: list, change: list, lower: bool) -> dict:
+    """Pairs the change won and its median gap against the parent's quartile
+    distance; it holds on nine tenths of the pairs and a gap beyond it."""
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    q1, q3 = spread(parent)["quartiles"]
+    gap = abs(spread(change)["median"] - spread(parent)["median"])
+    return {"change_wins": wins, "pairs": len(parent), "median_gap": gap,
+            "parent_quartile_distance": q3 - q1,
+            "holds": wins >= 0.9 * len(parent) and gap > q3 - q1}
+
+
 def claim_holds(workloads: dict, workload: str, metric: str) -> dict:
     if workload not in workloads:
         return {"workload": workload, "metric": metric, "pairs": 0, "holds": False}
     entry = workloads[workload]["metrics"][metric]
-    q1, q3 = entry["parent"]["quartiles"]
-    gap = abs(entry["change"]["median"] - entry["parent"]["median"])
-    wins, pairs = entry["change_wins"], workloads[workload]["pairs"]
-    return {"workload": workload, "metric": metric, "change_wins": wins, "pairs": pairs,
-            "median_gap": gap, "parent_quartile_distance": q3 - q1,
-            "holds": wins >= 0.9 * pairs and gap > q3 - q1}
+    claim = {"workload": workload, "metric": metric,
+             **verdict(entry["parent"]["values"], entry["change"]["values"],
+                       entry["better"] == "lower")}
+    if metric == "pass_s":  # the speed factor also moves with the code under test
+        runs = workloads[workload]["runs"]
+        claim["raw"] = verdict(*([r["pass_wall_median_s"] for r in runs[side]]
+                                 for side in ("parent", "change")), lower=True)
+    return claim
 
 
 def main(argv=None) -> int:

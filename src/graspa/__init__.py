@@ -19,7 +19,7 @@ from .domain import (
     equispaced_nodes,
     partition_nodes,
 )
-from .exceptions import EvaluationError, PredictionUnavailableError
+from .exceptions import EvaluationError, NodeCollisionError, PredictionUnavailableError
 from .experiments import (
     METHODS,
     ExperimentConfig,

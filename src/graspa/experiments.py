@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Interval, PiecewiseDomain, equispaced_nodes
-from .exceptions import EvaluationError
+from .exceptions import EvaluationError, NodeCollisionError
 from .interpolation import _interpolant, build_interpolant, mapped_basis
 from .maps import MapChain, _check_kappa, named_chain
 from .stability import (_cell_search_max, _constant_grid, lebesgue_function,
@@ -240,11 +240,12 @@ def run_comparison(config: ExperimentConfig,
     each cell's interpolant and its error (kept in ``samples``), "lebesgue"
     builds each degree's Lebesgue grid and searches it.  A field that is not
     asked for is not computed, and reads None in every cell.  Numerical
-    blowups (weight overflow, shifts so large the mapped nodes collapse
-    together) in a computed field flag the cell, whose computed fields then
-    read NaN, instead of aborting; misuse of the node correction (odd degree
-    or an unsupported domain), bad grid specs and unknown fields are hard
-    errors.
+    blowups in a computed field (EvaluationError, such as weight overflow,
+    and NodeCollisionError, from shifts so large the mapped nodes collapse
+    together) flag the cell, whose computed fields then read NaN, instead of
+    aborting.  Every other error is a hard one: misuse of the node
+    correction (odd degree or an unsupported domain), bad grid specs,
+    unknown fields, and any other ValueError raised inside a cell.
     """
     fields = tuple(fields)
     unknown = [f for f in fields if f not in _FIELD_TAG]
@@ -276,7 +277,7 @@ def run_comparison(config: ExperimentConfig,
                     err = rmae(lambda _: approx, truth, grid)
                 if want_lebesgue:
                     lam = _cell_search_max(basis, lam_grid)
-            except (EvaluationError, ValueError) as exc:
+            except (EvaluationError, NodeCollisionError) as exc:
                 cells.append(CellResult(method, n, *failed, ok=False, note=str(exc)))
                 continue
             cells.append(CellResult(method, n, err, lam))

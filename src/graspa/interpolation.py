@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import _node_array
-from .exceptions import EvaluationError
+from .exceptions import EvaluationError, NodeCollisionError
 from .maps import MapChain
 
 __all__ = [
@@ -124,18 +124,19 @@ def _reciprocals(prod, exp) -> tuple[np.ndarray, int]:
 def _weight_products(s, factor) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`_row_products` of prod_{j != i} (s_i - s_j) / cap, where cap is
     one quarter of the span of the checked points s (nonempty, 1-D and
-    finite) and factor is their [1; -s]."""
+    finite) and factor is their [1; -s].  Repeated points raise
+    NodeCollisionError."""
     if s.size == 1:
         return np.ones(1), None
     cap = (s.max() - s.min()) / 4.0
     if not cap > 0:
-        raise ValueError("points must be distinct")
+        raise NodeCollisionError("points must be distinct")
     diff = _differences(s, factor)
     diff /= cap
     np.fill_diagonal(diff, 1.0)
     prod, exp = _row_products(diff)
     if not prod.all():  # a zero product has a zero factor: a repeated point
-        raise ValueError("points must be distinct")
+        raise NodeCollisionError("points must be distinct")
     return prod, exp
 
 
@@ -219,19 +220,21 @@ class Interpolant(MappedBasis):
 
 def _node_images(x, chain: MapChain | None) -> tuple[np.ndarray, np.ndarray]:
     """Mapped images of the checked nodes x, which must be distinct, and the
-    permutation that sorts them.  ``chain=None`` is the identity map.
+    permutation that sorts them.  ``chain=None`` is the identity map; images
+    that collide raise NodeCollisionError.
     """
     s = np.asarray(chain(x), dtype=float) if chain is not None else x.astype(float)
     order = np.argsort(s, kind="stable")
     if (np.diff(s[order]) <= 0).any():
-        raise ValueError("map is not injective on the nodes: mapped nodes collide")
+        raise NodeCollisionError("map is not injective on the nodes: mapped nodes collide")
     return s, order
 
 
 def mapped_basis(nodes, chain: MapChain | None = None) -> MappedBasis:
     """The nodes' basis under the chain (None: the identity).  Raises ValueError
-    for nodes that are not nonempty, 1-D and finite or whose images collide, and
-    EvaluationError for non-finite images or weights out of the float range."""
+    for nodes that are not nonempty, 1-D and finite, its subclass
+    NodeCollisionError for nodes or images that collide, and EvaluationError
+    for non-finite images or weights out of the float range."""
     chain = chain if chain is not None else MapChain()
     x = _node_array(nodes)  # the one check of the build
     s, order = _node_images(x, chain)

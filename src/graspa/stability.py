@@ -11,22 +11,28 @@ per-point Lebesgue value is the same as an unblocked evaluation would give.
 :func:`lebesgue_constant` without evaluating every grid point.  Between two
 consecutive nodes the Lebesgue function has exactly one local maximum
 (Brutman, J. Inequal. Appl. 1997), and every named chain is increasing, so the
-grid splits at the nodes into cells on which the function is unimodal; a
-coarse pass over each cell and a fine pass around its best coarse points (all
-within rounding error of the best) find the cell's maximum.  Every value it
-evaluates has the bits the dense grid gives it, so the two maxima are equal.
-Its bookkeeping works only on the points it evaluates: one binary search per
-node bounds the cells, and the points of both passes are built cell by cell.
-A grid given by a point count is never materialised for the search: it is
-described per subinterval by its sweep's start, step, count and end, plus
-the merged midpoints, and yields each point the search asks for with the bits
-the materialised grid holds.  So the search holds O(n + points evaluated)
-beside the kernel's block buffer.  Both passes evaluate one basis, through
-the evaluator that :func:`lebesgue_function` also wraps.  Where
-16 (n+1) u (lambda + 1) reaches 1 (u the unit roundoff) the computed values
-are noise on both paths: the search then looks around the best coarse point
-alone, and may pick another grid point than the dense sweep, or miss a dense
-sample that cancelled to a non-finite value.
+grid splits at the nodes into cells on which the function is unimodal.  A
+coarse pass takes every k-th point of each cell, k = ceil(sqrt(2 * largest
+cell)), and a fine pass the k points either side of each coarse point within
+rounding error of its cell's best.  The fine pass skips every gap between
+coarse points whose bound shows that no value in it reaches the largest
+coarse value: between two mapped nodes N(s) = sum_j |w_j| / |s - s_j| is
+convex and -log |sum_j w_j / (s - s_j)| concave, so the values at a gap's
+ends and at its outer neighbours bound lambda on it (:func:`_gap_bounds`).
+Every value it evaluates has the bits the dense grid gives it, so the two
+maxima are equal.  Its bookkeeping works only on the points it evaluates: one
+binary search per node bounds the cells, and the points of both passes are
+built cell by cell.  A grid given by a point count is never materialised for
+the search: it is described per subinterval by its sweep's start, step,
+count and end, plus the merged midpoints, and yields each point the search
+asks for with the bits the materialised grid holds.  So the search holds
+O(n + points evaluated) beside the kernel's block buffer.  Both passes
+evaluate one basis, through the evaluator that :func:`lebesgue_function`
+also wraps.  Where 16 (n+1) u (lambda + 1) reaches 1 (u the unit roundoff)
+the computed values are noise on both paths: the search then looks around
+the best coarse point alone, with no gap skipped, and may pick another grid
+point than the dense sweep, or miss a dense sample that cancelled to a
+non-finite value.
 
 For piecewise-shifted bases the module also evaluates the limit of the
 Lebesgue constant as the S-Gibbs shift kappa grows without bound.  Take x in
@@ -116,14 +122,17 @@ def lebesgue_function(nodes, chain: MapChain | None, x):
     return _shaped(_lebesgue_values(basis.map(x), basis), x)
 
 
-def _lebesgue_values(s, basis: MappedBasis) -> np.ndarray:
+def _lebesgue_values(s, basis: MappedBasis, den=None) -> np.ndarray:
     """Lebesgue function of the basis at the mapped points s; the one evaluator
-    behind :func:`lebesgue_function`, the cell search and the even split."""
+    behind :func:`lebesgue_function`, the cell search and the even split.
+    ``den``, if given, receives each point's sum_j w_j / (s - s_j)."""
     lam = np.empty(s.size)
 
     def quotients(rows, t):
-        den = np.abs(t.sum(axis=1))
-        lam[rows] = np.abs(t, out=t).sum(axis=1) / den
+        d = t.sum(axis=1)
+        if den is not None:
+            den[rows] = d
+        lam[rows] = np.abs(t, out=t).sum(axis=1) / np.abs(d, out=d)
 
     hit_row, _, misses = _evaluate(s, basis, basis.weights, quotients, lam)
     if misses.size:
@@ -151,6 +160,11 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u, for rounding-error bounds
 # the narrowest sweep step a _SweepGrid takes, in units of the spacing of
 # the floats at the larger end of its subinterval
 _MIN_STEP_SPACINGS = 16
+# a gap bound's stage-1 points a', a, b, b' as offsets from a, the sign that
+# makes a - a' and b' - b positive, and a bound on |log| of a finite double
+_GAP_POINTS = np.array([[-1], [0], [1], [2]])
+_OUTWARD = np.array([[1.0], [-1.0]])
+_MAX_LOG = 745.0
 
 
 class _SweepGrid:
@@ -313,41 +327,44 @@ def _cell_search_max(basis: MappedBasis, grid) -> float:
     cell on its left.  An increasing chain maps each cell between two
     consecutive mapped nodes, where the Lebesgue function is unimodal (a cell
     that spans a cut maps to both sides of the shift's jump, still in order).
-    Stage 1 evaluates every k-th point of each cell and its last point; the
-    cell's maximum then lies within k points of its best stage-1 point, which
-    stage 2 evaluates, with k = ceil(sqrt(largest cell / 2)) balancing the
-    two stages.  Rounding error eps can make the computed values of a
-    flat-topped cell rise and fall more than once, so stage 2 covers every
-    stage-1 point within 4 eps of its cell's best: one of them lies within k
-    points of the computed maximum.  Where 4 eps reaches lambda itself no
-    digit is right, and only the dense grid would reproduce its noise; such a
-    cell gets the window of its best point alone.  Cell ends are always
-    evaluated: each |w_j / (s - s_j)| is convex on a cell, so a term that
-    overflows somewhere on it overflows at an end, and the dense grid's
-    EvaluationError still fires.  If the nodes, sorted by image, do not
-    increase (the chain does not increase on them), every point is evaluated.
+    Stage 1 evaluates every k-th point of each cell and its last point, with
+    k = ceil(sqrt(2 * largest cell)); the cell's maximum then lies in a gap
+    between its best stage-1 point and a neighbour.  Rounding error eps can
+    make the computed values of a flat-topped cell rise and fall more than
+    once, so every stage-1 point within 4 eps of its cell's best gets the
+    window of k points either side: one of them lies within k points of the
+    computed maximum.  Where 4 eps reaches lambda itself no digit is right,
+    and only the dense grid would reproduce its noise; such a cell gets the
+    window of its best point alone.
+
+    Stage 2 evaluates these windows, less every gap between consecutive
+    stage-1 points whose bound (:func:`_gap_bounds`) proves that no computed
+    value in it reaches the largest stage-1 value, so the result has the
+    bits the windows give.  A gap without a valid bound (in a noise cell,
+    beside a node hit, or in a cell of fewer than three stage-1 points) is
+    kept.  Cell ends are always evaluated: each |w_j / (s - s_j)| is convex
+    on a cell, so a term that overflows somewhere on it overflows at an end,
+    and the dense grid's EvaluationError still fires.  If the nodes, sorted
+    by image, do not increase (the chain does not increase on them), every
+    point is evaluated.
 
     The grid is a sorted array or a :class:`_SweepGrid`; the search uses only
     its ``size``, ``searchsorted`` and ``take``.  The cells come from one
-    binary search per node, both stages' points are built cell by cell, and
-    stage 1's per-point bookkeeping is freed before stage 2 evaluates, so
-    apart from the kernel the work and memory are O(n + points evaluated),
-    not O(grid).
+    binary search per node, and both stages' points are built cell by cell
+    or gap by gap, so apart from the kernel the work and memory are
+    O(n + points evaluated), not O(grid).
     """
     x = basis.nodes
-
-    def values(points):  # each stage maps only its own points
-        return _lebesgue_values(basis.map(points), basis)
-
     if not (np.diff(x) > 0).all():
-        return float(values(_points(grid)).max())
+        return float(_lebesgue_values(basis.map(_points(grid)), basis).max())
     # cell bounds: the first grid point past each node, sorted as the nodes
     # are; empty cells drop out
-    edges = np.concatenate(([0], grid.searchsorted(x, side="right"), [grid.size]))
+    past = grid.searchsorted(x, side="right")
+    edges = np.concatenate(([0], past, [grid.size]))
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
     starts = edges[:-1]
     last = np.diff(edges) - 1  # offset of each cell's last point
-    k = int(np.ceil(np.sqrt((last.max() + 1) / 2.0)))
+    k = int(np.ceil(np.sqrt(2.0 * (last.max() + 1))))
     # stage 1: offsets 0, k, 2k, ... in each cell, then its last point
     per_cell = last // k + 1 + (last % k > 0)
     cell = np.repeat(np.arange(starts.size), per_cell)
@@ -355,7 +372,9 @@ def _cell_search_max(basis: MappedBasis, grid) -> float:
     step = np.arange(cell.size) - head[cell]
     first = starts[cell] + np.minimum(step * k, last[cell])
     del step
-    lam = values(grid.take(first))
+    s = basis.map(grid.take(first))
+    den = np.empty(s.size)
+    lam = _lebesgue_values(s, basis, den)
     # |computed - exact| <= eps = 4 (n+1) u lambda (lambda + 1) to first
     # order: the sums and quotients, and the weights' own rounding
     best = np.maximum.reduceat(lam, head)
@@ -363,23 +382,94 @@ def _cell_search_max(basis: MappedBasis, grid) -> float:
         four_eps = 16.0 * x.size * _UNIT_ROUNDOFF * best * (best + 1.0)
     four_eps[four_eps >= best] = 0.0  # no correct digit: the best point alone
     near = lam >= (best - four_eps)[cell]
-    near_cell = cell[near]
-    lo = np.maximum(first[near] - k, starts[near_cell])
-    hi = np.minimum(first[near] + k, (starts + last)[near_cell])
     top = lam.max()
-    del cell, first, lam, near
-    # stage 2: the union of the windows [lo, hi], which are sorted and stay
-    # inside their cells, minus the stage-1 points
-    opens = np.ones(lo.size, dtype=bool)
-    opens[1:] = (lo[1:] > hi[:-1]) | (near_cell[1:] != near_cell[:-1])
-    span_lo, span_cell = lo[opens], near_cell[opens]
-    span_len = hi[np.append(opens[1:], True)] - span_lo + 1
-    span = np.repeat(np.arange(span_lo.size), span_len)
-    pos = span_lo[span] + np.arange(span.size) - (np.cumsum(span_len) - span_len)[span]
-    offset = pos - starts[span_cell[span]]
-    second = pos[(offset % k != 0) & (offset != last[span_cell[span]])]
-    del span, pos, offset
-    return float(max(top, values(grid.take(second)).max(initial=-np.inf)))
+    # stage 2, gap e lying between stage-1 entries e and e + 1 of one cell:
+    # a near point's window is the gap on either side, and a cell's last
+    # point, nearer than k to its neighbour, reaches on into the gap before
+    lo, hi = first[:-1] + 1, first[1:] - 1
+    wanted = (cell[1:] == cell[:-1]) & (near[:-1] | near[1:])
+    end = (head + per_cell - 1)[per_cell >= 3]
+    end = end[near[end] & (first[end] - first[end - 1] < k)]
+    reach = end[~wanted[end - 2]] - 2
+    lo[reach] = first[reach + 2] - k
+    wanted[reach] = True
+    # the cell's mapped nodes, -inf and inf past the first and last
+    left = np.searchsorted(past, starts, side="right") - 1
+    nodes = np.concatenate(([-np.inf], basis.mapped_nodes, [np.inf]))
+    e = np.flatnonzero(wanted)
+    bounds = _gap_bounds(e, s, lam, den, cell, nodes[left + 1][cell[e]],
+                         nodes[left + 2][cell[e]], x.size)
+    e = e[~(bounds < top)]  # a NaN bound keeps its gap
+    del cell, first, s, lam, den, near, wanted
+    size = hi[e] - lo[e] + 1
+    second = np.repeat(lo[e] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    del lo, hi, e, size
+    found = _lebesgue_values(basis.map(grid.take(second)), basis)
+    return float(max(top, found.max(initial=-np.inf)))
+
+
+def _gap_bounds(e, s, lam, den, cell, node_lo, node_hi, n) -> np.ndarray:
+    """Upper bounds on the computed Lebesgue function inside the gaps e.
+
+    Gap e holds the grid points between the stage-1 entries e and e + 1 of
+    one cell: images s, computed values lam and den = D, where D(s) =
+    sum_j w_j / (s - s_j).  Its cell lies between the mapped nodes node_lo
+    and node_hi, and the basis has n nodes.  There lambda = N / |D| with
+    N(s) = sum_j |w_j| / |s - s_j| convex, and -log |D(s)| = log |omega(s)|
+    + const concave, omega the nodal polynomial.  So on [a, b] = [s_e,
+    s_e+1], N <= max(N(a), N(b)), and -log |D| lies below the chord through
+    the stage-1 points a' < a and a, extended past a, and below the one
+    through b and b' > b, extended past b; their lower envelope peaks at an
+    end or where they cross.
+
+    Each input is widened by the relative margin rho = 16 n u (lambda + 1)
+    of the stage-1 rule (4 eps / lambda), and the logarithm of the bound by
+    32 u (1 + the chords' extension ratios) * 745, 745 bounding |log| of any
+    finite double, for the rounding of the logs and the chords.  The gap is
+    widened by delta = 16 u max |s|, since the chain's rounding may map a
+    point inside it just past an end: there log N and -log |D| grow by at
+    most (n + 1) delta / (distance to the nearest node).  The bound on
+    lambda is widened once more by rho for the computed value.
+
+    A gap gets inf beside a node hit, with a margin past 1/2, with both
+    chords missing (a cell of fewer than three stage-1 points), or too close
+    to a node for delta.  So does one whose points contradict the premise
+    that D is c / omega up to rounding, as weights with more than their
+    rounding error make it: c / omega keeps one sign on a cell, and each
+    chord passes above the value at the gap's far end.
+    """
+    u = _UNIT_ROUNDOFF
+    quad = np.minimum(np.maximum(e + _GAP_POINTS, 0), s.size - 1)  # a', a, b, b'
+    inner, outer = quad[1:3], quad[::3]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = 16.0 * n * u * (lam + 1.0)
+        g_hi = 2.0 * rho - np.log(np.abs(den))  # g_lo <= -log |D| <= g_hi
+        g_lo = g_hi - 4.0 * rho
+        log_n = np.log(lam) - g_lo  # log N <= log_n
+        # points that share a key lie in one cell, where D has one sign, and
+        # have no node hit and a margin of at most 1/2
+        key = np.where(np.isfinite(den) & (rho <= 0.5), 2 * cell + (den > 0), -1)
+        width = s[e + 1] - s[e]
+        step = (s[inner] - s[outer]) * _OUTWARD  # a - a', b' - b
+        has = (key[outer] == key[inner]) & (step > 0)  # each chord's outer point
+        t = np.where(has, width / step, 0.0)
+        # each chord at its own end of the gap and at the other (inf if none)
+        own = np.where(has, g_hi[inner], np.inf)
+        other = np.where(has, own + (own - g_lo[outer]) * t, np.inf)
+        concave = (other >= g_lo[inner[::-1]]).all(0)  # above the far end's value
+        (l0, r1), (l1, r0) = own, other
+        peak = np.maximum(np.minimum(l0, r0), np.minimum(l1, r1))
+        d0, d1 = l0 - r0, l1 - r1
+        cross = d0 * d1 < 0  # the chords cross inside the gap
+        peak[cross] = np.maximum(peak, l0 + (l1 - l0) * (d0 / (d0 - d1)))[cross]
+        delta = 16.0 * u * np.abs(s).max()
+        dist = np.minimum(s[e] - node_lo, node_hi - s[e + 1]) - delta
+        bound = np.exp(log_n[inner].max(0) + peak + (n + 1) * delta / dist
+                       + 32.0 * u * _MAX_LOG * (1.0 + t.sum(0)))
+        bound *= 1.0 + 16.0 * n * u * (bound + 1.0) + 8.0 * u
+    ends = key[inner]  # no chord leaves the peak inf
+    valid = (ends[0] == ends[1]) & (ends[0] >= 0) & concave & (width > 0) & (dist > 0)
+    return np.where(valid, bound, np.inf)
 
 
 def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
@@ -481,35 +571,39 @@ def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
         raise PredictionUnavailableError(
             f"per-subinterval counts {cards} differ by more than one; the limit "
             "is unbounded outside the balance condition")
-    grid = lebesgue_grid(domain, np.concatenate(parts), grid_spec)
+    grid = _search_grid(domain, np.concatenate(parts), grid_spec)
     # classical per-side Lebesgue functions are continuous, so the supremum
     # over a half-open subinterval equals the maximum over its closure; use
-    # closed masks (cut points count for both neighbours)
-    bp = domain.breakpoints
-    side_grids = [grid[(grid >= bp[i]) & (grid <= bp[i + 1])] for i in range(d + 1)]
-    if min(g.size for g in side_grids) == 0:
+    # closed side grids (cut points count for both neighbours), each the
+    # grid's run of points from its subinterval's start to its end
+    bp = np.array(domain.breakpoints, dtype=float)
+    starts, ends = grid.searchsorted(bp[:-1], "left"), grid.searchsorted(bp[1:], "right")
+    if (ends <= starts).any():
         raise ValueError("empty subinterval grid")
-    bases = [mapped_basis(part) for part in parts]
-    side_constants = tuple(_cell_search_max(b, g) for b, g in zip(bases, side_grids))
     c_table = {(mu, tau): c_factor(mu, tau, cards) for mu in range(1, d + 2)
                for tau in range(1, d + 2) if mu != tau} if d >= 2 else {}
-    tops, samples = list(side_constants), []
-    for tau, (basis, g) in enumerate(zip(bases, side_grids)):
+    side_constants, tops, samples = [], [], []
+    for tau, (part, lo, hi) in enumerate(zip(parts, starts, ends)):  # one side at a time
+        g = grid.take(np.arange(lo, hi))
+        basis = mapped_basis(part)
+        side_constants.append(_cell_search_max(basis, g))
+        tops.append(side_constants[-1])
         heavier = [mu for mu, k in enumerate(cards) if k == cards[tau] + 1]
         if heavier:
             integrand = _lebesgue_values(basis.map(g), basis)
             for mu in heavier:  # c is an exact 1.0 for one cut
                 c = c_table.get((mu + 1, tau + 1), 1.0)
-                integrand += c * even_split_residual_sum(parts[mu], parts[tau], g)
+                integrand += c * even_split_residual_sum(parts[mu], part, g)
             tops[tau] = float(integrand.max())
             samples.append(integrand)
+        del g
     r_max = r_samples = None
     if samples:
         r_samples = np.concatenate(samples)
         r_samples.setflags(write=False)
         r_max = float(r_samples.max())
     names = ("odd", "even") if d == 1 else ("multi-equal", "multi-balanced")
-    return LimitQuantities(names[len(set(cards)) > 1], max(tops), side_constants,
+    return LimitQuantities(names[len(set(cards)) > 1], max(tops), tuple(side_constants),
                            c_table, r_max, r_samples)
 
 

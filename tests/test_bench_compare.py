@@ -13,12 +13,15 @@ def _load_script():
     return module
 
 
-def _write_run(directory: Path, workload: str, seed: int, value: float) -> None:
-    """One results file in the layout perfbench/run.py writes."""
+def _write_run(directory: Path, workload: str, seed: int, value: float,
+               wall: float | None = None) -> None:
+    """One results file in the layout perfbench/run.py writes; every metric
+    reads value, and the raw pass walls wall (default: value)."""
     directory.mkdir(exist_ok=True)
     metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in METRICS}
+    wall = value if wall is None else wall
     doc = {"environment": {"commit": "c"}, "errors": [], "speed_factor": 1.0,
-           "pass_walls_s": [value, value],
+           "pass_walls_s": [wall, wall, 2 * wall],
            "result": {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}}
     (directory / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(doc))
 
@@ -44,3 +47,35 @@ def test_workloads_without_pairs_are_skipped_and_named(tmp_path, capsys):
     printed = capsys.readouterr().out
     for workload in doc["unpaired"]:
         assert f"{workload}: no seed with runs on both sides; skipped" in printed
+
+
+def test_pass_s_claims_are_also_judged_on_raw_walls(tmp_path):
+    bench_compare = _load_script()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(10):
+        # normalised: the change wins every pair by far; raw: it wins the
+        # sweep in every pair but by less than the parent's spread, and
+        # loses figures in every pair
+        _write_run(parent, "sweep_highdeg", seed, 2.0, wall=1.0 + 0.1 * seed)
+        _write_run(change, "sweep_highdeg", seed, 1.0, wall=0.99 + 0.1 * seed)
+        _write_run(parent, "figures", seed, 2.0, wall=1.0)
+        _write_run(change, "figures", seed, 1.0, wall=1.5)
+    out = tmp_path / "BENCH_test.json"
+    for workload, raw_wins, raw_holds in (("sweep_highdeg", 10, False), ("figures", 0, False)):
+        assert bench_compare.main(["--parent", str(parent), "--change", str(change),
+                                   "--out", str(out), "--claim", f"{workload}:pass_s"]) == 0
+        claim = json.loads(out.read_text())["claim"]
+        assert claim["holds"] and claim["change_wins"] == 10
+        raw = claim["raw"]
+        assert (raw["change_wins"], raw["pairs"], raw["holds"]) == (raw_wins, 10, raw_holds)
+        # the seeds' median walls are their first wall
+        assert abs(raw["median_gap"] - (0.01 if raw_wins else 0.5)) < 1e-12
+    for seed in range(10):  # raw walls now a clear half of the parent's
+        _write_run(change, "sweep_highdeg", seed, 1.0, wall=0.5 + 0.1 * seed)
+    bench_compare.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
+                        "--claim", "sweep_highdeg:pass_s"])
+    assert json.loads(out.read_text())["claim"]["raw"]["holds"]
+    # other metrics have no raw verdict
+    bench_compare.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
+                        "--claim", "sweep_highdeg:peak_mb"])
+    assert "raw" not in json.loads(out.read_text())["claim"]

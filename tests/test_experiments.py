@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,7 +23,10 @@ from graspa import (
     vn_correction,
 )
 from graspa import experiments
+from graspa.cli import main
+from graspa.exceptions import NodeCollisionError
 from graspa.experiments import F2_SWEEP, ODD_SWEEP, sweep_table
+from graspa.interpolation import barycentric_weights, mapped_basis
 
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
 
@@ -193,6 +198,33 @@ def test_overflowing_cells_are_flagged_not_fatal():
     cell = res.cell("sgibbs", 11)
     assert not cell.ok and np.isnan(cell.rmae) and np.isnan(cell.lebesgue)
     assert cell.note
+
+
+@pytest.mark.parametrize("name", ["mapped_basis", "_cell_search_max"])
+def test_a_plain_value_error_inside_a_cell_propagates(monkeypatch, tmp_path, name):
+    # only numerical failures flag a cell; a bug that raises a plain
+    # ValueError inside it (here the basis build or the search) is not one,
+    # and the CLI exits 2 on it instead of writing a NaN cell
+    def broken(*args, **kwargs):
+        raise ValueError("a config bug")
+
+    monkeypatch.setattr(experiments, name, broken)
+    cfg = ExperimentConfig(function="f1", n_values=(11,), methods=("graspa",))
+    with pytest.raises(ValueError, match="a config bug"):
+        run_comparison(cfg)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg.to_json_dict()))
+    assert main(["experiment", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_colliding_nodes_raise_the_value_error_subclass():
+    # what the sweep flags as a numerical cell failure
+    with pytest.raises(NodeCollisionError, match="mapped nodes collide"):
+        mapped_basis(equispaced_nodes(11), method_chain("sgibbs", DOM1, 1e300))
+    with pytest.raises(NodeCollisionError, match="points must be distinct"):
+        barycentric_weights([0.0, 1.0, 1.0])
+    assert issubclass(NodeCollisionError, ValueError)
 
 
 def test_sweeps_compute_only_the_fields_asked_for(monkeypatch):

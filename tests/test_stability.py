@@ -251,21 +251,37 @@ def test_lebesgue_max_falls_back_when_the_chain_reorders_the_nodes():
     assert lebesgue_max(nodes, wave, DOM0) == dense
 
 
-def _reference_search_points(x, grid, stage1_values):
-    """(stage-1, stage-2) grid indices by the search's former whole-grid
-    bookkeeping: a cell index per grid point, stage-1 flags and a +-1 window
-    count over the grid.  ``stage1_values`` gives lambda at the stage-1
-    points."""
+def _reference_gap_bounds(basis, grid, first, s):
+    """_gap_bounds of every gap between consecutive stage-1 points (grid
+    indices ``first``, images s) of one cell, with each cell's nodes found by
+    a binary search of its points among the nodes; inf for gaps that cross
+    a node.  Returns (bounds, stage-1 values)."""
+    cell = np.searchsorted(basis.nodes, grid[first], side="left")
+    den = np.empty(s.size)
+    lam = stability._lebesgue_values(s, basis, den)
+    nodes = np.concatenate(([-np.inf], basis.mapped_nodes, [np.inf]))
+    e = np.arange(s.size - 1)
+    bounds = stability._gap_bounds(e, s, lam, den, cell, nodes[cell[e]], nodes[cell[e] + 1],
+                                   basis.nodes.size)
+    return np.where(cell[1:] == cell[:-1], bounds, np.inf), lam
+
+
+def _reference_search_points(basis, grid, mapped):
+    """(stage-1, stage-2) grid indices by whole-grid bookkeeping: a cell index
+    per grid point, stage-1 flags, a +-1 window count over the grid and the
+    stage-1 point at or before each point, whose gap's bound decides whether
+    the point is pruned.  ``mapped`` maps grid points."""
+    x = basis.nodes
     cell = np.searchsorted(x, grid, side="left")
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
     sizes = np.diff(starts, append=grid.size)
     ends = starts + sizes
-    k = int(np.ceil(np.sqrt(sizes.max() / 2.0)))
+    k = int(np.ceil(np.sqrt(2.0 * sizes.max())))
     owner = np.repeat(np.arange(starts.size), sizes)
     coarse = (np.arange(grid.size) - starts[owner]) % k == 0
     coarse[ends - 1] = True
     first = np.flatnonzero(coarse)
-    lam = stage1_values(first)
+    bounds, lam = _reference_gap_bounds(basis, grid, first, mapped(grid[first]))
     best = np.maximum.reduceat(lam, np.searchsorted(first, starts))
     with np.errstate(over="ignore"):
         four_eps = 8.0 * x.size * sys.float_info.epsilon * best * (best + 1.0)
@@ -274,15 +290,15 @@ def _reference_search_points(x, grid, stage1_values):
     window = np.zeros(grid.size + 1, dtype=np.intp)
     np.add.at(window, np.maximum(near - k, starts[owner[near]]), 1)
     np.add.at(window, np.minimum(near + k, ends[owner[near]] - 1) + 1, -1)
-    return first, np.flatnonzero((np.cumsum(window[:-1]) > 0) & ~coarse)
+    gap = np.cumsum(coarse) - 1  # the stage-1 point at or before each point
+    pruned = np.append(bounds, np.inf)[gap] < lam.max()
+    return first, np.flatnonzero((np.cumsum(window[:-1]) > 0) & ~coarse & ~pruned)
 
 
 _RNG_GRID = np.random.default_rng(11)
 _DOM_F2 = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
 _DOM_FLAT = PiecewiseDomain(Interval(-1, 1), (0.0, 0.5))
-
-
-@pytest.mark.parametrize("nodes, chain, dom, spec", [
+_SEARCH_CASES = [
     (equispaced_nodes(10), None, DOM0, "auto"),
     (equispaced_nodes(23), graspa_chain(1e4, DOM1), DOM1, "auto"),
     (equispaced_nodes(29), sgibbs_chain(1e4, _DOM_F2), _DOM_F2, 700),
@@ -292,26 +308,84 @@ _DOM_FLAT = PiecewiseDomain(Interval(-1, 1), (0.0, 0.5))
     (equispaced_nodes(12), None, DOM0, _RNG_GRID.uniform(-0.5, 0.5, 3000)),
     (equispaced_nodes(10), graspa_chain(1e3, DOM1), DOM1,
      np.round(_RNG_GRID.uniform(-1, 1, 3000), 1)),
-], ids=["classical", "graspa", "f2-sgibbs-counted", "flat-topped-cell",
-        "no-correct-digit", "cell-cut-short-by-the-grid-end", "empty-end-cells",
-        "repeated-points-and-node-hits"])
+    # about 30 points per cell, but 1529 in one: k = 56, so most cells hold
+    # two stage-1 points and no gap of theirs has a bound
+    (equispaced_nodes(10), graspa_chain(1e4, DOM1), DOM1,
+     np.concatenate([np.linspace(-1, 1, 300), np.linspace(0.0, 0.1, 1500)])),
+    # no node at the cut: the cell (-1/9, 1/9] maps across the shift's jump
+    (equispaced_nodes(9), graspa_chain(1e4, DOM1), DOM1, "auto"),
+    # a large shift: the grid's maximum is the first point of the cell right
+    # of the cut, beside the one-sided supremum lambda(0+)
+    (equispaced_nodes(50), sgibbs_chain(1e6, DOM1), DOM1, "auto"),
+    # a gap's bound meets its end's value within a few ulps: without the
+    # rounding margins some value lies above it
+    (equispaced_nodes(17), sgibbs_chain(1e2, DOM1), DOM1, "auto"),
+]
+_SEARCH_IDS = ["classical", "graspa", "f2-sgibbs-counted", "flat-topped-cell",
+               "no-correct-digit", "cell-cut-short-by-the-grid-end", "empty-end-cells",
+               "repeated-points-and-node-hits", "cells-of-two-stage-1-points",
+               "cell-spanning-the-cut", "supremum-at-the-cut", "rounding-margins"]
+
+
+@pytest.mark.parametrize("nodes, chain, dom, spec", _SEARCH_CASES, ids=_SEARCH_IDS)
 def test_cell_search_evaluates_the_reference_points(monkeypatch, nodes, chain, dom, spec):
     calls = []
     real = stability._lebesgue_values
 
-    def spy(s, basis):
-        calls.append((s.copy(), real(s, basis)))
+    def spy(s, basis, den=None):
+        calls.append((s.copy(), real(s, basis, den)))
         return calls[-1][1]
 
     monkeypatch.setattr(stability, "_lebesgue_values", spy)
     found = lebesgue_max(nodes, chain, dom, spec)
+    monkeypatch.setattr(stability, "_lebesgue_values", real)
     grid = lebesgue_grid(dom, nodes, spec)
-    first, second = _reference_search_points(nodes.nodes, grid, lambda _: calls[0][1])
     mapped = chain if chain is not None else (lambda g: g)
+    basis = interpolation.mapped_basis(nodes, chain)
+    first, second = _reference_search_points(basis, grid, mapped)
     assert len(calls) == 2
     np.testing.assert_array_equal(calls[0][0], mapped(grid[first]))
     np.testing.assert_array_equal(calls[1][0], mapped(grid[second]))
     assert found == max(calls[0][1].max(), calls[1][1].max(initial=-np.inf))
+    if (nodes.nodes.size + 1) * found < 1e10:  # a correct digit: the dense maximum
+        assert found == lebesgue_constant(nodes, chain, dom, spec).lebesgue_constant
+
+
+@pytest.mark.parametrize("nodes, chain, dom, spec", _SEARCH_CASES, ids=_SEARCH_IDS)
+def test_gap_bounds_lie_above_every_value_in_their_gap(nodes, chain, dom, spec):
+    # every gap between consecutive stage-1 points, pruned or not: no value
+    # the dense grid computes inside it exceeds its bound
+    grid = lebesgue_grid(dom, nodes, spec)
+    mapped = chain if chain is not None else (lambda g: g)
+    basis = interpolation.mapped_basis(nodes, chain)
+    cell = np.searchsorted(basis.nodes, grid, side="left")
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    k = int(np.ceil(np.sqrt(2.0 * np.diff(starts, append=grid.size).max())))
+    stride = np.arange(grid.size) - np.repeat(starts, np.diff(starts, append=grid.size))
+    first = np.flatnonzero((stride % k == 0) | (np.diff(cell, append=-1) != 0))
+    bounds, _ = _reference_gap_bounds(basis, grid, first, mapped(grid[first]))
+    dense = lebesgue_function(nodes, chain, grid)
+    inside = np.maximum.reduceat(dense, first)[:-1]  # each gap with its left end
+    assert (inside <= bounds).all()
+    # with a correct digit and distinct points, some gap has a bound (repeated
+    # points leave gaps of zero width, which get none)
+    if (nodes.nodes.size + 1) * dense.max() < 1e10 and np.diff(grid).all():
+        assert np.isfinite(bounds).any()
+
+
+def test_cell_search_point_count_at_f2_graspa_89(monkeypatch):
+    # the sweep_highdeg cell: 4985 points before stage 2 was pruned, 1756
+    # with it (k = 29 instead of 15), and the same maximum
+    counts = []
+    real = stability._lebesgue_values
+    def counted(s, basis, den=None):
+        counts.append(s.size)
+        return real(s, basis, den)
+
+    monkeypatch.setattr(stability, "_lebesgue_values", counted)
+    nodes, chain = equispaced_nodes(89), graspa_chain(1e4, _DOM_F2)
+    assert lebesgue_max(nodes, chain, _DOM_F2).hex() == "0x1.eba6ebf664775p+4"
+    assert sum(counts) == 1756
 
 
 def test_cell_search_forms_the_weights_once(monkeypatch):
@@ -618,6 +692,21 @@ def test_limit_predictions_keep_their_bits(dom, n, case, predicted, sides, r_max
     samples = pred.r_samples
     assert (None if samples is None else hashlib.sha256(samples.tobytes()).hexdigest()
             ) == r_sha256
+
+
+def test_limit_prediction_never_holds_the_whole_grid():
+    # f1 at n = 50, the even split: each side's closed grid is taken from the
+    # grid description one side at a time; materialising the whole grid and
+    # a masked copy of each side peaked at 0.889 MB, above this bound
+    part = partition_nodes(equispaced_nodes(50), DOM1)
+    limit_lebesgue_prediction(part, DOM1)  # a first call may fill caches of its own
+    tracemalloc.start()
+    try:
+        limit_lebesgue_prediction(part, DOM1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8e6
 
 
 def test_prediction_refusals():

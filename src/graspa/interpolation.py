@@ -6,9 +6,9 @@ barycentric formula.  Weight products are capacity-scaled so they stay
 representable even when the mapped nodes form clusters separated by a shift
 of 1e4 or more; the common scale cancels in the quotient.  Where a scaled
 product still leaves the normal float range (f1 GRASPA at shift 1e4 from
-degree 165 on), the products are taken again as mantissas and integer
-exponents (``np.frexp``), and the weights come back up to one power of two;
-weights spanning more than 2**53 are refused with EvaluationError.  A monomial
+degree 165 on), the products are taken as mantissas and integer exponents
+(``np.frexp``), and the weights come back up to one power of two; weights
+spanning more than 2**53 are refused with EvaluationError.  A monomial
 (Vandermonde) path is kept for low degrees as an independent cross-check --
 for shifted node sets the mapped monomial basis is numerically unusable
 beyond toy sizes, so it is guarded, never the production path.
@@ -16,28 +16,32 @@ beyond toy sizes, so it is guarded, never the production path.
 An :class:`Interpolant` is a :class:`MappedBasis` (nodes sorted by image,
 their images, weights and chain; built by ``mapped_basis``) with values, and
 the evaluators in ``stability`` take a basis too, so no result depends on the
-order of the node list.  The interpolant, the Lebesgue function and the basis
-matrix all run one private evaluator, ``_evaluate``: it forms the quotient
-terms ``w_j / (s - s_j)`` in one reused buffer of about 512 KiB, a block of
-points at a time (O(m + block * n) memory for m points at n nodes, not
-O(m * n)), and hands each block to the caller's reduction.  Its differences,
-like every s - s_j in the package, come from one rank-2 product
-[s, 1] @ [1; -s_j] (``_differences``), bit-equal to the subtraction.  The
-Lebesgue function and the basis matrix reduce each row as the unblocked
-formula does, so their values do not depend on the block size; the
-interpolant takes each block's numerator and denominator from one matrix
-product of the reciprocals ``1 / (s - s_j)`` with the columns ``[w * f, w]``.
-A point whose image equals a mapped node exactly makes its result non-finite,
-so after the loop only the non-finite points are compared with the mapped
-nodes; each evaluator applies its own policy to the hits and the misses.  A
-hit returns the node's stored value (Berrut & Trefethen, SIAM Rev. 2004).
-The interpolant takes a miss (a denominator that cancelled to 0, or a sum
-that overflowed) again in the first, modified Lagrange form
-``p(s) = l(s) sum_j w*_j f_j / (s - s_j)``, which is backward stable (Higham,
-IMA J. Numer. Anal. 2004); ``l(s)`` is exponent-tracked, and the true weights
-``w*_j`` are the stored ones without their common scale.  A row that is
-still non-finite, and any miss of the Lebesgue function or the basis matrix,
-raises EvaluationError; a non-finite evaluation point raises ValueError.
+order of the node list.  Every sum or product over the nodes in the package
+runs through one loop over blocks of points, ``_evaluate``: it forms a
+block's differences s - x_j in one reused buffer of about 512 KiB (O(m +
+block * n) memory for m points at n nodes, not O(m * n)) by one rank-2
+product [s, 1] @ [1; -x_j] (``_differences``), bit-equal to the subtraction,
+and hands them to the caller's step.  The interpolant, the Lebesgue function
+and the basis matrix divide them into the quotient terms ``w_j / (s - s_j)``;
+the weights (each node skipping its own factor), the first form and the
+residual sums of ``stability`` take their row products
+(``_nodal_products``), plain unless a row of the block leaves the normal
+range (``_row_products``).  The Lebesgue function and the basis matrix
+reduce each row as the unblocked formula does, so their values do not
+depend on the block size; the interpolant takes each block's numerator and
+denominator from one matrix product of the reciprocals ``1 / (s - s_j)``
+with the columns ``[w * f, w]``.  A point whose image equals a mapped node
+exactly makes its result non-finite, so after the loop only the non-finite
+points are compared with the mapped nodes (``_node_hits``); each evaluator
+applies its own policy to the hits and the misses.  A hit returns the
+node's stored value (Berrut & Trefethen, SIAM Rev. 2004).  The interpolant
+takes a miss (a denominator that cancelled to 0, or a sum that overflowed)
+again in the first, modified Lagrange form ``p(s) = l(s) sum_j w*_j f_j /
+(s - s_j)``, backward stable (Higham, IMA J. Numer. Anal. 2004), with
+``l(s)`` exponent-tracked and the true weights ``w*_j`` the stored ones
+without their common scale.  A row that is still non-finite, and any miss
+of the Lebesgue function or the basis matrix, raises EvaluationError; a
+non-finite evaluation point raises ValueError.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ __all__ = [
 ]
 
 VANDERMONDE_MAX_DEGREE = 12
-_BLOCK_BYTES = 512 * 1024  # byte budget of the quotient kernel's row buffer
+_BLOCK_BYTES = 512 * 1024  # byte budget of the block loop's buffer
 _NO_HITS = (np.empty(0, dtype=np.intp),) * 3
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the normal range
 _FREXP_BLOCK = 512  # mantissas per block product: >= 2**-512, still normal
@@ -84,19 +88,18 @@ def _differences(s, factor, out=None, left=None) -> np.ndarray:
 
 
 def _row_products(diff) -> tuple[np.ndarray, np.ndarray | None]:
-    """Row products of diff as (p, e), product = p * 2**e.
+    """Row products of a block of differences as (p, e), product = p * 2**e.
 
     Where every row's plain product is a normal float, or an exact zero from
     a zero entry, p is that product and e is None.  Otherwise every row is
-    taken again with exponent tracking: the mantissas of ``np.frexp`` are
-    multiplied ``_FREXP_BLOCK`` columns at a time, the running product is
-    renormalised after each block so that no partial product leaves the
-    normal range, and the exponents are summed as integers.  Scaling by
-    powers of two is exact, so each row carries only the rounding of its
-    multiplications; |p| then lies in [1/2, 1), or is 0 for a zero entry.
+    taken with exponent tracking: the ``np.frexp`` mantissas are multiplied
+    ``_FREXP_BLOCK`` columns at a time, the running product renormalised
+    after each block so that no partial product leaves the normal range, and
+    the exponents are summed as integers.  Scaling by powers of two is exact,
+    so each row carries only the rounding of its multiplications; |p| then
+    lies in [1/2, 1), or is 0 for a zero entry.
     """
-    with np.errstate(over="ignore"):
-        prod = diff.prod(axis=1)
+    prod = diff.prod(axis=1)  # inside the block loop, overflow passes silently
     size = np.abs(prod)
     if size.min() >= _TINY and size.max() <= _HUGE:
         return prod, None
@@ -112,43 +115,36 @@ def _row_products(diff) -> tuple[np.ndarray, np.ndarray | None]:
     return prod, total
 
 
-def _reciprocals(prod, exp) -> tuple[np.ndarray, int]:
-    """1 / (prod * 2**exp) as (w, k), = w * 2**k, for nonzero prod, with the
-    power of two 2**k chosen so that max |w| lies in [1/2, 1)."""
+def _capacity_weights(s, factor) -> tuple[np.ndarray, int | None]:
+    """Reciprocals of prod_{j != i} (s_i - s_j) / cap as (w, k), = w * 2**k, for
+    the checked points s, factor = [1; -s], and cap a quarter of their span.
+    Where every block kept its plain products, w are their reciprocals and k
+    is None; else max |w| lies in [1/2, 1).  Repeats raise NodeCollisionError."""
+    blocks = []  # each block's (p, e)
+    # a span of 0 (one point, or all equal) takes cap 1: a repeat's factor is 0
+    _nodal_products(s, factor, (s.max() - s.min()) / 4.0 or 1.0,
+                    lambda rows, p, e, _: blocks.append((p, e)), own=s.size)
+    prod = np.concatenate([p for p, _ in blocks])
+    if not prod.all():  # a zero product has a zero factor: a repeated point
+        raise NodeCollisionError("points must be distinct")
+    if all(e is None for _, e in blocks):
+        return 1.0 / prod, None
+    # a block that kept its plain products has exponents 0
+    exp = np.concatenate([np.zeros(p.size, np.int64) if e is None else e
+                          for p, e in blocks])
     mant, w_exp = np.frexp(1.0 / prod)
     w_exp = w_exp - exp
     top = int(w_exp.max())
     return np.ldexp(mant, w_exp - top), top
 
 
-def _weight_products(s, factor) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`_row_products` of prod_{j != i} (s_i - s_j) / cap, where cap is
-    one quarter of the span of the checked points s (nonempty, 1-D and
-    finite) and factor is their [1; -s].  Repeated points raise
-    NodeCollisionError."""
-    if s.size == 1:
-        return np.ones(1), None
-    cap = (s.max() - s.min()) / 4.0
-    if not cap > 0:
-        raise NodeCollisionError("points must be distinct")
-    diff = _differences(s, factor)
-    diff /= cap
-    np.fill_diagonal(diff, 1.0)
-    prod, exp = _row_products(diff)
-    if not prod.all():  # a zero product has a zero factor: a repeated point
-        raise NodeCollisionError("points must be distinct")
-    return prod, exp
-
-
 def _weights(s, factor) -> np.ndarray:
     """:func:`barycentric_weights` of the checked points s, factor = [1; -s]."""
-    prod, exp = _weight_products(s, factor)
-    if exp is None:
-        return 1.0 / prod
-    weights, _ = _reciprocals(prod, exp)
-    size = np.abs(weights)
-    if not size.max() <= _MAX_WEIGHT_SPAN * size.min():
-        raise EvaluationError("barycentric weight products left the float range")
+    weights, k = _capacity_weights(s, factor)
+    if k is not None:
+        size = np.abs(weights)
+        if not size.max() <= _MAX_WEIGHT_SPAN * size.min():
+            raise EvaluationError("barycentric weight products left the float range")
     return weights
 
 
@@ -156,18 +152,17 @@ def barycentric_weights(points) -> np.ndarray:
     """Weights 1 / prod_{j != i} (s_i - s_j), up to a common scale.
 
     Each difference is divided by a capacity constant (one quarter of the node
-    span) before the product is taken; the resulting common factor drops out
-    of the quotient evaluation formula but keeps the partial products finite
-    for clustered node sets.  Where every capacity-scaled product is a normal
-    float, the weights are their reciprocals.  Otherwise the products are
-    taken again with exponent tracking (:func:`_row_products`), and the
-    weights are rescaled by one power of two so that max |w| lies in
-    [1/2, 1); that common scale drops out of the quotient too.  If the
-    rescaled weights then span more than 2**53 (max |w| / min |w|), the
-    smallest of them would be lost against the largest in the quotient's
-    sums, and EvaluationError is raised as for products that leave the float
-    range.  Points that are not nonempty, 1-D and finite raise ValueError
-    before any product.
+    span), a common factor that drops out of the quotient but keeps the
+    partial products finite for clustered node sets.  Where every scaled
+    product is a normal float, the weights are their reciprocals.  Otherwise
+    each block of rows with a product outside that range is taken with
+    exponent tracking (:func:`_row_products`), and the weights are rescaled
+    by one power of two so that max |w| lies in [1/2, 1), a scale that drops
+    out of the quotient too.  Rescaled weights that span more than 2**53
+    (max |w| / min |w|) would lose the smallest against the largest in the
+    quotient's sums, and raise EvaluationError as products that leave the
+    float range do.  Points that are not nonempty, 1-D and finite raise
+    ValueError before any product.
     """
     s = _node_array(points)
     return _weights(s, _node_factor(s))
@@ -252,35 +247,40 @@ def _shaped(out: np.ndarray, x):
 
 
 def _block_rows(n: int) -> int:
-    """Evaluation points per block of the quotient kernel, for n nodes."""
-    return max(1, _BLOCK_BYTES // (8 * n))
+    """Evaluation points per block of the block loop, for n nodes."""
+    return max(1, _BLOCK_BYTES // (8 * max(n, 1)))
 
 
-def _evaluate(s, basis: MappedBasis, weights, reduce, out):
-    """Fill ``out`` block by block through ``reduce``; return the node hits.
-
-    ``reduce(rows, t)`` gets a block's slice of s and its terms
-    ``t[k, j] = weights[j] / (s[rows][k] - mapped_nodes[j])`` (weights may be
-    1.0) from :func:`_differences`, in a buffer that the next block reuses, and
-    writes the block's results into ``out``, whose first axis is the points.
-    Division by zero, overflow and invalid values pass silently: a point whose
-    image equals a mapped node gives w_j / 0 = +-inf (w_j is finite and
-    nonzero), and a quotient may overflow; either way its result is
-    non-finite.  Only such points are compared with the mapped nodes, at one
-    byte per point and node.  Returns (rows, cols, misses): ``rows`` index the
-    points equal to a mapped node and ``cols`` those nodes; ``misses`` are the
-    other non-finite points.
-    """
-    m, n = s.size, len(basis)
-    block = _block_rows(n)
-    buf = np.empty((min(block, m), n))
-    left = np.empty((buf.shape[0], 2))
+def _evaluate(s, factor, step) -> None:
+    """The block loop: hand ``step(rows, d)`` each block's slice ``rows`` of s
+    (the last one ends past s) and d[k, j] = s[rows][k] - x_j, factor = [1; -x],
+    in the buffer that the next block reuses.  Division by zero, overflow and
+    invalid values pass silently: each step checks its own results."""
+    m = s.size
+    block = _block_rows(factor.shape[1])
+    buf = np.empty((min(block, m), factor.shape[1]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, m, block):
-            rows = slice(lo, lo + block)  # the last block's slice ends past m
-            t = _differences(s[rows], basis.node_factor, buf[:m - lo], left[:m - lo])
-            np.divide(weights, t, out=t)
-            reduce(rows, t)
+            rows = slice(lo, lo + block)
+            step(rows, _differences(s[rows], factor, buf[:m - lo]))
+
+
+def _nodal_products(s, factor, cap, finish, own=0) -> None:
+    """Hand ``finish(rows, p, e, d)`` each block's scaled differences d = (s_i -
+    x_j) / cap and their row products p * 2**e (:func:`_row_products`); the
+    first ``own`` points are x's first nodes, and each skips its own factor."""
+    def step(rows, diff):
+        diff /= cap
+        if rows.start < own:  # entries (k, rows.start + k), contiguous diff
+            diff.ravel()[rows.start::diff.shape[1] + 1][:own - rows.start] = 1.0
+        finish(rows, *_row_products(diff), diff)
+
+    _evaluate(s, factor, step)
+
+
+def _node_hits(s, basis: MappedBasis, out):
+    """(rows, cols, misses): of the points with a non-finite result in out, those
+    equal to a mapped node, their nodes, and the rest; only these are compared."""
     finite = np.isfinite(out) if out.ndim == 1 else np.isfinite(out).all(axis=1)
     if finite.all():
         return _NO_HITS
@@ -291,25 +291,26 @@ def _evaluate(s, basis: MappedBasis, weights, reduce, out):
 
 
 def _first_form(s, interp: Interpolant) -> np.ndarray:
-    """p(s) = l(s) * sum_j w*_j f_j / (s - s_j) at points s that are not
-    mapped nodes, l(s) = prod_k (s - s_k) and w*_j the true weights.
+    """p(s) = l(s) * sum_j w*_j f_j / (s - s_j) at points s that are not mapped
+    nodes, l(s) = prod_k (s - s_k) and w*_j the true weights: the stored ones
+    are c * w*_j for one common scale c, which node 0, leading the block loop,
+    gives back as c = w_0 * prod_{k != 0} (s_0 - s_k).  Every factor is
+    combined as a mantissa and an exponent, so p is non-finite only if the
+    sum is, or if p itself is not a finite double."""
+    out = np.empty(s.size + 1)
+    scale = list(np.frexp(interp.weights[0]))  # w_0, then c: mantissa, exponent
 
-    The stored weights are c * w*_j for one common scale c, which node 0
-    gives back: c = w_0 * prod_{k != 0} (s_0 - s_k).  The two products are
-    taken by :func:`_row_products`, and every factor is combined as a
-    mantissa and an exponent, so p is non-finite only if the sum is, or if p
-    itself is not a finite double.
-    """
-    diff = _differences(np.append(interp.mapped_nodes[0], s), interp.node_factor)
-    diff[0, 0] = 1.0
-    prod, exp = _row_products(diff)
-    mant, e = np.frexp(prod)
-    e = e if exp is None else e + exp
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        num_mant, num_e = np.frexp(np.reciprocal(diff[1:]) @ interp.columns[:, 0])
-        w_mant, w_e = np.frexp(interp.weights[0])
-        return np.ldexp(num_mant * mant[1:] / (mant[0] * w_mant),
-                        num_e + (e[1:] - e[0] - w_e))
+    def finish(rows, prod, exp, diff):
+        mant, e = np.frexp(prod)
+        e = e if exp is None else e + exp
+        if rows.start == 0:  # node 0's row comes first
+            scale[:] = mant[0] * scale[0], e[0] + scale[1]
+        num_mant, num_e = np.frexp(np.reciprocal(diff, out=diff) @ interp.columns[:, 0])
+        np.ldexp(num_mant * mant / scale[0], num_e + (e - scale[1]), out=out[rows])
+
+    _nodal_products(np.append(interp.mapped_nodes[0], s), interp.node_factor, 1.0,
+                    finish, own=1)
+    return out[1:]
 
 
 def build_interpolant(nodes, values, chain: MapChain | None = None) -> Interpolant:
@@ -342,24 +343,22 @@ def _interpolant(basis: MappedBasis, values) -> Interpolant:
 def eval_interpolant(interp: Interpolant, x):
     """Evaluate via the quotient barycentric form in s = S(x).
 
-    Each block of points takes its numerator sum_j w_j f_j / (s - s_j) and
-    denominator sum_j w_j / (s - s_j) from one matrix product of the
-    reciprocals 1 / (s - s_j) with ``interp.columns``.  A point whose image
-    coincides bit-exactly with a mapped node returns the stored sample value,
-    making the interpolation conditions exact.  Any other point whose
-    quotient is non-finite (the denominator cancelled to 0, or a sum
-    overflowed) is taken again in the first form (:func:`_first_form`), and
-    raises EvaluationError if it is still non-finite there.  The result has
-    the shape of x (a float for scalar x).
+    A point whose image coincides bit-exactly with a mapped node returns the
+    stored sample value, making the interpolation conditions exact.  Any
+    other point whose quotient is non-finite (the denominator cancelled to
+    0, or a sum overflowed) is taken again in the first form
+    (:func:`_first_form`), and raises EvaluationError if it is still
+    non-finite there.  The result has the shape of x (a float for scalar x).
     """
     s = interp.map(x)
     out = np.empty(s.size)
 
-    def quotients(rows, r):
-        sums = r @ interp.columns
+    def quotients(rows, t):
+        sums = np.divide(1.0, t, out=t) @ interp.columns
         np.divide(sums[:, 0], sums[:, 1], out=out[rows])
 
-    hit_row, hit_col, misses = _evaluate(s, interp, 1.0, quotients, out)
+    _evaluate(s, interp.node_factor, quotients)
+    hit_row, hit_col, misses = _node_hits(s, interp, out)
     out[hit_row] = interp.values[hit_col]
     if misses.size:
         out[misses] = _first_form(s[misses], interp)

@@ -1,11 +1,9 @@
 """Lebesgue-function analysis for mapped bases and infinite-shift predictions.
 
 The Lebesgue function is evaluated from the same mapped basis as the
-interpolant (``interpolation.MappedBasis``), through the same blocked kernel,
-so the two paths share their numerical behaviour, and no value depends on the
-order of the node list.  Evaluation points are processed in row blocks of
-about 512 KiB, so memory is O(m + block * n) for m points and n nodes; each
-per-point Lebesgue value is the same as an unblocked evaluation would give.
+interpolant (``interpolation.MappedBasis``), through the same block loop
+(see ``interpolation``), so the two share their numerical behaviour, and no
+value depends on the order of the node list or on the block size.
 
 :func:`lebesgue_max` returns the same grid maximum as
 :func:`lebesgue_constant` without evaluating every grid point.  Between two
@@ -47,8 +45,7 @@ when max k - min k <= 1 (``NodePartition.balanced``), and on subinterval tau
     lambda_inf(x) = lambda_tau(x) + |omega_tau(x)|
                     * sum_{mu: k_mu = k_tau + 1} c(mu, tau) sum_j |w_j^(mu)|,
 
-each inner sum being :func:`even_split_residual_sum` of the pair (mu, tau),
-whose nodal polynomial is formed in row blocks as the Lebesgue function is.
+each inner sum being :func:`even_split_residual_sum` of the pair (mu, tau).
 Equal counts leave the classical side constants alone; one cut has c = 1.
 The predictions come from these closed forms; brute-force large-shift
 evaluation is only ever a test oracle.
@@ -62,9 +59,8 @@ import numpy as np
 
 from .domain import NodePartition, PiecewiseDomain, _node_array
 from .exceptions import EvaluationError, PredictionUnavailableError
-from .interpolation import (MappedBasis, _block_rows, _differences, _evaluate,
-                            _node_factor, _reciprocals, _row_products, _shaped,
-                            _weight_products, mapped_basis)
+from .interpolation import (MappedBasis, _capacity_weights, _evaluate, _nodal_products,
+                            _node_factor, _node_hits, _shaped, mapped_basis)
 from .maps import MapChain
 
 __all__ = [
@@ -129,12 +125,13 @@ def _lebesgue_values(s, basis: MappedBasis, den=None) -> np.ndarray:
     lam = np.empty(s.size)
 
     def quotients(rows, t):
-        d = t.sum(axis=1)
+        d = np.divide(basis.weights, t, out=t).sum(axis=1)
         if den is not None:
             den[rows] = d
         lam[rows] = np.abs(t, out=t).sum(axis=1) / np.abs(d, out=d)
 
-    hit_row, _, misses = _evaluate(s, basis, basis.weights, quotients, lam)
+    _evaluate(s, basis.node_factor, quotients)
+    hit_row, _, misses = _node_hits(s, basis, lam)
     if misses.size:
         raise EvaluationError("Lebesgue function evaluation lost finiteness")
     lam[hit_row] = 1.0
@@ -148,8 +145,9 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
     edge, matching the membership rule), unioned with the midpoints of
     adjacent nodes where the local maxima sit; where a midpoint equals a sweep
     point, the sweep point stays.  ``grid_spec`` is ``"auto"``
-    (max(2000, 100 * node count) points per subinterval), an explicit
-    per-subinterval count, or a ready-made array of points.
+    (max(2000, 100 * node count) points per subinterval), an integer count
+    per subinterval, or a nonempty 1-D array of finite points; anything else
+    raises ValueError.
     """
     return _points(_search_grid(domain, nodes, grid_spec))
 
@@ -260,9 +258,11 @@ def _search_grid(domain: PiecewiseDomain, nodes, grid_spec):
         if per < 2:
             raise ValueError("per-subinterval grid needs at least 2 points")
     else:
-        grid = np.sort(np.asarray(grid_spec, dtype=float))
-        if grid.size == 0:
-            raise ValueError("empty evaluation grid")
+        grid = np.asarray(grid_spec, dtype=float)
+        if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+            raise ValueError("grid spec must be 'auto', an integer count or a nonempty "
+                             f"1-D array of finite points, got {grid_spec!r:.60}")
+        grid = np.sort(grid)
         if grid[0] < domain.interval.a or grid[-1] > domain.interval.b:
             raise ValueError("grid points outside the domain")
         return grid
@@ -486,10 +486,12 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
     mat = np.empty((basis.order.size, s.size))
 
     def columns(rows, t):
+        np.divide(basis.weights, t, out=t)
         np.divide(t, t.sum(axis=1)[:, None], out=t)
         mat[basis.order, rows] = np.abs(t, out=t).T  # row i is node order[i]
 
-    hit_row, hit_col, misses = _evaluate(s, basis, basis.weights, columns, mat.T)
+    _evaluate(s, basis.node_factor, columns)
+    hit_row, hit_col, misses = _node_hits(s, basis, mat.T)
     if misses.size:
         raise EvaluationError("Lagrange matrix evaluation lost finiteness")
     mat[:, hit_row] = 0.0
@@ -508,15 +510,12 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     of the capacity-scaled products behind :func:`barycentric_weights` (the
     capacity is a quarter of the heavier set's span), and omega's differences
     are divided by the same capacity, which cancels because the factor counts
-    match.  omega is formed in row blocks of ``_block_rows`` points in one
-    reused buffer, as the Lebesgue function's kernel works, so memory is
-    O(m + block * n) for m points, not O(m * n).  Both products are
-    exponent-tracked wherever a plain one leaves the float range (omega's
-    decided block by block, so a row's bits depend only on whether a row of
-    its block leaves that range), and the two exponents are added before the
-    result is formed,
-    so EvaluationError is raised only where the sum itself is not a finite
-    double; non-finite nodes or points raise ValueError before any product.
+    match.  Both products run through the block loop of ``interpolation``, so
+    memory is O(m + block * n) for m points, not O(m * n); each block tracks
+    exponents where one of its rows leaves the float range, and the two
+    exponents are added before the result is formed, so EvaluationError is
+    raised only where the sum itself is not a finite double; non-finite
+    nodes or points raise ValueError before any product.
     The sum has only positive terms, so the weights need no span guard.
     """
     x1 = np.asarray(left_nodes, dtype=float)
@@ -528,24 +527,16 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     if not (np.isfinite(x2).all() and np.isfinite(pts).all()):
         raise ValueError("right nodes and points must be finite")
-    prod, exp = _weight_products(_node_array(x1), _node_factor(x1))
-    cap = (x1.max() - x1.min()) / 4.0
-    # an exponent of None is 0: every row kept its plain product
-    w, k = _reciprocals(prod, 0 if exp is None else exp)
+    w, k = _capacity_weights(_node_array(x1), _node_factor(x1))
+    k = 0 if k is None else k  # None: every row kept its plain product
     w_sum = np.abs(w).sum()
-    factor = _node_factor(x2)
-    m = pts.size
-    block = _block_rows(max(x2.size, 1))
-    buf = np.empty((min(block, m), x2.size))
-    left = np.empty((buf.shape[0], 2))
-    out = np.empty(m)
-    for lo in range(0, m, block):  # omega a block of rows at a time, as _evaluate
-        diff = _differences(pts[lo:lo + block], factor, buf[:m - lo], left[:m - lo])
-        diff /= cap
-        omega, omega_exp = _row_products(diff)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.ldexp(np.abs(omega) * w_sum, k if omega_exp is None else omega_exp + k,
-                     out=out[lo:lo + block])
+    out = np.empty(pts.size)
+
+    def residuals(rows, omega, omega_exp, _):  # each block straight into out
+        np.ldexp(np.abs(omega) * w_sum, k if omega_exp is None else omega_exp + k,
+                 out=out[rows])
+
+    _nodal_products(pts, _node_factor(x2), (x1.max() - x1.min()) / 4.0, residuals)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("residual sum evaluation lost finiteness")
     return out
@@ -561,9 +552,14 @@ def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
     the heavier ones.  ``case`` names the counts: "odd" or "even" for one cut
     (equal, or either side heavier), "multi-equal" or "multi-balanced" for
     more.  A domain without cuts is refused, and so is a partition that is
-    not ``balanced``, whose limit is unbounded.
+    not ``balanced``, whose limit is unbounded; a partition that was not made
+    for the domain raises ValueError.
     """
     parts, cards = partition.parts, partition.cardinalities
+    if len(parts) != domain.n_subintervals or any(
+            np.any(domain.subinterval_index(p) != tau) for tau, p in enumerate(parts, 1)):
+        raise ValueError("partition does not match the domain: each subinterval needs "
+                         "one part, holding its nodes")
     d = len(cards) - 1
     if d < 1:
         raise PredictionUnavailableError("the domain has no cuts; nothing to predict")

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -32,7 +33,7 @@ from graspa import (
 from graspa import interpolation
 from graspa.exceptions import EvaluationError
 from graspa.experiments import FUNCTIONS
-from graspa.interpolation import _node_images
+from graspa.interpolation import _block_rows, _node_images
 
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
 
@@ -465,6 +466,41 @@ def test_cancelled_rows_are_finished_in_the_first_form(function, method, n, monk
     assert np.all(err[on_first] <= (5 * n + 5) * U * lam[on_first] * fmax)
     rest = ~on_first
     assert np.all(err[rest] <= (4 * n + 4) * U * lam[rest] * (fmax + p[rest]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_first_form_memory_does_not_grow_with_its_rows(monkeypatch):
+    # 200001 points, 1983 of them on the first form: the unblocked differences,
+    # mantissas and reciprocals of those rows took the evaluation to 10.2 MB;
+    # a block at a time it stays near the evaluator's own floor (5.4 MB)
+    interp = _fit("f2", "graspa", 171)
+    x = np.linspace(-1, 1, 200001)
+    interp(x)  # a first call may fill caches of its own
+    tracemalloc.start()
+    try:
+        got = interp(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5e6
+    finished = []
+    first_form = interpolation._first_form
+
+    def record(s, itp):
+        finished.append(s)
+        return first_form(s, itp)
+
+    monkeypatch.setattr(interpolation, "_first_form", record)
+    np.testing.assert_array_equal(interp(x), got)
+    rows = np.flatnonzero(np.isin(interp.chain(x), np.concatenate(finished)))
+    assert rows.size == 1983
+    # every 16th row, and the rows either side of each block boundary of the
+    # first form's pass, where node 0's row comes first
+    block = _block_rows(len(interp))
+    edges = np.arange(block, rows.size + 1, block) - 1
+    picked = rows[np.union1d(np.arange(0, rows.size, 16), np.r_[edges - 1, edges])]
+    err, lam, _ = _reference_errors(interp, x[picked], got[picked], 60)
+    assert np.all(err <= (5 * 171 + 5) * U * lam * np.abs(interp.values).max())
 
 
 @pytest.mark.filterwarnings("error")

@@ -21,9 +21,10 @@ from graspa import (
     graspa_chain,
     lagrange_matrix,
     lebesgue_function,
+    method_chain,
     sgibbs_chain,
 )
-from graspa import interpolation, stability
+from graspa import interpolation
 from graspa.exceptions import EvaluationError
 from graspa.interpolation import _block_rows, _node_images
 
@@ -160,6 +161,62 @@ def test_graspa_evaluation_memory_is_near_the_evaluators_own():
     interp = build_interpolant(nodes, f1(nodes.nodes), graspa_chain(1e4, DOM_F1))
     x = np.random.default_rng(8).uniform(-1, 1, 32768)
     assert _peak_bytes(interp, x) <= 1.5e6
+
+
+def _unblocked_weights(s):
+    """The weights from one unblocked capacity-scaled product of all rows, with
+    exponent tracking for every row once any row leaves the normal range: the
+    reference for the blocked weights."""
+    diff = (s[:, None] - s[None, :]) / ((s.max() - s.min()) / 4.0)
+    np.fill_diagonal(diff, 1.0)
+    with np.errstate(over="ignore"):
+        prod = diff.prod(axis=1)
+    size = np.abs(prod)
+    if size.min() >= np.finfo(float).tiny and size.max() <= np.finfo(float).max:
+        return 1.0 / prod
+    mant, exp = np.frexp(diff)
+    total = exp.sum(axis=1, dtype=np.int64)
+    prod = np.ones(s.size)
+    for lo in range(0, s.size, 512):
+        prod, shift = np.frexp(prod * mant[:, lo:lo + 512].prod(axis=1))
+        total += shift
+    mant, w_exp = np.frexp(1.0 / prod)
+    w_exp = w_exp - total
+    return np.ldexp(mant, w_exp - w_exp.max())
+
+
+def _f1_images(method, n):
+    chain = method_chain(method, DOM_F1, 1e4)
+    return np.sort(_node_images(equispaced_nodes(n).nodes, chain)[0])
+
+
+@pytest.mark.parametrize("method", ["graspa", "classical"])
+@pytest.mark.parametrize("n", [255, 257, 301, 513])
+def test_blocked_weights_keep_the_bits_of_one_unblocked_product(method, n):
+    # one block of 256 rows, then 2, 2 and 5 blocks (514 columns: two frexp
+    # blocks); f1 GRASPA tracks exponents at these degrees, f1 classical not
+    s = _f1_images(method, n)
+    np.testing.assert_array_equal(_bits(barycentric_weights(s)),
+                                  _bits(_unblocked_weights(s)))
+
+
+@pytest.mark.parametrize("method, n", [("graspa", 277), ("sgibbs", 269)])
+def test_plain_and_tracked_blocks_share_one_power_of_two(method, n):
+    # f2 at these degrees: the first block's products leave the normal range
+    # and the second's do not; the span guard refuses such weights, but the
+    # residual sums take them unguarded
+    chain = method_chain(method, DOM_F2, 1e4)
+    s = np.sort(_node_images(equispaced_nodes(n).nodes, chain)[0])
+    w, k = interpolation._capacity_weights(s, interpolation._node_factor(s))
+    assert k is not None
+    np.testing.assert_array_equal(_bits(w), _bits(_unblocked_weights(s)))
+
+
+def test_weights_memory_is_one_block_of_products():
+    # f1 GRASPA at degree 1499: the unblocked differences, mantissas and
+    # exponents took 45 MB; one 43-row block of each takes about 1.4 MB
+    s = _f1_images("graspa", 1499)
+    assert _peak_bytes(barycentric_weights, s) < 3e6
 
 
 def _interpolate(nodes, chain, x):
@@ -343,15 +400,13 @@ def test_every_pairwise_site_keeps_the_bits_of_the_subtraction(monkeypatch):
     left, right = np.linspace(-1, -0.01, 45), np.linspace(0.01, 1, 44)
 
     def sites():
-        prod, exp = interpolation._weight_products(interp.mapped_nodes,
-                                                   interp.node_factor)
-        return [prod, [] if exp is None else exp, interpolation._first_form(s, interp),
+        w, k = interpolation._capacity_weights(interp.mapped_nodes, interp.node_factor)
+        return [w, [] if k is None else [k], interpolation._first_form(s, interp),
                 even_split_residual_sum(left, right, x), interp(x),
                 lebesgue_function(nodes, CHAIN_F2, x), lagrange_matrix(nodes, CHAIN_F2, x)]
 
     got = sites()
     monkeypatch.setattr(interpolation, "_differences", _subtracted)
-    monkeypatch.setattr(stability, "_differences", _subtracted)
     want = sites()
     assert np.isfinite(got[2]).all()  # the first form answers every point
     for a, b in zip(got, want):

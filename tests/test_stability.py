@@ -146,8 +146,20 @@ def test_grid_spec_validation():
     (lambda: limit_lebesgue_prediction(partition_nodes(equispaced_nodes(9), DOM1), DOM1,
                                        np.linspace(-1.0, -0.5, 50)),
      "empty subinterval grid"),
+    (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), [np.nan, 0.0]), "grid spec"),
+    (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), np.zeros((2, 3))), "grid spec"),
+    (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), 2000.0), "grid spec"),
+    # a partition made for the cut at 0 was paired with f2's three cuts
+    # (1.758e7, case "odd") and with a cut at 0.3 (1.136e6)
+    (lambda: limit_lebesgue_prediction(partition_nodes(equispaced_nodes(23), DOM1),
+                                       PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))),
+     "partition does not match the domain"),
+    (lambda: limit_lebesgue_prediction(partition_nodes(equispaced_nodes(23), DOM1),
+                                       PiecewiseDomain(Interval(-1, 1), (0.3,))),
+     "partition does not match the domain"),
 ], ids=["even-split-counts", "grid-count-below-2", "grid-below-a", "grid-above-b",
-        "subinterval-without-grid-points"])
+        "subinterval-without-grid-points", "grid-with-nan", "grid-2d", "grid-float-count",
+        "partition-with-fewer-parts", "partition-for-another-cut"])
 def test_malformed_grids_and_splits_are_refused(compute, message):
     with pytest.raises(ValueError, match=message):
         compute()

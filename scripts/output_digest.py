@@ -8,7 +8,9 @@ OUT_DIR receives:
 - figures/: every file that ``scripts/run_figures.py`` writes (CSV and SVG);
 - sweep/: the CSVs of the benchmark's sweep_highdeg JSON sweeps;
 - limits.txt: its limit predictions, each as its case, the float hex of the
-  prediction, the side constants and r_max, and the SHA-256 of r_samples;
+  prediction, the side constants and r_max, and the SHA-256 of r_samples,
+  once on the default grid and once (suffix ``_array``) on that grid's
+  points as an array from ``lebesgue_grid``;
 - passes.txt: the SHA-256 of each operation's outputs in one interp_stream
   pass and one interp_build pass, on a fixed seed.
 The cases come from ``perfbench/workloads.py``, and graspa is imported from
@@ -71,12 +73,15 @@ def limits() -> list:
     for function, n in workloads.LIMIT_CASES:
         dom = graspa.PiecewiseDomain(graspa.Interval(-1.0, 1.0),
                                      graspa.experiments.FUNCTIONS[function][1])
-        q = graspa.limit_lebesgue_prediction(
-            graspa.partition_nodes(graspa.equispaced_nodes(n), dom), dom)
-        floats = [q.predicted, *q.side_constants] + ([] if q.r_max is None else [q.r_max])
-        samples = "none" if q.r_samples is None else _sha(q.r_samples)
-        lines.append(f"limit_{function}_{n} {q.case} {' '.join(map(float.hex, floats))} "
-                     f"{samples}")
+        nodes = graspa.equispaced_nodes(n)
+        part = graspa.partition_nodes(nodes, dom)
+        for suffix, spec in (("", "auto"), ("_array", graspa.lebesgue_grid(dom, nodes))):
+            q = graspa.limit_lebesgue_prediction(part, dom, spec)
+            floats = [q.predicted, *q.side_constants]
+            floats += [] if q.r_max is None else [q.r_max]
+            samples = "none" if q.r_samples is None else _sha(q.r_samples)
+            lines.append(f"limit_{function}_{n}{suffix} {q.case} "
+                         f"{' '.join(map(float.hex, floats))} {samples}")
     return lines
 
 

@@ -8,6 +8,7 @@ families, and :func:`partition_nodes` assigns a node set to the subintervals.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,26 @@ class PiecewiseDomain:
         return cls(Interval(a, b), tuple(data.get("cuts", ())))
 
 
+def _number(value, what: str) -> float:
+    """A real number, or a string holding one; bools and None are refused."""
+    if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """:func:`_number`, refused unless integral: fractions and bools name no count."""
+    if type(value) is int:  # the common case, skipping the float round trip
+        return value
+    number = _number(value, what)
+    if not number.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -166,6 +187,7 @@ def equispaced_nodes(n: int, interval: Interval = Interval(-1.0, 1.0)) -> NodeSe
     interval : Interval
         Target interval [a, b].
     """
+    n = _integer(n, "the degree")
     if n < 1:
         raise ValueError("need n >= 1; the single-node set is not generated here")
     x = np.linspace(interval.a, interval.b, n + 1)
@@ -188,6 +210,7 @@ def bg_chebyshev_nodes(n: int, beta: float, gamma: float) -> NodeSet:
     beta, gamma : float
         Nonnegative endpoint offsets with beta + gamma < 2.
     """
+    n = _integer(n, "the degree")
     if n < 1:
         raise ValueError("need n >= 1")
     beta = float(beta)

@@ -14,12 +14,11 @@ both fig4 and ``graspa lagmatrix``.  Everything is deterministic.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Interval, PiecewiseDomain, equispaced_nodes
+from .domain import Interval, PiecewiseDomain, _integer, _number, equispaced_nodes
 from .exceptions import EvaluationError, NodeCollisionError
 from .interpolation import _interpolant, build_interpolant, mapped_basis
 from .maps import MapChain, _check_kappa, named_chain
@@ -105,23 +104,6 @@ def method_chain(method: str, domain: PiecewiseDomain, kappa: float,
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return named_chain("identity" if method == "classical" else method, domain, kappa,
                        n=n)
-
-
-def _number(value, what: str) -> float:
-    """A real number, or a string holding one; bools and None are refused."""
-    if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except (ValueError, OverflowError):
-            pass
-    raise ValueError(f"{what} must be a number, got {value!r}")
-
-
-def _integer(value, what: str) -> int:
-    number = _number(value, what)
-    if not number.is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(number)
 
 
 def _vector(value, what: str) -> tuple:

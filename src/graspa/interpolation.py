@@ -78,10 +78,10 @@ def _node_factor(x) -> np.ndarray:
     return factor
 
 
-def _differences(s, factor, out=None, left=None) -> np.ndarray:
+def _differences(s, factor, out=None) -> np.ndarray:
     """s_i - x_j as [s, 1] @ factor, factor = [1; -x]: two exact products, rounded
-    once, so the subtraction's bits (a zero's sign aside); left takes [s, 1]."""
-    left = np.empty((s.size, 2)) if left is None else left
+    once, so the subtraction's bits (a zero's sign aside)."""
+    left = np.empty((s.size, 2))
     left[:, 0] = s
     left[:, 1] = 1.0
     return np.matmul(left, factor, out=out)

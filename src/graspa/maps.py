@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Interval, PiecewiseDomain
+from .domain import Interval, PiecewiseDomain, _integer
 from .exceptions import EvaluationError
 
 __all__ = [
@@ -242,11 +242,11 @@ class VnMap(_Piecewise):
     keeps_subinterval = True  # the right side maps (0, 1] into itself
 
     def __post_init__(self) -> None:
-        n = self.n
         # a fraction or a bool names no degree; an integral float is stored as an int
-        if isinstance(n, bool) or not float(n).is_integer() or n < 4 or n % 2 != 0:
+        n = _integer(self.n, "the node correction's degree")
+        if n < 4 or n % 2 != 0:
             raise ValueError(f"the node correction needs even n >= 4, got {n}")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         if self.domain != PiecewiseDomain(Interval(-1.0, 1.0), (0.0,)):
             raise ValueError("the node correction is defined on [-1, 1] "
                              "with a single cut at 0")

@@ -24,7 +24,10 @@ built cell by cell.  A grid given by a point count is never materialised for
 the search: it is described per subinterval by its sweep's start, step,
 count and end, plus the merged midpoints, and yields each point the search
 asks for with the bits the materialised grid holds.  So the search holds
-O(n + points evaluated) beside the kernel's block buffer.  Both passes
+O(n + points evaluated) beside the kernel's block buffer.  It may be given a
+range of grid positions instead of the whole grid: the range's points then
+form the cells, and every index stays a position in the whole grid, so the
+range is searched with no copy of its points.  Both passes
 evaluate one basis, through the evaluator that :func:`lebesgue_function`
 also wraps.  Where 16 (n+1) u (lambda + 1) reaches 1 (u the unit roundoff)
 the computed values are noise on both paths: the search then looks around
@@ -48,7 +51,9 @@ when max k - min k <= 1 (``NodePartition.balanced``), and on subinterval tau
 each inner sum being :func:`even_split_residual_sum` of the pair (mu, tau).
 Equal counts leave the classical side constants alone; one cut has c = 1.
 The predictions come from these closed forms; brute-force large-shift
-evaluation is only ever a test oracle.
+evaluation is only ever a test oracle.  A side with no heavier neighbour is
+searched in place on its range of the grid; the others are evaluated densely,
+since their integrand is returned, and that pass gives their side constants.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import NodePartition, PiecewiseDomain, _node_array
+from .domain import NodePartition, PiecewiseDomain, _integer, _node_array
 from .exceptions import EvaluationError, PredictionUnavailableError
 from .interpolation import (MappedBasis, _capacity_weights, _evaluate, _nodal_products,
                             _node_factor, _node_hits, _shaped, mapped_basis)
@@ -320,8 +325,9 @@ def lebesgue_max(nodes, chain: MapChain | None, domain: PiecewiseDomain,
     return _cell_search_max(mapped_basis(nodes, chain), grid)
 
 
-def _cell_search_max(basis: MappedBasis, grid) -> float:
-    """Largest Lebesgue-function value over the sorted grid, found cell by cell.
+def _cell_search_max(basis: MappedBasis, grid, lo=0, hi=None) -> float:
+    """Largest Lebesgue-function value over grid positions lo .. hi - 1 of the
+    sorted grid (all of it by default), found cell by cell.
 
     The nodes split the grid into cells, a point equal to a node closing the
     cell on its left.  An increasing chain maps each cell between two
@@ -349,18 +355,22 @@ def _cell_search_max(basis: MappedBasis, grid) -> float:
     point is evaluated.
 
     The grid is a sorted array or a :class:`_SweepGrid`; the search uses only
-    its ``size``, ``searchsorted`` and ``take``.  The cells come from one
-    binary search per node, and both stages' points are built cell by cell
-    or gap by gap, so apart from the kernel the work and memory are
-    O(n + points evaluated), not O(grid).
+    its ``size``, ``searchsorted`` and ``take``, and every index it forms is
+    a position in the whole grid: each node's first point past it is clipped
+    to [lo, hi], and the cell edges are lo, those points and hi, so a range
+    is searched in place.  The cells come from one binary search per node, and
+    both stages' points are built cell by cell or gap by gap, so apart from
+    the kernel the work and memory are O(n + points evaluated), not O(grid).
     """
+    hi = grid.size if hi is None else hi
     x = basis.nodes
     if not (np.diff(x) > 0).all():
-        return float(_lebesgue_values(basis.map(_points(grid)), basis).max())
-    # cell bounds: the first grid point past each node, sorted as the nodes
-    # are; empty cells drop out
-    past = grid.searchsorted(x, side="right")
-    edges = np.concatenate(([0], past, [grid.size]))
+        s = basis.map(grid.take(np.arange(lo, hi)))
+        return float(_lebesgue_values(s, basis).max())
+    # cell bounds: the first point of the range past each node, sorted as the
+    # nodes are; empty cells drop out
+    past = np.clip(grid.searchsorted(x, side="right"), lo, hi)
+    edges = np.concatenate(([lo], past, [hi]))
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
     starts = edges[:-1]
     last = np.diff(edges) - 1  # offset of each cell's last point
@@ -386,12 +396,12 @@ def _cell_search_max(basis: MappedBasis, grid) -> float:
     # stage 2, gap e lying between stage-1 entries e and e + 1 of one cell:
     # a near point's window is the gap on either side, and a cell's last
     # point, nearer than k to its neighbour, reaches on into the gap before
-    lo, hi = first[:-1] + 1, first[1:] - 1
+    gap_lo, gap_hi = first[:-1] + 1, first[1:] - 1
     wanted = (cell[1:] == cell[:-1]) & (near[:-1] | near[1:])
     end = (head + per_cell - 1)[per_cell >= 3]
     end = end[near[end] & (first[end] - first[end - 1] < k)]
     reach = end[~wanted[end - 2]] - 2
-    lo[reach] = first[reach + 2] - k
+    gap_lo[reach] = first[reach + 2] - k
     wanted[reach] = True
     # the cell's mapped nodes, -inf and inf past the first and last
     left = np.searchsorted(past, starts, side="right") - 1
@@ -401,9 +411,9 @@ def _cell_search_max(basis: MappedBasis, grid) -> float:
                          nodes[left + 2][cell[e]], x.size)
     e = e[~(bounds < top)]  # a NaN bound keeps its gap
     del cell, first, s, lam, den, near, wanted
-    size = hi[e] - lo[e] + 1
-    second = np.repeat(lo[e] - (np.cumsum(size) - size), size) + np.arange(size.sum())
-    del lo, hi, e, size
+    size = gap_hi[e] - gap_lo[e] + 1
+    second = np.repeat(gap_lo[e] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    del gap_lo, gap_hi, e, size
     found = _lebesgue_values(basis.map(grid.take(second)), basis)
     return float(max(top, found.max(initial=-np.inf)))
 
@@ -536,10 +546,10 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
         np.ldexp(np.abs(omega) * w_sum, k if omega_exp is None else omega_exp + k,
                  out=out[rows])
 
-    _nodal_products(pts, _node_factor(x2), (x1.max() - x1.min()) / 4.0, residuals)
+    _nodal_products(pts.ravel(), _node_factor(x2), (x1.max() - x1.min()) / 4.0, residuals)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("residual sum evaluation lost finiteness")
-    return out
+    return out.reshape(pts.shape)
 
 
 def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
@@ -567,7 +577,7 @@ def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
         raise PredictionUnavailableError(
             f"per-subinterval counts {cards} differ by more than one; the limit "
             "is unbounded outside the balance condition")
-    grid = _search_grid(domain, np.concatenate(parts), grid_spec)
+    grid = _constant_grid(domain, np.concatenate(parts), grid_spec)
     # classical per-side Lebesgue functions are continuous, so the supremum
     # over a half-open subinterval equals the maximum over its closure; use
     # closed side grids (cut points count for both neighbours), each the
@@ -580,18 +590,22 @@ def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
                for tau in range(1, d + 2) if mu != tau} if d >= 2 else {}
     side_constants, tops, samples = [], [], []
     for tau, (part, lo, hi) in enumerate(zip(parts, starts, ends)):  # one side at a time
-        g = grid.take(np.arange(lo, hi))
         basis = mapped_basis(part)
-        side_constants.append(_cell_search_max(basis, g))
-        tops.append(side_constants[-1])
         heavier = [mu for mu, k in enumerate(cards) if k == cards[tau] + 1]
-        if heavier:
-            integrand = _lebesgue_values(basis.map(g), basis)
-            for mu in heavier:  # c is an exact 1.0 for one cut
-                c = c_table.get((mu + 1, tau + 1), 1.0)
-                integrand += c * even_split_residual_sum(parts[mu], part, g)
-            tops[tau] = float(integrand.max())
-            samples.append(integrand)
+        if not heavier:  # searched in place
+            side_constants.append(_cell_search_max(basis, grid, lo, hi))
+            tops.append(side_constants[-1])
+            continue
+        # the integrand is returned, so this side's grid is evaluated densely,
+        # and its lambda_tau values hold the side constant
+        g = grid.take(np.arange(lo, hi))
+        integrand = _lebesgue_values(basis.map(g), basis)
+        side_constants.append(float(integrand.max()))
+        for mu in heavier:  # c is an exact 1.0 for one cut
+            c = c_table.get((mu + 1, tau + 1), 1.0)
+            integrand += c * even_split_residual_sum(parts[mu], part, g)
+        tops.append(float(integrand.max()))
+        samples.append(integrand)
         del g
     r_max = r_samples = None
     if samples:
@@ -608,7 +622,8 @@ def c_factor(mu: int, tau: int, cardinalities) -> float:
 
     Indices are 1-based over the d+1 subintervals; needs d >= 2 and mu != tau.
     """
-    cards = [int(c) for c in cardinalities]
+    mu, tau = _integer(mu, "mu"), _integer(tau, "tau")
+    cards = [_integer(c, "a node count") for c in cardinalities]
     count = len(cards)
     if count < 3:
         raise ValueError("the amplification factor needs at least two cuts (d >= 2)")
@@ -631,7 +646,7 @@ def delta_bound(n_max: int) -> float:
     logarithmically growing Lebesgue constant; callers compare their maximal
     beta/gamma against it.
     """
-    n_max = int(n_max)
+    n_max = _integer(n_max, "N")
     if n_max < 1:
         raise ValueError("need N >= 1")
     return 4.0 / (np.pi * n_max * n_max * (2.0 + np.pi * np.log(n_max + 1.0)))

@@ -72,6 +72,20 @@ def test_equispaced_rejects_degree_zero():
         equispaced_nodes(0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: equispaced_nodes(2.5),
+    lambda: equispaced_nodes(True),
+    lambda: bg_chebyshev_nodes(2.5, 0.0, 0.0),
+    lambda: bg_chebyshev_nodes(True, 0.0, 0.0),
+], ids=["equispaced-fraction", "equispaced-bool", "bg-chebyshev-fraction",
+        "bg-chebyshev-bool"])
+def test_degrees_must_be_integral(make):
+    # bg_chebyshev_nodes(2.5, 0, 0) gave 4 nodes spaced for no degree, and
+    # True stood for degree 1
+    with pytest.raises(ValueError, match="must be"):
+        make()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 200),

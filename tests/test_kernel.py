@@ -358,12 +358,11 @@ def test_differences_have_the_bits_of_the_subtraction(s, x, hits, flips):
     s = np.array(s + x[:hits] + [-v for v in x[:flips]])
     x = np.array(x)
     factor = interpolation._node_factor(x)
-    out, left = np.full((s.size, x.size), np.nan), np.ones((s.size + 2, 2))
+    out = np.full((s.size, x.size), np.nan)
     with np.errstate(all="ignore"):
         want = _subtracted(s, factor)
         assert _same_differences(interpolation._differences(s, factor), want)
-        # into dirty buffers, as the blocked kernel calls it
-        interpolation._differences(s, factor, out, left[:s.size])
+        interpolation._differences(s, factor, out)
     assert _same_differences(out, want)
 
 

@@ -144,8 +144,12 @@ def test_grid_spec_validation():
     (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), [-1.5, 0.0]), "outside the domain"),
     (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), [0.0, 1.5]), "outside the domain"),
     (lambda: limit_lebesgue_prediction(partition_nodes(equispaced_nodes(9), DOM1), DOM1,
-                                       np.linspace(-1.0, -0.5, 50)),
+                                       np.linspace(-1.0, -0.5, 2000)),
      "empty subinterval grid"),
+    # two points gave 1.4576, where the default grid's maximum at the cut is 729.609
+    (lambda: limit_lebesgue_prediction(partition_nodes(equispaced_nodes(23), DOM1), DOM1,
+                                       np.array([-1.0, 0.5])),
+     "grid resolves to 2 points"),
     (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), [np.nan, 0.0]), "grid spec"),
     (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), np.zeros((2, 3))), "grid spec"),
     (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), 2000.0), "grid spec"),
@@ -158,8 +162,9 @@ def test_grid_spec_validation():
                                        PiecewiseDomain(Interval(-1, 1), (0.3,))),
      "partition does not match the domain"),
 ], ids=["even-split-counts", "grid-count-below-2", "grid-below-a", "grid-above-b",
-        "subinterval-without-grid-points", "grid-with-nan", "grid-2d", "grid-float-count",
-        "partition-with-fewer-parts", "partition-for-another-cut"])
+        "subinterval-without-grid-points", "limit-grid-too-coarse", "grid-with-nan",
+        "grid-2d", "grid-float-count", "partition-with-fewer-parts",
+        "partition-for-another-cut"])
 def test_malformed_grids_and_splits_are_refused(compute, message):
     with pytest.raises(ValueError, match=message):
         compute()
@@ -261,6 +266,26 @@ def test_lebesgue_max_falls_back_when_the_chain_reorders_the_nodes():
     assert np.any(np.diff(wave(nodes.nodes)) < 0)
     dense = lebesgue_constant(nodes, wave, DOM0).lebesgue_constant
     assert lebesgue_max(nodes, wave, DOM0) == dense
+
+
+@pytest.mark.parametrize("kind", ["description", "array"])
+@pytest.mark.parametrize("chain", [
+    graspa_chain(1e4, PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))),
+    MapChain((lambda x: np.asarray(x) + 2.0 * np.sin(20.0 * np.asarray(x)),)),
+], ids=["increasing", "reordering"])
+def test_a_range_is_searched_as_its_copy(chain, kind):
+    # the second and third subintervals' points and one more: the search in
+    # place has the bits of the search of the range's copy, in both the cell
+    # search and the fallback of a chain that reorders the nodes
+    dom = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
+    nodes = equispaced_nodes(41)
+    grid = stability._search_grid(dom, nodes, "auto")
+    assert isinstance(grid, stability._SweepGrid)
+    grid = grid if kind == "description" else stability._points(grid)
+    basis = interpolation.mapped_basis(nodes, chain)
+    lo, hi = grid.searchsorted([-0.5, 0.5], "right") + [0, 1]
+    want = stability._cell_search_max(basis, grid.take(np.arange(lo, hi)))
+    assert stability._cell_search_max(basis, grid, lo, hi) == want
 
 
 def _reference_gap_bounds(basis, grid, first, s):
@@ -592,6 +617,16 @@ def test_even_split_residual_sum_forms_omega_in_row_blocks():
     assert peak <= 0.8e6
 
 
+def test_even_split_residual_sum_keeps_the_shape_of_its_points():
+    # 2-D points raised numpy's "could not broadcast" error
+    left, right = [0.0, 1.0, 2.0], [0.5, 1.5]
+    x = np.array([[0.25, 0.75], [1.25, 1.9]])
+    got = even_split_residual_sum(left, right, x)
+    assert got.shape == x.shape
+    assert got.tobytes() == even_split_residual_sum(left, right, x.ravel()).tobytes()
+    assert even_split_residual_sum(left, right, 0.25).shape == (1,)
+
+
 def test_even_split_residual_sum_overflow_raises_without_warning():
     n = 3000
     part = partition_nodes(equispaced_nodes(n), DOM1)
@@ -721,6 +756,41 @@ def test_limit_prediction_never_holds_the_whole_grid():
     assert peak < 0.8e6
 
 
+@pytest.mark.parametrize("dom, n", [
+    (DOM1, 4), (DOM1, 10), (DOM1, 23), (DOM1, 50), (DOM1, 89), (_DOM_F2, 87),
+    (_DOM_TWO, 17), (_DOM_TWO, 29),
+], ids=["f1-4", "f1-10", "f1-23", "f1-50", "f1-89", "f2-87", "two-cuts-17", "two-cuts-29"])
+def test_limit_predictions_at_the_materialised_grid_keep_their_bits(dom, n):
+    # the sides of a sorted array are searched in place as a description's are
+    nodes = equispaced_nodes(n)
+    part = partition_nodes(nodes, dom)
+    auto = limit_lebesgue_prediction(part, dom)
+    array = limit_lebesgue_prediction(part, dom, lebesgue_grid(dom, nodes))
+    assert array.case == auto.case
+    assert [v.hex() for v in (array.predicted, *array.side_constants)] == [
+        v.hex() for v in (auto.predicted, *auto.side_constants)]
+    assert array.r_max == auto.r_max
+    assert (None if array.r_samples is None else array.r_samples.tobytes()) == (
+        None if auto.r_samples is None else auto.r_samples.tobytes())
+
+
+@pytest.mark.parametrize("dom, n, bound", [(_DOM_F2, 87, 0.25e6), (DOM1, 89, 0.4e6)],
+                         ids=["f2-87-multi-equal", "f1-89-odd"])
+def test_limit_prediction_copies_no_searched_side(dom, n, bound):
+    # no side has a heavier neighbour, so each is searched in place; taking
+    # each side's points out of the grid description peaked at 0.568 and
+    # 0.581 MB
+    part = partition_nodes(equispaced_nodes(n), dom)
+    limit_lebesgue_prediction(part, dom)  # a first call may fill caches of its own
+    tracemalloc.start()
+    try:
+        limit_lebesgue_prediction(part, dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_prediction_refusals():
     # unbalanced single cut
     dom = PiecewiseDomain(Interval(-1, 1), (0.9,))
@@ -780,6 +850,22 @@ def test_c_factor_rejects_bad_indices():
         c_factor(1, 2, (3, 3))
     with pytest.raises(ValueError):
         c_factor(0, 2, (3, 3, 3))
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: delta_bound(2.7),
+    lambda: delta_bound(True),
+    lambda: c_factor(1, 2, (3.5, 4, 5)),
+    lambda: c_factor(1, 2, (3, True, 5)),
+    lambda: c_factor(1.5, 2, (3, 4, 5)),
+], ids=["delta-fraction", "delta-bool", "c-count-fraction", "c-count-bool",
+        "c-index-fraction"])
+def test_counts_and_indices_must_be_integral(compute):
+    # delta_bound(2.7) gave the bound for N = 2, and True stood for N = 1
+    with pytest.raises(ValueError, match="must be"):
+        compute()
+    assert delta_bound(10.0) == delta_bound(10)
+    assert c_factor(1.0, 2, (9.0, 7, 5)) == c_factor(1, 2, (9, 7, 5))
 
 
 def test_delta_bound_values():

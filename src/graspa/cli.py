@@ -56,8 +56,6 @@ def _write_csv(path: Path, header, rows) -> None:
 def _write_figure_outputs(args, outputs, svg: bool = False) -> None:
     """Write each table as <name>.csv under the output directory, and as
     <name>.svg when asked and it is a line plot; print every path written."""
-    if not all(table.rows.size for table in outputs):  # only a --grid of 0 gives one
-        raise ValueError("no rows to write: --grid needs at least 1 point")
     out = Path(args.out_dir or os.environ.get("GRASPA_OUT_DIR") or ".")
     out.mkdir(parents=True, exist_ok=True)
     for table in outputs:
@@ -72,6 +70,14 @@ def _write_figure_outputs(args, outputs, svg: bool = False) -> None:
                            xlabel=table.header[0], title=table.name,
                            logy=table.logy)
             print(svg_path)
+
+
+def _point_count(text: str) -> int:
+    """A --grid argument: a positive number of points."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 point, got {count}")
+    return count
 
 
 def _parse_interval(text: str) -> Interval:
@@ -120,15 +126,16 @@ def _map_chain(args, domain: PiecewiseDomain):
 
 
 def _method_setup(args, domain: PiecewiseDomain):
-    """Equispaced nodes on the domain and the --method chain; every mapped
-    method passes the balance gate first, and --kappa is an error on the
-    classical method, which has no shift."""
-    if args.kappa != DEFAULT_KAPPA and args.method == "classical":
-        raise ValueError("--kappa does not apply to classical; "
-                         "the classical method has no shift")
+    """Equispaced nodes on the domain and the --method chain.  A mapped method
+    passes the balance gate first; classical, with no shift and no cuts,
+    refuses --kappa, and --cuts except on lebesgue, whose grid splits there."""
     nodes = equispaced_nodes(args.n, domain.interval)
     if args.method != "classical":
         _balance_gate(nodes, domain, args.strict)
+    elif args.kappa != DEFAULT_KAPPA:
+        raise ValueError("--kappa does not apply to classical; it has no shift")
+    elif args.cuts is not None and args.command != "lebesgue":
+        raise ValueError("--cuts does not apply to classical; it never reads the cuts")
     return nodes, method_chain(args.method, domain, args.kappa, args.n)
 
 
@@ -266,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_domain(p)
     p.add_argument("--n", type=int, default=None,
                    help="degree (needed by graspa+vn)")
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=_point_count, default=100)
     _add_common(p, _cmd_map)
 
     p = sub.add_parser("interp", help="interpolate a benchmark function once")
@@ -275,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     _add_domain(p, interval=False,
                 cuts_help="comma list; defaults to the function's jumps")
-    p.add_argument("--grid", type=int, default=332)
+    p.add_argument("--grid", type=_point_count, default=332)
     _add_common(p, _cmd_interp)
 
     p = sub.add_parser("lebesgue", help="Lebesgue function and constant")
@@ -290,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="graspa")
     p.add_argument("--n", type=int, required=True)
     _add_domain(p)
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=_point_count, default=100)
     _add_common(p, _cmd_lagmatrix)
 
     p = sub.add_parser("experiment", help="reproduce a figure or run a JSON config")

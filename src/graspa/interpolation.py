@@ -17,31 +17,31 @@ An :class:`Interpolant` is a :class:`MappedBasis` (nodes sorted by image,
 their images, weights and chain; built by ``mapped_basis``) with values, and
 the evaluators in ``stability`` take a basis too, so no result depends on the
 order of the node list.  Every sum or product over the nodes in the package
-runs through one loop over blocks of points, ``_evaluate``: it forms a
-block's differences s - x_j in one reused buffer of about 512 KiB (O(m +
-block * n) memory for m points at n nodes, not O(m * n)) by one rank-2
+is a plain loop over blocks of points from one generator, ``_blocks``: it
+forms a block's differences s - x_j in one reused buffer of about 512 KiB
+(O(m + block * n) memory for m points at n nodes, not O(m * n)) by one rank-2
 product [s, 1] @ [1; -x_j] (``_differences``), bit-equal to the subtraction,
-and hands them to the caller's step.  The interpolant, the Lebesgue function
+and yields them to the caller's loop.  The interpolant, the Lebesgue function
 and the basis matrix divide them into the quotient terms ``w_j / (s - s_j)``;
 the weights (each node skipping its own factor), the first form and the
-residual sums of ``stability`` take their row products
-(``_nodal_products``), plain unless a row of the block leaves the normal
-range (``_row_products``).  The Lebesgue function and the basis matrix
-reduce each row as the unblocked formula does, so their values do not
-depend on the block size; the interpolant takes each block's numerator and
-denominator from one matrix product of the reciprocals ``1 / (s - s_j)``
-with the columns ``[w * f, w]``.  A point whose image equals a mapped node
-exactly makes its result non-finite, so after the loop only the non-finite
-points are compared with the mapped nodes (``_node_hits``); each evaluator
-applies its own policy to the hits and the misses.  A hit returns the
-node's stored value (Berrut & Trefethen, SIAM Rev. 2004).  The interpolant
-takes a miss (a denominator that cancelled to 0, or a sum that overflowed)
-again in the first, modified Lagrange form ``p(s) = l(s) sum_j w*_j f_j /
-(s - s_j)``, backward stable (Higham, IMA J. Numer. Anal. 2004), with
-``l(s)`` exponent-tracked and the true weights ``w*_j`` the stored ones
-without their common scale.  A row that is still non-finite, and any miss
-of the Lebesgue function or the basis matrix, raises EvaluationError; a
-non-finite evaluation point raises ValueError.
+residual sums of ``stability`` loop over their row products, which
+``_nodal_products`` yields block by block, plain unless a row of the block
+leaves the normal range (``_row_products``).  The Lebesgue function and the
+basis matrix reduce each row as the unblocked formula does, so their values
+do not depend on the block size; the interpolant takes each block's
+numerator and denominator from one matrix product of the reciprocals
+``1 / (s - s_j)`` with the columns ``[w * f, w]``.  A point whose image
+equals a mapped node exactly makes its result non-finite, so after the loop
+only the non-finite points are compared with the mapped nodes
+(``_node_hits``); each evaluator applies its own policy to the hits and the
+misses.  A hit returns the node's stored value (Berrut & Trefethen, SIAM
+Rev. 2004).  The interpolant takes a miss (a denominator that cancelled to
+0, or a sum that overflowed) again in the first, modified Lagrange form
+``p(s) = l(s) sum_j w*_j f_j / (s - s_j)``, backward stable (Higham, IMA J.
+Numer. Anal. 2004), with ``l(s)`` exponent-tracked and the true weights
+``w*_j`` the stored ones without their common scale.  A row that is still
+non-finite, and any miss of the Lebesgue function or the basis matrix,
+raises EvaluationError; a non-finite evaluation point raises ValueError.
 """
 
 from __future__ import annotations
@@ -120,10 +120,9 @@ def _capacity_weights(s, factor) -> tuple[np.ndarray, int | None]:
     the checked points s, factor = [1; -s], and cap a quarter of their span.
     Where every block kept its plain products, w are their reciprocals and k
     is None; else max |w| lies in [1/2, 1).  Repeats raise NodeCollisionError."""
-    blocks = []  # each block's (p, e)
     # a span of 0 (one point, or all equal) takes cap 1: a repeat's factor is 0
-    _nodal_products(s, factor, (s.max() - s.min()) / 4.0 or 1.0,
-                    lambda rows, p, e, _: blocks.append((p, e)), own=s.size)
+    blocks = [(p, e) for _, p, e, _ in
+              _nodal_products(s, factor, (s.max() - s.min()) / 4.0 or 1.0, own=s.size)]
     prod = np.concatenate([p for p, _ in blocks])
     if not prod.all():  # a zero product has a zero factor: a repeated point
         raise NodeCollisionError("points must be distinct")
@@ -251,31 +250,30 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(n, 1)))
 
 
-def _evaluate(s, factor, step) -> None:
-    """The block loop: hand ``step(rows, d)`` each block's slice ``rows`` of s
-    (the last one ends past s) and d[k, j] = s[rows][k] - x_j, factor = [1; -x],
-    in the buffer that the next block reuses.  Division by zero, overflow and
-    invalid values pass silently: each step checks its own results."""
+def _blocks(s, factor):
+    """The block loop: yield (rows, d) for each block, rows its slice of s (the
+    last one ends past s) and d[k, j] = s[rows][k] - x_j, factor = [1; -x], in
+    the buffer that the next block reuses.  Until the caller's loop ends, its
+    divisions by zero, overflows and invalid values pass silently: the caller
+    checks its own results."""
     m = s.size
     block = _block_rows(factor.shape[1])
     buf = np.empty((min(block, m), factor.shape[1]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, m, block):
             rows = slice(lo, lo + block)
-            step(rows, _differences(s[rows], factor, buf[:m - lo]))
+            yield rows, _differences(s[rows], factor, buf[:m - lo])
 
 
-def _nodal_products(s, factor, cap, finish, own=0) -> None:
-    """Hand ``finish(rows, p, e, d)`` each block's scaled differences d = (s_i -
+def _nodal_products(s, factor, cap, own=0):
+    """Yield (rows, p, e, d) for each block: its scaled differences d = (s_i -
     x_j) / cap and their row products p * 2**e (:func:`_row_products`); the
     first ``own`` points are x's first nodes, and each skips its own factor."""
-    def step(rows, diff):
+    for rows, diff in _blocks(s, factor):
         diff /= cap
         if rows.start < own:  # entries (k, rows.start + k), contiguous diff
             diff.ravel()[rows.start::diff.shape[1] + 1][:own - rows.start] = 1.0
-        finish(rows, *_row_products(diff), diff)
-
-    _evaluate(s, factor, step)
+        yield rows, *_row_products(diff), diff
 
 
 def _node_hits(s, basis: MappedBasis, out):
@@ -298,18 +296,15 @@ def _first_form(s, interp: Interpolant) -> np.ndarray:
     combined as a mantissa and an exponent, so p is non-finite only if the
     sum is, or if p itself is not a finite double."""
     out = np.empty(s.size + 1)
-    scale = list(np.frexp(interp.weights[0]))  # w_0, then c: mantissa, exponent
-
-    def finish(rows, prod, exp, diff):
+    c_mant, c_exp = np.frexp(interp.weights[0])  # w_0, then c
+    for rows, prod, exp, diff in _nodal_products(
+            np.append(interp.mapped_nodes[0], s), interp.node_factor, 1.0, own=1):
         mant, e = np.frexp(prod)
         e = e if exp is None else e + exp
         if rows.start == 0:  # node 0's row comes first
-            scale[:] = mant[0] * scale[0], e[0] + scale[1]
+            c_mant, c_exp = mant[0] * c_mant, e[0] + c_exp
         num_mant, num_e = np.frexp(np.reciprocal(diff, out=diff) @ interp.columns[:, 0])
-        np.ldexp(num_mant * mant / scale[0], num_e + (e - scale[1]), out=out[rows])
-
-    _nodal_products(np.append(interp.mapped_nodes[0], s), interp.node_factor, 1.0,
-                    finish, own=1)
+        np.ldexp(num_mant * mant / c_mant, num_e + (e - c_exp), out=out[rows])
     return out[1:]
 
 
@@ -352,12 +347,8 @@ def eval_interpolant(interp: Interpolant, x):
     """
     s = interp.map(x)
     out = np.empty(s.size)
-
-    def quotients(rows, t):
-        sums = np.divide(1.0, t, out=t) @ interp.columns
-        np.divide(sums[:, 0], sums[:, 1], out=out[rows])
-
-    _evaluate(s, interp.node_factor, quotients)
+    for rows, t in _blocks(s, interp.node_factor):  # no block's sums outlive it
+        np.divide(*(np.divide(1.0, t, out=t) @ interp.columns).T, out=out[rows])
     hit_row, hit_col, misses = _node_hits(s, interp, out)
     out[hit_row] = interp.values[hit_col]
     if misses.size:

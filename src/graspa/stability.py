@@ -64,7 +64,7 @@ import numpy as np
 
 from .domain import NodePartition, PiecewiseDomain, _integer, _node_array
 from .exceptions import EvaluationError, PredictionUnavailableError
-from .interpolation import (MappedBasis, _capacity_weights, _evaluate, _nodal_products,
+from .interpolation import (MappedBasis, _blocks, _capacity_weights, _nodal_products,
                             _node_factor, _node_hits, _shaped, mapped_basis)
 from .maps import MapChain
 
@@ -128,14 +128,11 @@ def _lebesgue_values(s, basis: MappedBasis, den=None) -> np.ndarray:
     behind :func:`lebesgue_function`, the cell search and the even split.
     ``den``, if given, receives each point's sum_j w_j / (s - s_j)."""
     lam = np.empty(s.size)
-
-    def quotients(rows, t):
+    for rows, t in _blocks(s, basis.node_factor):
         d = np.divide(basis.weights, t, out=t).sum(axis=1)
         if den is not None:
             den[rows] = d
         lam[rows] = np.abs(t, out=t).sum(axis=1) / np.abs(d, out=d)
-
-    _evaluate(s, basis.node_factor, quotients)
     hit_row, _, misses = _node_hits(s, basis, lam)
     if misses.size:
         raise EvaluationError("Lebesgue function evaluation lost finiteness")
@@ -152,7 +149,7 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
     point, the sweep point stays.  ``grid_spec`` is ``"auto"``
     (max(2000, 100 * node count) points per subinterval), an integer count
     per subinterval, or a nonempty 1-D array of finite points; anything else
-    raises ValueError.
+    raises ValueError, as do nodes outside the domain.
     """
     return _points(_search_grid(domain, nodes, grid_spec))
 
@@ -228,15 +225,6 @@ class _SweepGrid:
         count[whole] = self.sweep_size
         return count
 
-    def points(self) -> np.ndarray:
-        """The grid as a new array: the sweeps, then the midpoints inserted."""
-        sweeps = np.empty(self.sweep_size)
-        for i in range(self.start.size):  # subinterval i's kept points, in order
-            j = np.arange(i > 0, self.per)
-            sweeps[i * (self.per - 1) + j[0]:][:j.size] = self._sweep_value(i, j)
-        at = self.mid_pos[:-1] - np.arange(self.mid.size)  # positions among the sweeps
-        return np.insert(sweeps, at, self.mid)
-
     def searchsorted(self, v, side="left"):
         v = np.asarray(v, dtype=float)
         return self._sweep_count(v, side) + np.searchsorted(self.mid, v, side)
@@ -254,6 +242,8 @@ def _search_grid(domain: PiecewiseDomain, nodes, grid_spec):
     """:func:`lebesgue_grid`'s grid: a :class:`_SweepGrid` for a point count,
     a sorted array for explicit points or sweeps too narrow for one."""
     x = np.sort(_node_array(nodes))  # midpoints of neighbours on the line
+    if x[0] < domain.interval.a or x[-1] > domain.interval.b:  # midpoints join the grid
+        raise ValueError("nodes must lie inside the domain")
     if isinstance(grid_spec, str):
         if grid_spec != "auto":
             raise ValueError(f"unknown grid spec {grid_spec!r}")
@@ -278,17 +268,22 @@ def _search_grid(domain: PiecewiseDomain, nodes, grid_spec):
     spacing = np.spacing(np.maximum(np.abs(start), np.abs(end)))
     if (step >= _MIN_STEP_SPACINGS * spacing).all():
         return _SweepGrid(start, end, step, per, mid)
-    # a subinterval too narrow for the description: sort all points, then drop
-    # repeats, the sweep's value first among equal ones
-    grid = np.sort(np.concatenate([np.linspace(bp[i], bp[i + 1], per)[i > 0:]
-                                   for i in range(domain.n_subintervals)] + [mid]),
-                   kind="stable")
+    return _merged_sweeps(start, end, per, mid)  # a subinterval too narrow to describe
+
+
+def _merged_sweeps(start, end, per, mid) -> np.ndarray:
+    """The ``np.linspace`` sweeps of per points from each start to its end, each
+    after the first without its start, and the points mid, sorted; repeats
+    are dropped, the sweep's value first among equal ones."""
+    grid = np.sort(np.concatenate([np.linspace(a, b, per)[i > 0:] for i, (a, b)
+                                   in enumerate(zip(start, end))] + [mid]), kind="stable")
     return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
 def _points(grid) -> np.ndarray:
     """The points of a grid from :func:`_search_grid` as a sorted array."""
-    return grid if isinstance(grid, np.ndarray) else grid.points()
+    return grid if isinstance(grid, np.ndarray) else _merged_sweeps(
+        grid.start, grid.end, grid.per, grid.mid)
 
 
 def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec):
@@ -494,13 +489,10 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
     basis = mapped_basis(nodes, chain)
     s = basis.map(g)
     mat = np.empty((basis.order.size, s.size))
-
-    def columns(rows, t):
+    for rows, t in _blocks(s, basis.node_factor):
         np.divide(basis.weights, t, out=t)
         np.divide(t, t.sum(axis=1)[:, None], out=t)
         mat[basis.order, rows] = np.abs(t, out=t).T  # row i is node order[i]
-
-    _evaluate(s, basis.node_factor, columns)
     hit_row, hit_col, misses = _node_hits(s, basis, mat.T)
     if misses.size:
         raise EvaluationError("Lagrange matrix evaluation lost finiteness")
@@ -541,12 +533,10 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     k = 0 if k is None else k  # None: every row kept its plain product
     w_sum = np.abs(w).sum()
     out = np.empty(pts.size)
-
-    def residuals(rows, omega, omega_exp, _):  # each block straight into out
+    for rows, omega, omega_exp, _ in _nodal_products(pts.ravel(), _node_factor(x2),
+                                                     (x1.max() - x1.min()) / 4.0):
         np.ldexp(np.abs(omega) * w_sum, k if omega_exp is None else omega_exp + k,
-                 out=out[rows])
-
-    _nodal_products(pts.ravel(), _node_factor(x2), (x1.max() - x1.min()) / 4.0, residuals)
+                 out=out[rows])  # each block straight into out
     if not np.all(np.isfinite(out)):
         raise EvaluationError("residual sum evaluation lost finiteness")
     return out.reshape(pts.shape)

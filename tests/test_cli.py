@@ -281,6 +281,25 @@ def test_kappa_refused_on_the_classical_method(command, tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("command", ["interp", "lebesgue", "lagmatrix"])
+def test_cuts_refused_on_the_classical_method(command, tmp_path, capsys):
+    # the classical chain reads no cuts; only lebesgue splits its grid there,
+    # so only its CSV changes with them
+    argv = [command, "--n", "10", "--method", "classical"]
+    assert main(argv + ["--out-dir", str(tmp_path / "plain")]) == 0
+    code = main(argv + ["--cuts", "0.3", "--out-dir", str(tmp_path / "cut")])
+    if command != "lebesgue":
+        assert code == 2
+        assert "--cuts" in capsys.readouterr().err
+        assert not (tmp_path / "cut").exists()
+    else:
+        assert code == 0
+        assert ((tmp_path / "cut" / "lebesgue.csv").read_bytes()
+                != (tmp_path / "plain" / "lebesgue.csv").read_bytes())
+    assert main([command, "--n", "10", "--method", "sgibbs", "--cuts", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+
+
 def test_floats_roundtrip_through_csv(tmp_path):
     assert main(["nodes", "--n", "7", "--kind", "bgcheb", "--beta", "0.1",
                  "--gamma", "0.2", "--out-dir", str(tmp_path)]) == 0
@@ -366,9 +385,10 @@ def test_svg_text_is_escaped(tmp_path):
     ["lagmatrix", "--n", "5"],
 ])
 def test_empty_grid_exits_2(tmp_path, capsys, argv):
-    assert main(argv + ["--grid", "0", "--out-dir", str(tmp_path)]) == 2
-    assert "grid" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    for grid in ("0", "-1"):
+        assert main(argv + ["--grid", grid, "--out-dir", str(tmp_path)]) == 2, grid
+        assert "grid" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, message", [

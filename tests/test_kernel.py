@@ -1,6 +1,7 @@
 """The blocked barycentric quotient kernel and the functions routed through it."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -410,3 +411,41 @@ def test_every_pairwise_site_keeps_the_bits_of_the_subtraction(monkeypatch):
     assert np.isfinite(got[2]).all()  # the first form answers every point
     for a, b in zip(got, want):
         np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("end", ["finished", "broken", "raised"])
+def test_block_loop_restores_the_error_state(end):
+    # the loop's body runs with division by zero, overflow and invalid values
+    # silenced; the caller's error state is back however the loop ends, also
+    # while pytest.raises still holds the traceback of a body that raised
+    before = np.geterr()
+    s = np.linspace(-1.0, 1.0, 3 * _block_rows(5) + 1)
+    factor = interpolation._node_factor(np.linspace(-1.0, 1.0, 5))
+
+    def loop():
+        for rows, _ in interpolation._blocks(s, factor):
+            assert np.geterr()["divide"] == np.geterr()["invalid"] == "ignore"
+            if end == "broken" and rows.start > 0:
+                break
+            if end == "raised":
+                raise KeyError(rows.start)
+
+    if end == "raised":
+        with pytest.raises(KeyError) as info:
+            loop()
+        assert info.traceback and np.geterr() == before
+    else:
+        loop()
+    assert np.geterr() == before
+
+
+def test_block_loop_silences_its_body_alone():
+    # a point on a node makes its difference 0: dividing by it passes in the
+    # loop's body and raises, as RuntimeWarning is an error, right after it
+    s = np.array([0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _, d in interpolation._blocks(s, interpolation._node_factor(s)):
+            assert np.isinf(1.0 / d).all()
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            1.0 / d

@@ -161,10 +161,17 @@ def test_grid_spec_validation():
     (lambda: limit_lebesgue_prediction(partition_nodes(equispaced_nodes(23), DOM1),
                                        PiecewiseDomain(Interval(-1, 1), (0.3,))),
      "partition does not match the domain"),
+    # the nodes' midpoints reached x = 0.95, where lambda is 7391.69; its
+    # maximum over [-0.5, 0.5] is 4.7311
+    (lambda: lebesgue_constant(equispaced_nodes(20), None,
+                               PiecewiseDomain(Interval(-0.5, 0.5))),
+     "nodes must lie inside the domain"),
+    (lambda: lebesgue_max(equispaced_nodes(20), None, PiecewiseDomain(Interval(-0.5, 0.5))),
+     "nodes must lie inside the domain"),
 ], ids=["even-split-counts", "grid-count-below-2", "grid-below-a", "grid-above-b",
         "subinterval-without-grid-points", "limit-grid-too-coarse", "grid-with-nan",
         "grid-2d", "grid-float-count", "partition-with-fewer-parts",
-        "partition-for-another-cut"])
+        "partition-for-another-cut", "constant-nodes-outside", "max-nodes-outside"])
 def test_malformed_grids_and_splits_are_refused(compute, message):
     with pytest.raises(ValueError, match=message):
         compute()

@@ -11,7 +11,13 @@ under ``.perfbench_out/results/``), with the same seeds on both sides.  For
 every workload and end-to-end metric of ``BENCHMARK.json`` the output gives
 both sides' values per seed, their medians and quartiles, and the number of
 pairs the change won (ties count for neither side); the medians of the raw
-``pass_walls_s``, which are not speed-normalised, sit next to them.  A
+``pass_walls_s``, which are not speed-normalised, sit next to them.  Each
+metric also gets a verdict against its relative ``bound``: "regressed" when
+the change's median is worse than the parent's by more than bound times the
+parent's median, "unresolved" when the parent's quartile distance exceeds
+that much and not every change run beats every parent run, else "ok".  The
+regressed and unresolved ``workload:metric`` pairs are listed under
+``regressed`` and ``unresolved`` and printed.  A
 workload with no seed run on both sides is skipped and listed under
 ``unpaired``.  A claim holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's quartile distance.
@@ -77,6 +83,9 @@ def compare(parent: dict, change: dict, metrics: list) -> tuple[dict, list]:
                     for side, runs in sides.items()}
             wins = verdict(vals["parent"], vals["change"], lower)["change_wins"]
             table[name] = {"unit": spec["unit"], "better": spec["better"], "change_wins": wins,
+                           "bound": spec["bound"],
+                           "verdict": bound_verdict(vals["parent"], vals["change"], lower,
+                                                    spec["bound"]),
                            **{side: {"values": v, **spread(v)} for side, v in vals.items()}}
         walls = {side: spread([copied(r)["pass_wall_median_s"] for r in runs])
                  for side, runs in sides.items()}
@@ -96,6 +105,19 @@ def verdict(parent: list, change: list, lower: bool) -> dict:
     return {"change_wins": wins, "pairs": len(parent), "median_gap": gap,
             "parent_quartile_distance": q3 - q1,
             "holds": wins >= 0.9 * len(parent) and gap > q3 - q1}
+
+
+def bound_verdict(parent: list, change: list, lower: bool, bound: float) -> str:
+    """"regressed", "unresolved" or "ok" for one metric against its relative
+    bound (module docstring)."""
+    p = spread(parent)
+    allowed = bound * abs(p["median"])
+    c_med = spread(change)["median"]
+    if (c_med - p["median"] if lower else p["median"] - c_med) > allowed:
+        return "regressed"
+    q1, q3 = p["quartiles"]
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    return "unresolved" if q3 - q1 > allowed and not beats_all else "ok"
 
 
 def claim_holds(workloads: dict, workload: str, metric: str) -> dict:
@@ -123,7 +145,10 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent, change = load_runs(args.parent), load_runs(args.change)
     workloads, unpaired = compare(parent, change, metrics)
-    doc = {"note": args.note, "workloads": workloads, "unpaired": unpaired,
+    flagged = {kind: [f"{w}:{name}" for w, entry in workloads.items()
+                      for name, m in entry["metrics"].items() if m["verdict"] == kind]
+               for kind in ("regressed", "unresolved")}
+    doc = {"note": args.note, "workloads": workloads, "unpaired": unpaired, **flagged,
            "traced": {side: {f"{w}-seed{s}": copied(r) for (w, s, t), r in runs.items() if t}
                       for side, runs in (("parent", parent), ("change", change))}}
     if args.claim:
@@ -132,9 +157,12 @@ def main(argv=None) -> int:
     for workload, entry in workloads.items():
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: {m['parent']['median']:.6g} -> "
-                  f"{m['change']['median']:.6g} ({m['change_wins']}/{entry['pairs']})")
+                  f"{m['change']['median']:.6g} ({m['change_wins']}/{entry['pairs']}) "
+                  f"{m['verdict']}")
     for workload in unpaired:
         print(f"{workload}: no seed with runs on both sides; skipped")
+    for kind, pairs in flagged.items():
+        print(f"{kind}: {', '.join(pairs) or 'none'}")
     if args.claim:
         print("claim:", json.dumps(doc["claim"]))
     return 0

@@ -80,6 +80,18 @@ def _point_count(text: str) -> int:
     return count
 
 
+def _grid_spec(text: str):
+    """lebesgue's --grid argument: "auto" or a whole per-subinterval count
+    (stability refuses counts below 2)."""
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"needs 'auto' or a whole point count, got {text!r}") from None
+
+
 def _parse_interval(text: str) -> Interval:
     parts = [float(tok) for tok in text.split(",")]
     if len(parts) != 2:
@@ -187,8 +199,7 @@ def _cmd_interp(args) -> int:
 def _cmd_lebesgue(args) -> int:
     domain = _domain(args)
     nodes, chain = _method_setup(args, domain)
-    spec = "auto" if args.grid == "auto" else int(args.grid)
-    report = lebesgue_constant(nodes, chain, domain, spec)
+    report = lebesgue_constant(nodes, chain, domain, args.grid)
     rows = np.column_stack([report.grid, report.lebesgue_values])
     _write_figure_outputs(args, (FigureOutput("lebesgue", ("x", "lambda"), rows),))
     print(f"lebesgue_constant = {FLOAT_FORMAT % report.lebesgue_constant}")
@@ -289,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="classical")
     p.add_argument("--n", type=int, required=True)
     _add_domain(p)
-    p.add_argument("--grid", default="auto",
+    p.add_argument("--grid", type=_grid_spec, default="auto",
                    help="'auto' or per-subinterval point count")
     _add_common(p, _cmd_lebesgue)
 

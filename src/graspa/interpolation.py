@@ -255,7 +255,9 @@ def _blocks(s, factor):
     last one ends past s) and d[k, j] = s[rows][k] - x_j, factor = [1; -x], in
     the buffer that the next block reuses.  Until the caller's loop ends, its
     divisions by zero, overflows and invalid values pass silently: the caller
-    checks its own results."""
+    checks its own results.  After its loop the caller sets its last d to
+    None (assigned, not deleted: a loop over no points binds none), so the
+    buffer is freed before the code after the loop allocates."""
     m = s.size
     block = _block_rows(factor.shape[1])
     buf = np.empty((min(block, m), factor.shape[1]))
@@ -349,6 +351,7 @@ def eval_interpolant(interp: Interpolant, x):
     out = np.empty(s.size)
     for rows, t in _blocks(s, interp.node_factor):  # no block's sums outlive it
         np.divide(*(np.divide(1.0, t, out=t) @ interp.columns).T, out=out[rows])
+    t = None  # frees the block buffer
     hit_row, hit_col, misses = _node_hits(s, interp, out)
     out[hit_row] = interp.values[hit_col]
     if misses.size:

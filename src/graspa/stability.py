@@ -133,6 +133,7 @@ def _lebesgue_values(s, basis: MappedBasis, den=None) -> np.ndarray:
         if den is not None:
             den[rows] = d
         lam[rows] = np.abs(t, out=t).sum(axis=1) / np.abs(d, out=d)
+    t = None  # frees the block buffer
     hit_row, _, misses = _node_hits(s, basis, lam)
     if misses.size:
         raise EvaluationError("Lebesgue function evaluation lost finiteness")
@@ -176,7 +177,8 @@ class _SweepGrid:
     i > 0 drops j = 0, its start being the previous end.  The midpoints that
     equal no sweep point are merged in.  ``size``, ``take`` and
     ``searchsorted`` give what the ndarray methods of the materialised grid
-    give, in memory O(points asked + node count).
+    give, in memory O(points asked + node count); ``side`` builds one
+    subinterval's points as ``np.linspace`` does, with no per-point search.
 
     Each computed sweep point lies within 2 spacings of j * step + start,
     spacings of the floats at the larger end of its subinterval, so with a
@@ -228,6 +230,14 @@ class _SweepGrid:
     def searchsorted(self, v, side="left"):
         v = np.asarray(v, dtype=float)
         return self._sweep_count(v, side) + np.searchsorted(self.mid, v, side)
+
+    def side(self, i):
+        """The points of subinterval i, both ends included, as a sorted array:
+        its sweep merged with the midpoints inside it, bit-equal to ``take``
+        of that run of positions."""
+        a, b = self.start[i], self.end[i]
+        mid = self.mid[self.mid.searchsorted(a):self.mid.searchsorted(b, "right")]
+        return _merged_sweeps(self.start[i:i + 1], self.end[i:i + 1], self.per, mid)
 
     def take(self, idx):
         idx = np.asarray(idx)
@@ -493,6 +503,7 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
         np.divide(basis.weights, t, out=t)
         np.divide(t, t.sum(axis=1)[:, None], out=t)
         mat[basis.order, rows] = np.abs(t, out=t).T  # row i is node order[i]
+    t = None  # frees the block buffer
     hit_row, hit_col, misses = _node_hits(s, basis, mat.T)
     if misses.size:
         raise EvaluationError("Lagrange matrix evaluation lost finiteness")
@@ -533,10 +544,11 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     k = 0 if k is None else k  # None: every row kept its plain product
     w_sum = np.abs(w).sum()
     out = np.empty(pts.size)
-    for rows, omega, omega_exp, _ in _nodal_products(pts.ravel(), _node_factor(x2),
-                                                     (x1.max() - x1.min()) / 4.0):
+    for rows, omega, omega_exp, diff in _nodal_products(pts.ravel(), _node_factor(x2),
+                                                        (x1.max() - x1.min()) / 4.0):
         np.ldexp(np.abs(omega) * w_sum, k if omega_exp is None else omega_exp + k,
                  out=out[rows])  # each block straight into out
+    diff = None  # frees the block buffer
     if not np.all(np.isfinite(out)):
         raise EvaluationError("residual sum evaluation lost finiteness")
     return out.reshape(pts.shape)
@@ -588,7 +600,7 @@ def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
             continue
         # the integrand is returned, so this side's grid is evaluated densely,
         # and its lambda_tau values hold the side constant
-        g = grid.take(np.arange(lo, hi))
+        g = grid[lo:hi] if isinstance(grid, np.ndarray) else grid.side(tau)
         integrand = _lebesgue_values(basis.map(g), basis)
         side_constants.append(float(integrand.max()))
         for mu in heavier:  # c is an exact 1.0 for one cut

@@ -4,6 +4,12 @@ A curve with more than four samples per pixel column of the plot, and with
 nondecreasing x, is drawn through each column's first, last, lowest and
 highest sample, in x order (M4; Jugel et al., VLDB 2014): the polyline
 covers the same pixels with a few vertices per column.
+
+The writer makes two passes over the series and holds one series' arrays at
+a time: the first takes the y-range of each series' plotted values, the
+second draws the curves one after another, each from its mask, its pixel
+coordinates and the vertices it keeps.  Besides x and the caller's series,
+memory is O(one curve's samples).
 """
 
 from __future__ import annotations
@@ -48,26 +54,56 @@ def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
     return np.arange(first, hi + step / 2, step)
 
 
+def _plotted(ys, logy: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of a series' plotted samples (finite, and positive on a log
+    axis) and their values (log10 on a log axis)."""
+    mask = np.isfinite(ys)
+    if logy:
+        mask &= ys > 0
+    return mask, np.log10(ys[mask]) if logy else ys[mask]
+
+
+def _vertices(xs, ys, logy: bool, px, py) -> np.ndarray:
+    """The pixel vertices of one curve as (x, y) rows: every plotted sample,
+    or the column envelope of a long curve with nondecreasing x.  Each
+    coordinate array replaces the one it is made from."""
+    mask, y = _plotted(ys, logy)
+    x = xs[mask]
+    del mask
+    envelope = x.size > 4 * _COLUMNS and (x[1:] >= x[:-1]).all()
+    x = px(x)
+    y = py(y)
+    if envelope:
+        keep = _column_envelope(np.minimum(x - _ML, _COLUMNS - 1).astype(np.intp), y)
+        x, y = x[keep], y[keep]
+    return np.column_stack([x, y])
+
+
 def write_line_svg(path, x, series, *, xlabel: str = "x", ylabel: str = "",
                    title: str = "", logy: bool = False) -> None:
     """Write a line plot of (label, y-array) series against a shared x-array.
 
-    Long curves with nondecreasing x are reduced to their column envelope
-    (module docstring).  The title, labels and axis names are escaped as XML
-    text.
+    x must be finite and every y-array must have its shape; otherwise, or if
+    no series has a plotted sample, ValueError is raised before the file is
+    opened.  Long curves with nondecreasing x are reduced to their column
+    envelope (module docstring).  The title, labels and axis names are
+    escaped as XML text.
     """
     xs = np.asarray(x, dtype=float)
-    prepared = []
+    if not np.isfinite(xs).all():
+        raise ValueError("x values must be finite")
+    series = tuple(series)  # read twice
+    ylo, yhi = np.inf, -np.inf
     for label, ys in series:
         ys = np.asarray(ys, dtype=float)
-        mask = np.isfinite(ys) & (ys > 0 if logy else np.isfinite(ys))
-        if np.any(mask):
-            prepared.append((label, xs[mask], np.log10(ys[mask]) if logy else ys[mask]))
-    if not prepared:
+        if ys.shape != xs.shape:
+            raise ValueError(f"series {label!r} has shape {ys.shape}; x has {xs.shape}")
+        _, sy = _plotted(ys, logy)
+        if sy.size:
+            ylo, yhi = min(ylo, float(sy.min())), max(yhi, float(sy.max()))
+    if ylo > yhi:
         raise ValueError("nothing to plot")
     xlo, xhi = float(xs.min()), float(xs.max())
-    ylo = min(float(ys.min()) for _, _, ys in prepared)
-    yhi = max(float(ys.max()) for _, _, ys in prepared)
     if xhi == xlo:
         xhi = xlo + 1.0
     if yhi == ylo:
@@ -109,14 +145,15 @@ def write_line_svg(path, x, series, *, xlabel: str = "x", ylabel: str = "",
             emit(f'<line x1="{_ML - 5}" y1="{yp:.2f}" x2="{_ML}" y2="{yp:.2f}" '
                  'stroke="black"/>')
             emit(f'<text x="{_ML - 8}" y="{yp + 4:.2f}" text-anchor="end">{lab}</text>')
-        # curves: pixel coordinates as arrays, formatted _CHUNK points per
-        # format string, so a long curve never exists as one list of strings
-        for k, (label, sx, sy) in enumerate(prepared):
+        # curves, one at a time: pixel vertices as an array, formatted _CHUNK
+        # points per format string, so a long curve never exists as one list
+        # of strings
+        k = 0
+        for label, ys in series:
+            xy = _vertices(xs, np.asarray(ys, dtype=float), logy, px, py)
+            if not xy.size:
+                continue
             color = _PALETTE[k % len(_PALETTE)]
-            xy = np.column_stack([px(sx), py(sy)])
-            if sx.size > 4 * _COLUMNS and (sx[1:] >= sx[:-1]).all():
-                col = np.minimum(xy[:, 0] - _ML, _COLUMNS - 1).astype(np.intp)
-                xy = xy[_column_envelope(col, xy[:, 1])]
             fh.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      'points="')
             for lo in range(0, len(xy), _CHUNK):
@@ -129,6 +166,7 @@ def write_line_svg(path, x, series, *, xlabel: str = "x", ylabel: str = "",
                  f'x2="{_W - _MR - 95}" y2="{ly - 4}" stroke="{color}" '
                  'stroke-width="1.5"/>')
             emit(f'<text x="{_W - _MR - 90}" y="{ly}">{escape(label, quote=False)}</text>')
+            k += 1
         if title:
             emit(f'<text x="{(_ML + _W - _MR) / 2}" y="{_MT - 10}" '
                  f'text-anchor="middle">{escape(title, quote=False)}</text>')

@@ -79,3 +79,45 @@ def test_pass_s_claims_are_also_judged_on_raw_walls(tmp_path):
     bench_compare.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
                         "--claim", "sweep_highdeg:peak_mb"])
     assert "raw" not in json.loads(out.read_text())["claim"]
+
+
+def test_each_metric_is_judged_against_its_bound(tmp_path, capsys):
+    bench_compare = _load_script()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(10):
+        # figures: a tight parent, and a change 10% up on every metric: worse
+        # beyond peak_mb's bound of 0.05, within the timing bounds of 0.25,
+        # and better where higher is better
+        _write_run(parent, "figures", seed, 1.0)
+        _write_run(change, "figures", seed, 1.1)
+        # interp_stream: a parent whose quartiles span more than any bound,
+        # and a change with the same runs in the opposite seed order
+        _write_run(parent, "interp_stream", seed, 1.0 + 0.5 * seed)
+        _write_run(change, "interp_stream", seed, 5.5 - 0.5 * seed)
+        # interp_build: as spread, but every change run beats every parent run
+        _write_run(parent, "interp_build", seed, 10.0 + 0.1 * seed)
+        _write_run(change, "interp_build", seed, 1.0 + 0.1 * seed)
+    out = tmp_path / "BENCH_test.json"
+    assert bench_compare.main(["--parent", str(parent), "--change", str(change),
+                               "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    verdicts = {w: {name: m["verdict"] for name, m in entry["metrics"].items()}
+                for w, entry in doc["workloads"].items()}
+    for m in METRICS:
+        lower = m["better"] == "lower"
+        assert verdicts["figures"][m["name"]] == (
+            "regressed" if lower and m["bound"] < 0.1 else "ok"), m["name"]
+        # equal medians, and a parent quartile distance of 2.25 at a median
+        # of 3.25, beyond every bound
+        assert verdicts["interp_stream"][m["name"]] == "unresolved", m["name"]
+        # the change is far better where lower is better, and far worse
+        # (0.9 of 10.45) where higher is
+        assert verdicts["interp_build"][m["name"]] == ("ok" if lower else "regressed")
+        assert doc["workloads"]["figures"]["metrics"][m["name"]]["bound"] == m["bound"]
+    assert doc["regressed"] == (
+        [f"figures:{m['name']}" for m in METRICS if m["better"] == "lower" and m["bound"] < 0.1]
+        + [f"interp_build:{m['name']}" for m in METRICS if m["better"] == "higher"])
+    assert doc["unresolved"] == [f"interp_stream:{m['name']}" for m in METRICS]
+    printed = capsys.readouterr().out
+    assert f"regressed: {', '.join(doc['regressed'])}" in printed
+    assert f"unresolved: {', '.join(doc['unresolved'])}" in printed

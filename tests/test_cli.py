@@ -391,6 +391,13 @@ def test_empty_grid_exits_2(tmp_path, capsys, argv):
         assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("grid", ["2.5", "abc"])
+def test_lebesgue_grid_is_auto_or_a_whole_count(tmp_path, capsys, grid):
+    assert main(["lebesgue", "--n", "5", "--grid", grid, "--out-dir", str(tmp_path)]) == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, message", [
     (["nodes", "--n", "5", "--interval", "1,2,3"], "interval must be 'a,b'"),
     (["map", "--map", "kte", "--interval", "1,2,3"], "interval must be 'a,b'"),

@@ -1,6 +1,7 @@
 """The blocked barycentric quotient kernel and the functions routed through it."""
 
 import tracemalloc
+import weakref
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from graspa import (
     method_chain,
     sgibbs_chain,
 )
-from graspa import interpolation
+from graspa import interpolation, stability
 from graspa.exceptions import EvaluationError
 from graspa.interpolation import _block_rows, _node_images
 
@@ -449,3 +450,35 @@ def test_block_loop_silences_its_body_alone():
             assert np.isinf(1.0 / d).all()
         with pytest.raises(RuntimeWarning, match="divide by zero"):
             1.0 / d
+
+
+@pytest.mark.parametrize("call", ["eval_interpolant", "lebesgue_function", "lagrange_matrix"])
+def test_block_buffer_is_freed_before_the_node_hit_search(monkeypatch, call):
+    # after the block loop, the caller's last block (a view of the buffer)
+    # must not keep the buffer alive while the node-hit search allocates
+    buffers, alive = [], []
+    real_blocks, real_hits = interpolation._blocks, interpolation._node_hits
+
+    def blocks(s, factor):
+        for rows, d in real_blocks(s, factor):
+            buffers.append(weakref.ref(d.base))
+            yield rows, d
+
+    def hits(s, basis, out):
+        alive.append(any(ref() is not None for ref in buffers))
+        return real_hits(s, basis, out)
+
+    for module in (interpolation, stability):
+        monkeypatch.setattr(module, "_blocks", blocks)
+        monkeypatch.setattr(module, "_node_hits", hits)
+    nodes = equispaced_nodes(20)
+    x = np.linspace(-1.0, 1.0, 2 * _block_rows(21) + 1)  # three blocks, nodes among them
+    if call == "eval_interpolant":
+        eval_interpolant(build_interpolant(nodes, f1(nodes.nodes)), x)
+        eval_interpolant(build_interpolant(nodes, f1(nodes.nodes)), x[:0])  # binds no block
+    elif call == "lebesgue_function":
+        lebesgue_function(nodes, None, x)
+        lebesgue_function(nodes, None, x[:0])
+    else:
+        lagrange_matrix(nodes, None, x)
+    assert buffers and alive and not any(alive)

@@ -126,6 +126,13 @@ def test_grid_is_the_sorted_union_of_sweeps_and_midpoints(cuts, a, b):
                                       grid.searchsorted(probes, side=side))
             assert np.array_equal(described.searchsorted(nodes, side="right"),
                                   grid.searchsorted(nodes, side="right"))
+            if narrow:
+                continue
+            # each closed subinterval, cut points included, as built on its own
+            starts = grid.searchsorted(bp[:-1], "left")
+            ends = grid.searchsorted(bp[1:], "right")
+            for i, (lo, hi) in enumerate(zip(starts, ends)):
+                assert described.side(i).tobytes() == grid[lo:hi].tobytes()
 
 
 def test_grid_spec_validation():

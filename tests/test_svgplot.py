@@ -2,6 +2,7 @@
 envelope of long curves, and its text escaping."""
 
 import re
+import tracemalloc
 from xml.etree import ElementTree
 
 import numpy as np
@@ -86,3 +87,34 @@ def test_text_is_escaped(tmp_path):
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     for text in ("a<b & c", "d>e", "x & y", "<lambda>", "r&d<1>"):
         assert text in texts
+
+
+@pytest.mark.parametrize("x, series", [
+    ([0.0, np.nan, 1.0], [("y", [1.0, 2.0, 3.0])]),
+    ([0.0, np.inf, 1.0], [("y", [1.0, 2.0, 3.0])]),
+    ([0.0, 0.5, -np.inf], [("y", [1.0, 2.0, 3.0])]),
+    ([0.0, 0.5, 1.0], [("y", [1.0, 2.0, 3.0]), ("z", [1.0, 2.0])]),
+    ([0.0, 0.5, 1.0], [("y", [1.0, 2.0, 3.0, 4.0])]),
+], ids=["nan-x", "inf-x", "minus-inf-x", "short-series", "long-series"])
+def test_refused_plots_write_no_file(tmp_path, x, series):
+    with pytest.raises(ValueError, match="x values must be finite|has shape"):
+        write_line_svg(tmp_path / "p.svg", x, series)
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_is_one_curves_worth(tmp_path):
+    # the writer holds one curve's arrays at a time, so six curves peak
+    # about where one does
+    x = np.linspace(-1.0, 1.0, 20000)
+    rng = np.random.default_rng(3)
+    ys = [np.exp(rng.normal(0.0, 2.0, x.size)) for _ in range(6)]
+    peaks = []
+    for count in (1, 6):
+        tracemalloc.start()
+        try:
+            write_line_svg(tmp_path / "p.svg", x, [(str(k), y) for k, y in enumerate(ys[:count])],
+                           logy=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]

@@ -12,7 +12,10 @@ OUT_DIR receives:
   once on the default grid and once (suffix ``_array``) on that grid's
   points as an array from ``lebesgue_grid``;
 - passes.txt: the SHA-256 of each operation's outputs in one interp_stream
-  pass and one interp_build pass, on a fixed seed.
+  pass and one interp_build pass, on a fixed seed;
+- cli/: the CSVs of the command-line calls in ``CLI_CALLS`` (the README's
+  examples other than ``experiment``, and bgcheb nodes), one subdirectory
+  per call, since each command writes a fixed file name.
 The cases come from ``perfbench/workloads.py``, and graspa is imported from
 this checkout's ``src/``.  Run the script in two checkouts and compare the
 two directories with ``diff -r``: an empty diff means every output kept its
@@ -37,6 +40,14 @@ import graspa.cli  # noqa: E402
 import workloads  # noqa: E402
 
 SEED = 1
+CLI_CALLS = {
+    "nodes_graspa": "nodes --n 23 --kind equispaced --map graspa --cuts 0 --kappa 10000",
+    "map_mkte": "map --map mkte --cuts 0 --grid 200",
+    "interp_graspa": "interp --function f1 --method graspa --n 23 --grid 332",
+    "lebesgue_classical": "lebesgue --method classical --n 10",
+    "lagmatrix_graspa": "lagmatrix --n 51 --grid 100 --method graspa --cuts 0",
+    "nodes_bgcheb": "nodes --n 8 --kind bgcheb --beta 0.1 --gamma 0.2",
+}
 
 
 def _quiet_main(argv) -> None:
@@ -66,6 +77,11 @@ def sweeps(out: Path) -> None:
             cfg.write_text(json.dumps({"function": function, "methods": [method],
                                        "n": [n]}))
             _quiet_main(["experiment", str(cfg), "--out-dir", str(out)])
+
+
+def cli_calls(out: Path) -> None:
+    for name, call in CLI_CALLS.items():
+        _quiet_main(call.split() + ["--out-dir", str(out / name)])
 
 
 def limits() -> list:
@@ -109,6 +125,7 @@ def main(argv) -> int:
         (out / sub).mkdir(parents=True, exist_ok=True)
     figures(out / "figures")
     sweeps(out / "sweep")
+    cli_calls(out / "cli")
     (out / "limits.txt").write_text("\n".join(limits()) + "\n")
     with tempfile.TemporaryDirectory() as workdir:
         (out / "passes.txt").write_text("\n".join(passes(Path(workdir))) + "\n")

@@ -27,11 +27,10 @@ from .domain import Interval, PiecewiseDomain, bg_chebyshev_nodes, equispaced_no
     partition_nodes
 from .exceptions import EvaluationError
 from .experiments import DEFAULT_KAPPA, FIGURE_IDS, FLOAT_FORMAT, FUNCTIONS, METHODS, \
-    ExperimentConfig, FigureOutput, build_figure, matrix_table, method_chain, \
-    run_comparison, sweep_table
+    ExperimentConfig, FigureOutput, _chain_name, build_figure, matrix_table, \
+    method_chain, run_comparison, sweep_table
 from .interpolation import build_interpolant
-from .maps import _ALPHA_CHAINS, _CUTLESS_CHAINS, _SHIFTLESS_CHAINS, CHAIN_NAMES, \
-    named_chain
+from .maps import _CHAINS, CHAIN_NAMES, named_chain
 from .stability import lebesgue_constant
 from .svgplot import write_line_svg
 
@@ -92,19 +91,55 @@ def _grid_spec(text: str):
             f"needs 'auto' or a whole point count, got {text!r}") from None
 
 
-def _parse_interval(text: str) -> Interval:
-    parts = [float(tok) for tok in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"interval must be 'a,b', got {text!r}")
-    return Interval(parts[0], parts[1])
+def _cut_points(text: str) -> tuple:
+    """A --cuts argument: a comma list of numbers; the empty string has none."""
+    try:
+        return tuple(float(tok) for tok in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"needs a comma list of numbers, got {text!r}") from None
+
+
+def _interval(text: str) -> Interval:
+    """An --interval argument: 'a,b' with finite numbers a < b."""
+    ends = _cut_points(text)
+    try:
+        if len(ends) != 2:
+            raise ValueError(f"interval must be 'a,b', got {text!r}")
+        return Interval(*ends)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# the parameter flags, each at the default of every subcommand that takes it
+_DEFAULTS = {"alpha": 1.0, "kappa": DEFAULT_KAPPA, "cuts": None, "n": None,
+             "beta": 0.0, "gamma": 0.0, "interval": Interval(-1.0, 1.0)}
+# what each command and node family reads beside its chain
+_READS = {"nodes": ("n",), "map": ("interval",), "interp": ("n",),
+          "lebesgue": ("n", "cuts", "interval"), "lagmatrix": ("n", "interval"),
+          "equispaced": ("interval",), "bgcheb": ("beta", "gamma")}
+
+
+def _refuse_unread(args) -> None:
+    """Refuse a flag set away from its default that neither the chain (--map or
+    --method), the node family (--kind) nor the command reads."""
+    given = [(key, getattr(args, key)) for key in ("kind", "map", "method")
+             if getattr(args, key, None)]
+    reads = _READS.get(args.command, ())
+    for key, name in given:
+        reads += _READS[name] if key == "kind" else _CHAINS[_chain_name(name)][0]
+    for flag, default in _DEFAULTS.items():
+        if flag not in reads and getattr(args, flag, default) != default:
+            call = " ".join(f"--{key} {name}" for key, name in given)
+            raise ValueError(f"--{flag} does not apply to {args.command} {call}: "
+                             "nothing in that call reads it")
 
 
 def _domain(args, default_cuts=()) -> PiecewiseDomain:
     """--interval ([-1, 1] where the command has none) cut at --cuts, or at
     default_cuts when --cuts is not given."""
-    cuts = default_cuts if args.cuts is None else tuple(
-        float(tok) for tok in args.cuts.split(",") if tok.strip())
-    return PiecewiseDomain(_parse_interval(getattr(args, "interval", "-1,1")), cuts)
+    return PiecewiseDomain(getattr(args, "interval", _DEFAULTS["interval"]),
+                           default_cuts if args.cuts is None else args.cuts)
 
 
 def _balance_gate(nodes, domain: PiecewiseDomain, strict: bool) -> None:
@@ -121,54 +156,25 @@ def _balance_gate(nodes, domain: PiecewiseDomain, strict: bool) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _map_chain(args, domain: PiecewiseDomain):
-    """The --map chain; an --alpha, --cuts or --kappa the chain would ignore
-    is an error."""
-    if args.alpha != 1.0 and args.map not in _ALPHA_CHAINS:
-        raise ValueError(f"--alpha applies only to {' and '.join(_ALPHA_CHAINS)}; "
-                         f"the {args.map} chain does not take it (GRASPA fixes "
-                         "alpha = 1)")
-    if domain.cuts and args.map in _CUTLESS_CHAINS:
-        raise ValueError(f"--cuts does not apply to {' and '.join(_CUTLESS_CHAINS)}; "
-                         f"the {args.map} chain never reads the cuts")
-    if args.kappa != DEFAULT_KAPPA and args.map in _SHIFTLESS_CHAINS:
-        raise ValueError(f"--kappa does not apply to {', '.join(_SHIFTLESS_CHAINS)}; "
-                         f"the {args.map} chain has no shift")
-    return named_chain(args.map, domain, args.kappa, args.alpha, args.n)
-
-
 def _method_setup(args, domain: PiecewiseDomain):
-    """Equispaced nodes on the domain and the --method chain.  A mapped method
-    passes the balance gate first; classical, with no shift and no cuts,
-    refuses --kappa, and --cuts except on lebesgue, whose grid splits there."""
+    """Equispaced nodes on the domain and the --method chain; a mapped method
+    passes the balance gate first."""
     nodes = equispaced_nodes(args.n, domain.interval)
     if args.method != "classical":
         _balance_gate(nodes, domain, args.strict)
-    elif args.kappa != DEFAULT_KAPPA:
-        raise ValueError("--kappa does not apply to classical; it has no shift")
-    elif args.cuts is not None and args.command != "lebesgue":
-        raise ValueError("--cuts does not apply to classical; it never reads the cuts")
     return nodes, method_chain(args.method, domain, args.kappa, args.n)
 
 
 def _cmd_nodes(args) -> int:
-    interval = _parse_interval(args.interval)
     if args.kind == "equispaced":
-        for flag, value in (("--beta", args.beta), ("--gamma", args.gamma)):
-            if value != 0.0:
-                raise ValueError(f"{flag} applies only to bgcheb nodes; "
-                                 "equispaced nodes do not take it")
-        nodes = equispaced_nodes(args.n, interval)
+        nodes = equispaced_nodes(args.n, args.interval)
     else:
-        if interval != Interval(-1.0, 1.0):
-            raise ValueError("--interval applies only to equispaced nodes; "
-                             "bgcheb nodes lie on [-1, 1]")
         nodes = bg_chebyshev_nodes(args.n, args.beta, args.gamma)
     header = ["node"]
     cols = [nodes.nodes]
     if args.map:
         domain = _domain(args)
-        chain = _map_chain(args, domain)
+        chain = named_chain(args.map, domain, args.kappa, args.alpha, args.n)
         _balance_gate(nodes, domain, args.strict)
         header.append("mapped")
         cols.append(np.asarray(chain(nodes.nodes)))
@@ -179,7 +185,7 @@ def _cmd_nodes(args) -> int:
 
 def _cmd_map(args) -> int:
     domain = _domain(args)
-    chain = _map_chain(args, domain)
+    chain = named_chain(args.map, domain, args.kappa, args.alpha, args.n)
     grid = np.linspace(domain.interval.a, domain.interval.b, args.grid)
     rows = np.column_stack([grid, chain(grid)])
     _write_figure_outputs(args, (FigureOutput("map", ("x", "mapped"), rows),))
@@ -242,14 +248,14 @@ def _add_domain(p, *, interval=True, cuts_help=None):
     """The domain options: --interval (where the command takes one), --cuts
     and the shift --kappa."""
     if interval:
-        p.add_argument("--interval", default="-1,1")
-    p.add_argument("--cuts", default=None, help=cuts_help)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+        p.add_argument("--interval", type=_interval, default=_DEFAULTS["interval"])
+    p.add_argument("--cuts", type=_cut_points, default=None, help=cuts_help)
+    p.add_argument("--kappa", type=float, default=_DEFAULTS["kappa"])
 
 
 def _add_map(p, *, required: bool):
     p.add_argument("--map", choices=CHAIN_NAMES, required=required, default=None)
-    p.add_argument("--alpha", type=float, default=1.0,
+    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"],
                    help="stretch parameter of kte and mkte")
 
 
@@ -273,8 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nodes", help="generate a node family, optionally mapped")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("equispaced", "bgcheb"), default="equispaced")
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--beta", type=float, default=_DEFAULTS["beta"])
+    p.add_argument("--gamma", type=float, default=_DEFAULTS["gamma"])
     _add_map(p, required=False)
     _add_domain(p)
     _add_common(p, _cmd_nodes)
@@ -282,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="sample a named map on a uniform grid")
     _add_map(p, required=True)
     _add_domain(p)
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=int, default=_DEFAULTS["n"],
                    help="degree (needed by graspa+vn)")
     p.add_argument("--grid", type=_point_count, default=100)
     _add_common(p, _cmd_map)
@@ -327,6 +333,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _refuse_unread(args)
         return args.func(args)
     except EvaluationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

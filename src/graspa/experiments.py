@@ -92,6 +92,11 @@ def rmae(interp, truth_samples, grid) -> float:
     return float(np.max(np.abs(truth - interp(g))) / denom)
 
 
+def _chain_name(method: str) -> str:
+    """The ``CHAIN_NAMES`` entry of a method: classical is the identity."""
+    return "identity" if method == "classical" else method
+
+
 def method_chain(method: str, domain: PiecewiseDomain, kappa: float,
                  n: int | None = None) -> MapChain:
     """Map chain for a named comparison method.
@@ -102,8 +107,7 @@ def method_chain(method: str, domain: PiecewiseDomain, kappa: float,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return named_chain("identity" if method == "classical" else method, domain, kappa,
-                       n=n)
+    return named_chain(_chain_name(method), domain, kappa, n=n)
 
 
 def _vector(value, what: str) -> tuple:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .domain import _node_array
 from .exceptions import EvaluationError, NodeCollisionError
-from .maps import MapChain
+from .maps import MapChain, _unwrap
 
 __all__ = [
     "Interpolant",
@@ -87,11 +87,12 @@ def _differences(s, factor, out=None) -> np.ndarray:
     return np.matmul(left, factor, out=out)
 
 
-def _row_products(diff) -> tuple[np.ndarray, np.ndarray | None]:
-    """Row products of a block of differences as (p, e), product = p * 2**e.
+def _row_products(diff) -> tuple[np.ndarray, np.ndarray]:
+    """Row products of a block of differences as (p, e), product = p * 2**e,
+    e an int64 array.
 
     Where every row's plain product is a normal float, or an exact zero from
-    a zero entry, p is that product and e is None.  Otherwise every row is
+    a zero entry, p is that product and e is 0.  Otherwise every row is
     taken with exponent tracking: the ``np.frexp`` mantissas are multiplied
     ``_FREXP_BLOCK`` columns at a time, the running product renormalised
     after each block so that no partial product leaves the normal range, and
@@ -101,11 +102,9 @@ def _row_products(diff) -> tuple[np.ndarray, np.ndarray | None]:
     """
     prod = diff.prod(axis=1)  # inside the block loop, overflow passes silently
     size = np.abs(prod)
-    if size.min() >= _TINY and size.max() <= _HUGE:
-        return prod, None
-    off = np.flatnonzero(~((size >= _TINY) & (size <= _HUGE)))
-    if (diff[off] == 0).any(axis=1).all():  # exact zeros only
-        return prod, None
+    normal = (size >= _TINY) & (size <= _HUGE)
+    if normal.all() or (diff[~normal] == 0).any(axis=1).all():
+        return prod, np.zeros(prod.size, np.int64)
     mant, exp = np.frexp(diff)
     total = exp.sum(axis=1, dtype=np.int64)
     prod = np.ones(diff.shape[0])
@@ -126,11 +125,9 @@ def _capacity_weights(s, factor) -> tuple[np.ndarray, int | None]:
     prod = np.concatenate([p for p, _ in blocks])
     if not prod.all():  # a zero product has a zero factor: a repeated point
         raise NodeCollisionError("points must be distinct")
-    if all(e is None for _, e in blocks):
+    if not any(e.any() for _, e in blocks):  # tracked rows off the range have e != 0
         return 1.0 / prod, None
-    # a block that kept its plain products has exponents 0
-    exp = np.concatenate([np.zeros(p.size, np.int64) if e is None else e
-                          for p, e in blocks])
+    exp = np.concatenate([e for _, e in blocks])
     mant, w_exp = np.frexp(1.0 / prod)
     w_exp = w_exp - exp
     top = int(w_exp.max())
@@ -240,11 +237,6 @@ def mapped_basis(nodes, chain: MapChain | None = None) -> MappedBasis:
     return MappedBasis(x, s, w, chain, order, factor)
 
 
-def _shaped(out: np.ndarray, x):
-    """Per-point results in the shape of x; a scalar x gives a float."""
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
-
-
 def _block_rows(n: int) -> int:
     """Evaluation points per block of the block loop, for n nodes."""
     return max(1, _BLOCK_BYTES // (8 * max(n, 1)))
@@ -302,7 +294,7 @@ def _first_form(s, interp: Interpolant) -> np.ndarray:
     for rows, prod, exp, diff in _nodal_products(
             np.append(interp.mapped_nodes[0], s), interp.node_factor, 1.0, own=1):
         mant, e = np.frexp(prod)
-        e = e if exp is None else e + exp
+        e = e + exp
         if rows.start == 0:  # node 0's row comes first
             c_mant, c_exp = mant[0] * c_mant, e[0] + c_exp
         num_mant, num_e = np.frexp(np.reciprocal(diff, out=diff) @ interp.columns[:, 0])
@@ -358,7 +350,7 @@ def eval_interpolant(interp: Interpolant, x):
         out[misses] = _first_form(s[misses], interp)
         if not np.isfinite(out[misses]).all():
             raise EvaluationError("barycentric evaluation lost finiteness")
-    return _shaped(out, x)
+    return _unwrap(x, out)
 
 
 def vandermonde_coefficients(nodes, values, chain: MapChain | None = None) -> np.ndarray:

@@ -325,23 +325,19 @@ def map_from_dict(data: dict):
     return VnMap(data["n"], dom)
 
 
-# name -> atoms(domain, kappa, alpha, n); GRASPA itself is defined at alpha = 1
+# name -> (the parameters its atoms read, atoms(domain, kappa, alpha, n))
 _CHAINS = {
-    "identity": lambda dom, kappa, alpha, n: (),
-    "kte": lambda dom, kappa, alpha, n: (KteMap(alpha),),
-    "mkte": lambda dom, kappa, alpha, n: (MkteMap(alpha, dom),),
-    "sgibbs": lambda dom, kappa, alpha, n: (SGibbsMap(kappa, dom),),
-    "graspa": lambda dom, kappa, alpha, n: (MkteMap(1.0, dom), SGibbsMap(kappa, dom)),
-    "graspa+vn": lambda dom, kappa, alpha, n: (VnMap(n, dom), MkteMap(1.0, dom),
-                                               SGibbsMap(kappa, dom)),
+    "identity": ((), lambda dom, kappa, alpha, n: ()),
+    "kte": (("alpha",), lambda dom, kappa, alpha, n: (KteMap(alpha),)),
+    "mkte": (("alpha", "cuts"), lambda dom, kappa, alpha, n: (MkteMap(alpha, dom),)),
+    "sgibbs": (("cuts", "kappa"), lambda dom, kappa, alpha, n: (SGibbsMap(kappa, dom),)),
+    "graspa": (("cuts", "kappa"),
+               lambda dom, kappa, alpha, n: (MkteMap(1.0, dom), SGibbsMap(kappa, dom))),
+    "graspa+vn": (("cuts", "kappa", "n"),
+                  lambda dom, kappa, alpha, n: (VnMap(n, dom), MkteMap(1.0, dom),
+                                                SGibbsMap(kappa, dom))),
 }
 CHAIN_NAMES = tuple(_CHAINS)
-# the chains whose stretch takes alpha; the others do not read it
-_ALPHA_CHAINS = ("kte", "mkte")
-# the chains that never read the domain's cuts
-_CUTLESS_CHAINS = ("identity", "kte")
-# the chains without the S-Gibbs shift; they never read kappa
-_SHIFTLESS_CHAINS = ("identity", "kte", "mkte")
 
 
 def named_chain(name: str, domain: PiecewiseDomain, kappa: float, alpha: float = 1.0,
@@ -355,9 +351,10 @@ def named_chain(name: str, domain: PiecewiseDomain, kappa: float, alpha: float =
     """
     if name not in CHAIN_NAMES:
         raise ValueError(f"unknown map {name!r}; expected one of {CHAIN_NAMES}")
-    if name == "graspa+vn" and n is None:
-        raise ValueError("graspa+vn requires the degree n")
-    return MapChain(_CHAINS[name](domain, kappa, alpha, n))
+    reads, atoms = _CHAINS[name]
+    if "n" in reads and n is None:
+        raise ValueError(f"{name} requires the degree n")
+    return MapChain(atoms(domain, kappa, alpha, n))
 
 
 def sgibbs_chain(kappa: float, domain: PiecewiseDomain) -> MapChain:

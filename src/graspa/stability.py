@@ -65,8 +65,8 @@ import numpy as np
 from .domain import NodePartition, PiecewiseDomain, _integer, _node_array
 from .exceptions import EvaluationError, PredictionUnavailableError
 from .interpolation import (MappedBasis, _blocks, _capacity_weights, _nodal_products,
-                            _node_factor, _node_hits, _shaped, mapped_basis)
-from .maps import MapChain
+                            _node_factor, _node_hits, mapped_basis)
+from .maps import MapChain, _unwrap
 
 __all__ = [
     "StabilityReport",
@@ -120,7 +120,7 @@ def lebesgue_function(nodes, chain: MapChain | None, x):
     The result has the shape of x (a float for scalar x).
     """
     basis = mapped_basis(nodes, chain)
-    return _shaped(_lebesgue_values(basis.map(x), basis), x)
+    return _unwrap(x, _lebesgue_values(basis.map(x), basis))
 
 
 def _lebesgue_values(s, basis: MappedBasis, den=None) -> np.ndarray:
@@ -541,13 +541,11 @@ def even_split_residual_sum(left_nodes, right_nodes, x) -> np.ndarray:
     if not (np.isfinite(x2).all() and np.isfinite(pts).all()):
         raise ValueError("right nodes and points must be finite")
     w, k = _capacity_weights(_node_array(x1), _node_factor(x1))
-    k = 0 if k is None else k  # None: every row kept its plain product
     w_sum = np.abs(w).sum()
     out = np.empty(pts.size)
     for rows, omega, omega_exp, diff in _nodal_products(pts.ravel(), _node_factor(x2),
                                                         (x1.max() - x1.min()) / 4.0):
-        np.ldexp(np.abs(omega) * w_sum, k if omega_exp is None else omega_exp + k,
-                 out=out[rows])  # each block straight into out
+        np.ldexp(np.abs(omega) * w_sum, omega_exp + (k or 0), out=out[rows])
     diff = None  # frees the block buffer
     if not np.all(np.isfinite(out)):
         raise EvaluationError("residual sum evaluation lost finiteness")

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from graspa.cli import _CSV_BLOCK_VALUES, _write_figure_outputs, main
-from graspa.experiments import FigureOutput
+from graspa import CHAIN_NAMES
+from graspa.experiments import METHODS, FigureOutput
 
 GOLDEN_EQUISPACED_N10 = 29.899955440644437
 
@@ -405,8 +406,76 @@ def test_lebesgue_grid_is_auto_or_a_whole_count(tmp_path, capsys, grid):
     (["lagmatrix", "--n", "5", "--interval", "1,2,3"], "interval must be 'a,b'"),
     (["nodes", "--n", "5", "--interval=-1,inf"], "endpoints must be finite"),
     (["nodes", "--n", "5", "--map", "sgibbs", "--cuts", "nan"], "cut points must be finite"),
+    (["map", "--map", "mkte", "--cuts", "x"], "--cuts"),
+    (["map", "--map", "mkte", "--cuts", "0,,0.5"], "--cuts"),
+    (["nodes", "--n", "5", "--interval", "a,b"], "--interval"),
 ])
 def test_malformed_domain_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# what each chain, node family and command reads of the flags below
+CHAIN_READS = {None: (), "identity": (), "kte": ("alpha",), "mkte": ("alpha", "cuts"),
+               "sgibbs": ("cuts", "kappa"), "graspa": ("cuts", "kappa"),
+               "graspa+vn": ("cuts", "kappa", "n")}
+FAMILY_READS = {"equispaced": ("interval",), "bgcheb": ("beta", "gamma")}
+COMMAND_READS = {"nodes": ("n",), "map": ("interval",), "interp": ("n",),
+                 "lebesgue": ("n", "cuts", "interval"), "lagmatrix": ("n", "interval")}
+# values away from the default for each flag (an empty cut list is set too),
+# which a reader accepts; the node correction reads the cuts and the interval
+# too, and refuses a domain other than [-1, 1] cut at 0
+FLAG_VALUES = {"alpha": ("--alpha=0.5",), "kappa": ("--kappa=5",),
+               "cuts": ("--cuts=0", "--cuts="), "n": ("--n=8",), "beta": ("--beta=0.1",),
+               "gamma": ("--gamma=0.1",), "interval": ("--interval=-1,0.5",)}
+VN_REFUSES = ("--cuts=", "--interval=-1,0.5")
+
+
+def _unread_flag_cases():
+    """(argv, flags, reads) over subcommand x chain, method or node kind: the
+    flags the subcommand takes and those the call reads.  graspa+vn comes
+    with the cut at 0 and the degree it needs."""
+    def vn(chain, *degree):
+        return ["--cuts=0", *degree] if chain == "graspa+vn" else []
+
+    for kind in FAMILY_READS:
+        for chain in CHAIN_READS:
+            base = ["nodes", "--n", "8", "--kind", kind] + vn(chain)
+            base += ["--map", chain] if chain else []
+            reads = CHAIN_READS[chain] + FAMILY_READS[kind] + COMMAND_READS["nodes"]
+            yield base, tuple(FLAG_VALUES), reads
+    for chain in CHAIN_NAMES:
+        base = ["map", "--map", chain] + vn(chain, "--n=8")
+        flags = ("alpha", "kappa", "cuts", "n", "interval")
+        yield base, flags, CHAIN_READS[chain] + COMMAND_READS["map"]
+    for command in ("interp", "lebesgue", "lagmatrix"):
+        flags = ("kappa", "cuts", "n") + (("interval",) if command != "interp" else ())
+        for method in METHODS:
+            chain = "identity" if method == "classical" else method
+            base = [command, "--n", "8", "--method", method] + vn(chain)
+            yield base, flags, CHAIN_READS[chain] + COMMAND_READS[command]
+
+
+def test_every_unread_flag_is_refused(tmp_path, capsys):
+    # one rule: a flag set away from its default that neither the chain, the
+    # node family nor the command reads exits 2, names the flag and writes
+    # nothing; a flag that one of them reads is taken
+    cases = 0
+    for base, flags, reads in _unread_flag_cases():
+        for flag in flags:
+            for value in FLAG_VALUES[flag]:
+                out = tmp_path / str(cases)
+                argv = base + [value, "--out-dir", str(out)]
+                code = main(argv)
+                err = capsys.readouterr().err
+                if flag not in reads:
+                    assert code == 2, argv
+                    assert f"--{flag}" in err, argv
+                    assert not out.exists(), argv
+                elif "graspa+vn" in base and value in VN_REFUSES:
+                    assert code == 2 and "node correction" in err, argv
+                else:
+                    assert code == 0, (argv, err)
+                cases += 1
+    assert cases == 204

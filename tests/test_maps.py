@@ -34,7 +34,7 @@ from graspa import (
     sgibbs_chain,
     vn_correction,
 )
-from graspa.maps import _ALPHA_CHAINS, _SHIFTLESS_CHAINS
+from graspa.maps import _CHAINS
 
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
 DOM3 = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
@@ -405,22 +405,36 @@ def test_named_chain_table():
 
 
 def test_only_the_alpha_chains_read_alpha():
-    # the CLI refuses --alpha != 1 outside _ALPHA_CHAINS, so the table and
-    # the list must agree
-    assert set(_ALPHA_CHAINS) <= set(CHAIN_NAMES)
+    # the CLI refuses --alpha != 1 where the chain does not list alpha, so the
+    # table's list and its atoms must agree
     for name in CHAIN_NAMES:
         moved = (named_chain(name, DOM1, 1e4, alpha=0.5, n=8)
                  != named_chain(name, DOM1, 1e4, alpha=1.0, n=8))
-        assert moved == (name in _ALPHA_CHAINS), name
+        assert moved == ("alpha" in _CHAINS[name][0]), name
 
 
 def test_only_the_shifting_chains_read_kappa():
-    # the CLI refuses --kappa outside the shifting chains, so the table and
-    # the list must agree
-    assert set(_SHIFTLESS_CHAINS) <= set(CHAIN_NAMES)
+    # the CLI refuses --kappa where the chain does not list kappa, so the
+    # table's list and its atoms must agree
     for name in CHAIN_NAMES:
         moved = named_chain(name, DOM1, 5.0, n=8) != named_chain(name, DOM1, 1e4, n=8)
-        assert moved == (name not in _SHIFTLESS_CHAINS), name
+        assert moved == ("kappa" in _CHAINS[name][0]), name
+
+
+def test_only_the_listed_chains_read_cuts_and_n():
+    # likewise for --cuts and --n; a chain that refuses a domain or a degree
+    # reads it too
+    def build(name, domain, n):
+        try:
+            return named_chain(name, domain, 1e4, n=n)
+        except ValueError as exc:
+            return str(exc)
+
+    for name in CHAIN_NAMES:
+        reads = _CHAINS[name][0]
+        assert set(reads) <= {"alpha", "cuts", "kappa", "n"}, name
+        assert (build(name, DOM1, 8) != build(name, DOM3, 8)) == ("cuts" in reads), name
+        assert (build(name, DOM1, 8) != build(name, DOM1, None)) == ("n" in reads), name
 
 
 def test_vn_degree_must_be_an_integer():

@@ -14,8 +14,9 @@ OUT_DIR receives:
 - passes.txt: the SHA-256 of each operation's outputs in one interp_stream
   pass and one interp_build pass, on a fixed seed;
 - cli/: the CSVs of the command-line calls in ``CLI_CALLS`` (the README's
-  examples other than ``experiment``, and bgcheb nodes), one subdirectory
-  per call, since each command writes a fixed file name.
+  examples other than ``experiment``, bgcheb nodes, and the KTE stretch of
+  a grid and of nodes), one subdirectory per call, since each command
+  writes a fixed file name.
 The cases come from ``perfbench/workloads.py``, and graspa is imported from
 this checkout's ``src/``.  Run the script in two checkouts and compare the
 two directories with ``diff -r``: an empty diff means every output kept its
@@ -47,6 +48,8 @@ CLI_CALLS = {
     "lebesgue_classical": "lebesgue --method classical --n 10",
     "lagmatrix_graspa": "lagmatrix --n 51 --grid 100 --method graspa --cuts 0",
     "nodes_bgcheb": "nodes --n 8 --kind bgcheb --beta 0.1 --gamma 0.2",
+    "map_kte": "map --map kte --alpha 0.5 --grid 200",
+    "nodes_kte": "nodes --n 12 --map kte --alpha 0.7",
 }
 
 

@@ -7,17 +7,19 @@ piecewise conjugation (MKTE), and a node-correction map for the even
 equispaced split.  The full GRASPA map is the shift composed with MKTE.
 
 Each map is defined once, by its atom class, which checks its parameters
-when built; :func:`kte`, :func:`sgibbs`, :func:`mkte` and
-:func:`vn_correction` build the atom and call it.  A :class:`MapChain` is
-plain data (a tuple of atoms applied left-to-right, empty for the identity)
-so that experiment configurations can be serialized and logged; every atom
-is injective on its declared domain.  :func:`named_chain` is the one table
-from a map name (``CHAIN_NAMES``) to its atoms; the GRASPA helpers and the
-experiment methods are views of it.
+when built, and applied by one code path, :class:`MapChain`: an atom called
+alone, as by :func:`kte`, :func:`sgibbs`, :func:`mkte` and
+:func:`vn_correction`, runs its one-atom chain.  So no map call returns inf
+or NaN: a non-finite point raises ValueError, a non-finite image of finite
+points EvaluationError.  A chain is plain data (a tuple of atoms applied
+left-to-right, empty for the identity) so that experiment configurations can
+be serialized and logged; every atom is injective on its declared domain.
+:func:`named_chain` is the one table from a map name (``CHAIN_NAMES``) to
+its atoms; the GRASPA helpers and the experiment methods are views of it.
 
-A chain maps m points in place: its first piecewise atom writes the images
-into one new array of m floats, and every later one overwrites it, reading
-each point before it writes the point's image.  The caller's array is never
+A chain maps m points in place: its first atom writes the images into one
+new array of m floats, and every later one overwrites it, reading each
+point before it writes the point's image.  The caller's array is never
 written.  Beside the result, a call holds the subinterval index (m integers),
 at most one per-point scratch array of floats and a few masks of m bytes, so
 the GRASPA chain peaks at about 3.4 * 8m bytes (the S-Gibbs shift alone at
@@ -67,18 +69,23 @@ def _unwrap(x, out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
+def _finite_points(x) -> np.ndarray:
+    xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("points must be finite")
+    return xs
+
+
 def affine_to_reference(x, sub: int, domain: PiecewiseDomain):
     """F_sub: subinterval sub -> [-1, 1], sending its endpoints to -1 and 1."""
     lo, hi = domain.subinterval_bounds(sub)
-    xs = np.asarray(x, dtype=float)
-    return _unwrap(x, 2.0 * (xs - lo) / (hi - lo) - 1.0)
+    return _unwrap(x, 2.0 * (_finite_points(x) - lo) / (hi - lo) - 1.0)
 
 
 def affine_from_reference(u, sub: int, domain: PiecewiseDomain):
     """G_sub, the inverse of :func:`affine_to_reference`."""
     lo, hi = domain.subinterval_bounds(sub)
-    us = np.asarray(u, dtype=float)
-    return _unwrap(u, lo + (hi - lo) * (us + 1.0) / 2.0)
+    return _unwrap(u, lo + (hi - lo) * (_finite_points(u) + 1.0) / 2.0)
 
 
 def kte(alpha: float, x):
@@ -120,21 +127,32 @@ def vn_correction(n: int, domain: PiecewiseDomain, x):
     return VnMap(n, domain)(x)
 
 
+class _Atom:
+    """A map that :class:`MapChain` applies: ``_apply(xs, idx, out)`` writes the
+    images of the 1-D points xs into out and returns it; out may be xs, so an
+    atom reads each point before its image.  idx is the subinterval index of xs
+    in the atom's ``domain``, for the atoms that have one (all but KTE)."""
+
+    keeps_subinterval = False  # True where every image stays in its point's subinterval
+
+    def __call__(self, x):
+        return MapChain((self,))(x)
+
+
 @dataclass(frozen=True)
-class KteMap:
+class KteMap(_Atom):
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
-    def __call__(self, x):
-        xs = np.asarray(x, dtype=float).ravel()
-        # outside [-1, 1] the sine folds back and the map stops being
-        # injective; NaN passes, for a chain's finiteness check to report
+    def _apply(self, xs, idx, out):
+        # idx is unused.  Outside [-1, 1] the sine folds back and the map stops
+        # being injective; NaN passes, for the chain's finiteness rule to report
         if (xs < -1.0).any() or (xs > 1.0).any():
             raise ValueError("point outside the domain")
-        return _unwrap(x, self._stretch(xs, np.empty_like(xs)))
+        return self._stretch(xs, out)
 
     def _stretch(self, xs, out):
         """sin(alpha pi xs / 2) / sin(alpha pi / 2) of the 1-D xs, written into
@@ -149,21 +167,8 @@ class KteMap:
         return {"kind": "kte", "alpha": self.alpha}
 
 
-class _Piecewise:
-    """An atom on ``domain``.  ``_apply(xs, idx, out)`` writes the images of the
-    1-D points xs, whose subinterval index is idx, into out and returns it; out
-    may be xs itself, so an atom reads each point before it writes its image."""
-
-    keeps_subinterval = False  # True where every image stays in its point's subinterval
-
-    def __call__(self, x):
-        xs = np.asarray(x, dtype=float).ravel()
-        out = self._apply(xs, self.domain.subinterval_index(xs), np.empty_like(xs))
-        return _unwrap(x, out)
-
-
 @dataclass(frozen=True)
-class SGibbsMap(_Piecewise):
+class SGibbsMap(_Atom):
     kappa: float
     domain: PiecewiseDomain
 
@@ -186,7 +191,7 @@ class SGibbsMap(_Piecewise):
 
 
 @dataclass(frozen=True)
-class MkteMap(_Piecewise):
+class MkteMap(_Atom):
     alpha: float
     domain: PiecewiseDomain
     keeps_subinterval = True
@@ -236,7 +241,7 @@ class MkteMap(_Piecewise):
 
 
 @dataclass(frozen=True)
-class VnMap(_Piecewise):
+class VnMap(_Atom):
     n: int
     domain: PiecewiseDomain
     keeps_subinterval = True  # the right side maps (0, 1] into itself
@@ -274,31 +279,36 @@ class VnMap(_Piecewise):
 class MapChain:
     """Composition of atomic maps, applied left-to-right; empty = identity.
 
-    The subinterval index is handed on past the atoms that keep every point
-    in its subinterval (MKTE, the node correction), so a GRASPA chain computes
-    it once per call.  Any other map (KTE, or any callable on a 1-D array of
-    points) may stand in the chain too; after it, the index is recomputed, and
-    the next atom writes into a new array, since the callable's result may be
-    the caller's array.  The result has the shape of x (a float for scalar x).
+    The one applier of the atoms (an atom called alone runs its one-atom
+    chain).  The subinterval index is computed for the atoms that read a
+    partition and handed on past those that keep every point in its
+    subinterval (MKTE, the node correction), so a GRASPA chain computes it
+    once per call.  Any callable on a 1-D array of points may stand in the
+    chain too; after it, the index is recomputed, and the next atom writes
+    into a new array, since the callable's result may be the caller's array.
+    The result has the shape of x (a float for scalar x).  A non-finite image
+    raises ValueError("points must be finite") if a point is non-finite (the
+    atoms refuse +-inf first, as outside their domain), else EvaluationError.
     """
 
     maps: tuple = ()
 
     def __call__(self, x):
-        out = np.asarray(x, dtype=float).ravel()
+        points = out = np.asarray(x, dtype=float).ravel()
         own = False  # whether out is the chain's own array, which atoms overwrite
         idx = domain = None  # the subinterval index of out in domain, while valid
         for m in self.maps:
-            if not isinstance(m, _Piecewise):
+            if not isinstance(m, _Atom):
                 out, own, idx = np.asarray(m(out), dtype=float).ravel(), False, None
                 continue
-            if idx is None or m.domain != domain:
+            if hasattr(m, "domain") and (idx is None or m.domain != domain):
                 idx, domain = m.domain.subinterval_index(out), m.domain
             out = m._apply(out, idx, out if own else np.empty_like(out))
             own = True
             if not m.keeps_subinterval:
                 idx = None
         if not np.isfinite(out).all():
+            _finite_points(points)  # the caller's points, which no atom writes
             raise EvaluationError("map chain produced non-finite values")
         return _unwrap(x, out)
 

@@ -79,14 +79,14 @@ def _vertices(xs, ys, logy: bool, px, py) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def write_line_svg(path, x, series, *, xlabel: str = "x", ylabel: str = "",
-                   title: str = "", logy: bool = False) -> None:
+def write_line_svg(path, x, series, *, xlabel: str = "x", title: str = "",
+                   logy: bool = False) -> None:
     """Write a line plot of (label, y-array) series against a shared x-array.
 
     x must be finite and every y-array must have its shape; otherwise, or if
     no series has a plotted sample, ValueError is raised before the file is
     opened.  Long curves with nondecreasing x are reduced to their column
-    envelope (module docstring).  The title, labels and axis names are
+    envelope (module docstring).  The title, labels and x-axis name are
     escaped as XML text.
     """
     xs = np.asarray(x, dtype=float)
@@ -172,8 +172,4 @@ def write_line_svg(path, x, series, *, xlabel: str = "x", ylabel: str = "",
                  f'text-anchor="middle">{escape(title, quote=False)}</text>')
         emit(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 10}" '
              f'text-anchor="middle">{escape(xlabel, quote=False)}</text>')
-        if ylabel:
-            emit(f'<text x="15" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
-                 f'transform="rotate(-90 15 {(_MT + _H - _MB) / 2})">'
-                 f'{escape(ylabel, quote=False)}{" (log10)" if logy else ""}</text>')
         emit("</svg>")

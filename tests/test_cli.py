@@ -152,7 +152,7 @@ def test_experiment_rejects_bad_target(tmp_path):
     for text in ('{"function": "f1", "unknown_key": 1}', '{"n": 5}', '{"cuts": 0.0}',
                  '{"kappa": null}', '{"n": [5.7]}', '{"n": [true]}', '[]',
                  '{"methods": "graspa"}', '{"rmae_grid": null}', '{"n": [1, [2]]}',
-                 '{"kappa": "inf"}', '{"kappa": Infinity}'):
+                 '{"kappa": "inf"}', '{"kappa": Infinity}', '{"n": [5'):
         bad.write_text(text)
         assert main(["experiment", str(bad), "--out-dir", str(tmp_path)]) == 2, text
         assert not (tmp_path / "bad.csv").exists()

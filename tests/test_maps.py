@@ -462,8 +462,9 @@ def test_kte_refuses_points_outside_its_domain():
             kte(1.0, x)
         with pytest.raises(ValueError, match="outside the domain"):
             named_chain("kte", DOM1, 1e4)(x)
-    assert np.isnan(kte(1.0, np.nan))
-    with pytest.raises(EvaluationError):
+    with pytest.raises(ValueError, match="points must be finite"):
+        kte(1.0, np.nan)
+    with pytest.raises(ValueError, match="points must be finite"):
         named_chain("kte", DOM1, 1e4)(np.array([0.0, np.nan]))
     # MKTE clips the reference coordinate itself, on any interval
     dom = PiecewiseDomain(Interval(0.0, 3.0), (1.0,))
@@ -499,3 +500,79 @@ def test_every_named_chain_roundtrips_through_json():
             assert json.dumps(again.to_dict()) == text
             x = np.linspace(-1, 1, 17)
             assert again(x).tobytes() == chain(x).tobytes()
+
+
+# Every public map entry, as f(kappa, points) on f2's cuts (DOM3) or, for the
+# node correction, on its one domain; kappa is read by the shifting entries.
+MAP_ENTRIES = {
+    "KteMap": lambda kappa, x: KteMap(0.5)(x),
+    "SGibbsMap": lambda kappa, x: SGibbsMap(kappa, DOM3)(x),
+    "MkteMap": lambda kappa, x: MkteMap(0.5, DOM3)(x),
+    "VnMap": lambda kappa, x: VnMap(8, DOM1)(x),
+    "kte": lambda kappa, x: kte(0.5, x),
+    "sgibbs": lambda kappa, x: sgibbs(kappa, DOM3, x),
+    "mkte": lambda kappa, x: mkte(0.5, DOM3, x),
+    "vn_correction": lambda kappa, x: vn_correction(8, DOM1, x),
+    "graspa_map": lambda kappa, x: graspa_map(kappa, DOM3, x),
+    "MapChain()": lambda kappa, x: MapChain()(x),
+    **{f"named_chain:{name}": (lambda kappa, x, name=name: named_chain(
+        name, DOM1 if name == "graspa+vn" else DOM3, kappa, 0.5, n=8)(x))
+       for name in CHAIN_NAMES},
+}
+# the entries that shift by (tau - 1) kappa on DOM3, where 3e308 is past the float range
+SHIFTING = {"SGibbsMap", "sgibbs", "graspa_map", "named_chain:sgibbs", "named_chain:graspa"}
+
+
+@pytest.mark.parametrize("entry", MAP_ENTRIES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_map_entry_refuses_a_non_finite_point(entry, bad):
+    # NaN is "points must be finite"; an atom refuses +-inf before that, as a
+    # point outside its domain
+    match = "points must be finite" if np.isnan(bad) or entry == "MapChain()" else None
+    for x in (bad, [0.3, bad], np.array([[bad], [0.3]])):
+        with pytest.raises(ValueError, match=match):
+            MAP_ENTRIES[entry](1e4, x)
+
+
+@pytest.mark.parametrize("entry", MAP_ENTRIES)
+def test_every_map_entry_reports_an_image_past_the_float_range(entry):
+    if entry not in SHIFTING:
+        assert np.isfinite(MAP_ENTRIES[entry](1e308, [0.9, -1.0, 1.0])).all()
+        return
+    with pytest.raises(EvaluationError, match="non-finite"):
+        MAP_ENTRIES[entry](1e308, [-0.3, 0.9])
+    assert MAP_ENTRIES[entry](1e308, -0.3) < np.inf  # finite where no shift overflows
+
+
+@pytest.mark.parametrize("entry", MAP_ENTRIES)
+def test_every_map_entry_runs_the_chain_once(monkeypatch, entry):
+    calls = []
+    chain_call = vars(MapChain)["__call__"]
+
+    def counting(self, x):
+        calls.append(self)
+        return chain_call(self, x)
+
+    monkeypatch.setattr(MapChain, "__call__", counting)
+    MAP_ENTRIES[entry](1e4, np.linspace(-1.0, 1.0, 9))
+    assert len(calls) == 1
+
+
+def test_kte_in_a_chain_keeps_the_bits_of_its_formula():
+    x = np.linspace(-1.0, 1.0, 101)
+    half = 0.7 * np.pi / 2.0
+    expected = np.sin(x * half) / np.sin(half)
+    for images in (kte(0.7, x), KteMap(0.7)(x), MapChain((KteMap(0.7),))(x)):
+        assert images.tobytes() == expected.tobytes()
+    # after an in-place atom, the stretch overwrites the chain's own array
+    pre = MkteMap(0.5, DOM3)(x)
+    chained = MapChain((MkteMap(0.5, DOM3), KteMap(0.7)))(x)
+    assert chained.tobytes() == (np.sin(pre * half) / np.sin(half)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_affine_helpers_refuse_non_finite_points(bad):
+    for helper in (affine_to_reference, affine_from_reference):
+        for x in (bad, [0.0, bad]):
+            with pytest.raises(ValueError, match="points must be finite"):
+                helper(x, 2, DOM3)

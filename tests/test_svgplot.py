@@ -81,8 +81,9 @@ def test_unsorted_long_curves_are_drawn_whole(tmp_path):
 
 def test_text_is_escaped(tmp_path):
     x = np.linspace(0.0, 1.0, 5)
-    write_line_svg(tmp_path / "p.svg", x, [("a<b & c", x), ("d>e", x + 1.0)],
-                   xlabel="x & y", ylabel="<lambda>", title="r&d<1>")
+    write_line_svg(tmp_path / "p.svg", x,
+                   [("a<b & c", x), ("d>e", x + 1.0), ("<lambda>", x + 2.0)],
+                   xlabel="x & y", title="r&d<1>")
     root = ElementTree.parse(tmp_path / "p.svg").getroot()
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     for text in ("a<b & c", "d>e", "x & y", "<lambda>", "r&d<1>"):

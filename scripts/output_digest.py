@@ -16,7 +16,13 @@ OUT_DIR receives:
 - cli/: the CSVs of the command-line calls in ``CLI_CALLS`` (the README's
   examples other than ``experiment``, bgcheb nodes, and the KTE stretch of
   a grid and of nodes), one subdirectory per call, since each command
-  writes a fixed file name.
+  writes a fixed file name;
+- lebesgue_points.txt: the number of points passed to the Lebesgue
+  evaluator ``graspa.stability._lebesgue_values`` by each figure id, each
+  sweep case and each limit case on both grids, counted by wrapping that
+  module attribute.  This file measures work, not output: a change to the
+  Lebesgue search may change it with every output kept, and shows its work
+  beside its bits in the same diff.
 The cases come from ``perfbench/workloads.py``, and graspa is imported from
 this checkout's ``src/``.  Run the script in two checkouts and compare the
 two directories with ``diff -r``: an empty diff means every output kept its
@@ -68,18 +74,42 @@ def _sha(*arrays) -> str:
     return digest.hexdigest()
 
 
-def figures(out: Path) -> None:
+class _PointCount:
+    """Stands in for ``graspa.stability._lebesgue_values`` and counts the
+    points passed to it, per label in ``lines``."""
+
+    def __init__(self):
+        self.evaluate = graspa.stability._lebesgue_values
+        self.points = 0
+        self.lines = []
+        graspa.stability._lebesgue_values = self
+
+    def __call__(self, s, basis, den=None):
+        self.points += s.size
+        return self.evaluate(s, basis, den)
+
+    @contextlib.contextmanager
+    def label(self, name: str):
+        before = self.points
+        yield
+        self.lines.append(f"{name} {self.points - before}")
+
+
+def figures(out: Path, work: _PointCount) -> None:
     for fig_id in graspa.experiments.FIGURE_IDS:
-        _quiet_main(["experiment", fig_id, "--svg", "--out-dir", str(out)])
+        with work.label(fig_id):
+            _quiet_main(["experiment", fig_id, "--svg", "--out-dir", str(out)])
 
 
-def sweeps(out: Path) -> None:
+def sweeps(out: Path, work: _PointCount) -> None:
     with tempfile.TemporaryDirectory() as configs:
         for function, method, n in workloads.SWEEP_CASES:
-            cfg = Path(configs) / f"{workloads.case_name(function, method, n)}.json"
+            name = workloads.case_name(function, method, n)
+            cfg = Path(configs) / f"{name}.json"
             cfg.write_text(json.dumps({"function": function, "methods": [method],
                                        "n": [n]}))
-            _quiet_main(["experiment", str(cfg), "--out-dir", str(out)])
+            with work.label(name):
+                _quiet_main(["experiment", str(cfg), "--out-dir", str(out)])
 
 
 def cli_calls(out: Path) -> None:
@@ -87,7 +117,7 @@ def cli_calls(out: Path) -> None:
         _quiet_main(call.split() + ["--out-dir", str(out / name)])
 
 
-def limits() -> list:
+def limits(work: _PointCount) -> list:
     lines = []
     for function, n in workloads.LIMIT_CASES:
         dom = graspa.PiecewiseDomain(graspa.Interval(-1.0, 1.0),
@@ -95,12 +125,13 @@ def limits() -> list:
         nodes = graspa.equispaced_nodes(n)
         part = graspa.partition_nodes(nodes, dom)
         for suffix, spec in (("", "auto"), ("_array", graspa.lebesgue_grid(dom, nodes))):
-            q = graspa.limit_lebesgue_prediction(part, dom, spec)
+            name = f"limit_{function}_{n}{suffix}"
+            with work.label(name):
+                q = graspa.limit_lebesgue_prediction(part, dom, spec)
             floats = [q.predicted, *q.side_constants]
             floats += [] if q.r_max is None else [q.r_max]
             samples = "none" if q.r_samples is None else _sha(q.r_samples)
-            lines.append(f"limit_{function}_{n}{suffix} {q.case} "
-                         f"{' '.join(map(float.hex, floats))} {samples}")
+            lines.append(f"{name} {q.case} {' '.join(map(float.hex, floats))} {samples}")
     return lines
 
 
@@ -126,10 +157,12 @@ def main(argv) -> int:
     out = Path(argv[0])
     for sub in ("figures", "sweep"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    figures(out / "figures")
-    sweeps(out / "sweep")
+    work = _PointCount()
+    figures(out / "figures", work)
+    sweeps(out / "sweep", work)
     cli_calls(out / "cli")
-    (out / "limits.txt").write_text("\n".join(limits()) + "\n")
+    (out / "limits.txt").write_text("\n".join(limits(work)) + "\n")
+    (out / "lebesgue_points.txt").write_text("\n".join(work.lines) + "\n")
     with tempfile.TemporaryDirectory() as workdir:
         (out / "passes.txt").write_text("\n".join(passes(Path(workdir))) + "\n")
     return 0

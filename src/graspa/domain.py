@@ -32,8 +32,8 @@ class Interval:
     b: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "a", _number(self.a, "an interval endpoint"))
+        object.__setattr__(self, "b", _number(self.b, "an interval endpoint"))
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
             raise ValueError("interval endpoints must be finite")
         if not self.a < self.b:
@@ -58,7 +58,7 @@ class PiecewiseDomain:
     cuts: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        cuts = tuple(float(c) for c in self.cuts)
+        cuts = tuple(_number(c, "a cut point") for c in self.cuts)
         object.__setattr__(self, "cuts", cuts)
         if any(not np.isfinite(c) for c in cuts):
             raise ValueError("cut points must be finite")
@@ -105,8 +105,19 @@ class PiecewiseDomain:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseDomain":
-        a, b = data["interval"]
+        a, b = _descriptor(data, "a domain descriptor", "interval")["interval"]
         return cls(Interval(a, b), tuple(data.get("cuts", ())))
+
+
+def _descriptor(data, what: str, *keys) -> dict:
+    """The JSON object data, refused with a ValueError naming ``what`` unless
+    it is an object that holds every one of keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {data!r:.60}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} has no {key!r}")
+    return data
 
 
 def _number(value, what: str) -> float:
@@ -213,8 +224,8 @@ def bg_chebyshev_nodes(n: int, beta: float, gamma: float) -> NodeSet:
     n = _integer(n, "the degree")
     if n < 1:
         raise ValueError("need n >= 1")
-    beta = float(beta)
-    gamma = float(gamma)
+    beta = _number(beta, "beta")
+    gamma = _number(gamma, "gamma")
     if beta < 0 or gamma < 0:
         raise ValueError("beta and gamma must be nonnegative")
     if beta + gamma >= 2:
@@ -224,16 +235,23 @@ def bg_chebyshev_nodes(n: int, beta: float, gamma: float) -> NodeSet:
     return NodeSet(np.cos(theta)[::-1], kind="bg-chebyshev")
 
 
-def partition_nodes(nodes: NodeSet, domain: PiecewiseDomain) -> NodePartition:
+def _nodes_inside(nodes, domain: PiecewiseDomain) -> np.ndarray:
+    """:func:`_node_array` of the nodes, refused unless all lie in the domain."""
+    xs = _node_array(nodes)
+    if xs.min() < domain.interval.a or xs.max() > domain.interval.b:
+        raise ValueError("nodes must lie inside the domain")
+    return xs
+
+
+def partition_nodes(nodes, domain: PiecewiseDomain) -> NodePartition:
     """Assign each node to its subinterval (nodes on a cut go left).
 
-    The balance flag records whether all per-subinterval counts differ by at
+    The nodes are a NodeSet or raw nodes; each part keeps their order.  The
+    balance flag records whether all per-subinterval counts differ by at
     most one, the regime in which the large-shift Lebesgue constant stays
     bounded.
     """
-    xs = nodes.nodes
-    if xs[0] < domain.interval.a or xs[-1] > domain.interval.b:
-        raise ValueError("nodes must lie inside the domain")
+    xs = _nodes_inside(nodes, domain)
     idx = domain.subinterval_index(xs)
     parts = tuple(
         _frozen(xs[idx == tau].copy()) for tau in range(1, domain.n_subintervals + 1)

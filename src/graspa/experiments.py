@@ -21,7 +21,7 @@ import numpy as np
 from .domain import Interval, PiecewiseDomain, _integer, _number, equispaced_nodes
 from .exceptions import EvaluationError, NodeCollisionError
 from .interpolation import _interpolant, build_interpolant, mapped_basis
-from .maps import MapChain, _check_kappa, named_chain
+from .maps import MapChain, _kappa, named_chain
 from .stability import (_cell_search_max, _constant_grid, lebesgue_function,
                         lebesgue_grid, lagrange_matrix)
 
@@ -149,8 +149,7 @@ class ExperimentConfig:
         if any(n < 1 for n in n_values):
             raise ValueError("all degrees must be >= 1")
         object.__setattr__(self, "n_values", n_values)
-        object.__setattr__(self, "kappa", _number(self.kappa, "kappa"))
-        _check_kappa(self.kappa)
+        object.__setattr__(self, "kappa", _kappa(self.kappa))
         object.__setattr__(self, "methods", _vector(self.methods, "methods"))
         if not self.methods:
             raise ValueError("need at least one method")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Interval, PiecewiseDomain, _integer
+from .domain import Interval, PiecewiseDomain, _descriptor, _integer, _number
 from .exceptions import EvaluationError
 
 __all__ = [
@@ -58,9 +58,13 @@ __all__ = [
 ]
 
 
-def _check_kappa(kappa: float) -> None:
+def _kappa(value) -> float:
+    """A shift kappa as a float, read by :func:`domain._number`; it must be
+    positive and finite."""
+    kappa = _number(value, "kappa")
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    return kappa
 
 
 def _unwrap(x, out: np.ndarray):
@@ -144,8 +148,10 @@ class KteMap(_Atom):
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        alpha = _number(self.alpha, "alpha")
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
     def _apply(self, xs, idx, out):
         # idx is unused.  Outside [-1, 1] the sine folds back and the map stops
@@ -173,7 +179,7 @@ class SGibbsMap(_Atom):
     domain: PiecewiseDomain
 
     def __post_init__(self) -> None:
-        _check_kappa(self.kappa)
+        object.__setattr__(self, "kappa", _kappa(self.kappa))
         # a shift past the float range is inf, which the chain reports as an
         # EvaluationError; no overflow warning comes first
         with np.errstate(over="ignore"):
@@ -197,7 +203,8 @@ class MkteMap(_Atom):
     keeps_subinterval = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_kte", KteMap(self.alpha))  # checks alpha
+        object.__setattr__(self, "_kte", KteMap(self.alpha))  # reads and checks alpha
+        object.__setattr__(self, "alpha", self._kte.alpha)
         # the ends lo, hi of subinterval tau at index tau (entry 0 is unused),
         # its width and the float just inside its open left end
         hi = np.array(self.domain.breakpoints)
@@ -317,21 +324,29 @@ class MapChain:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MapChain":
-        return cls(tuple(map_from_dict(d) for d in data["maps"]))
+        maps = _descriptor(data, "a map chain descriptor", "maps")["maps"]
+        return cls(tuple(map_from_dict(d) for d in maps))
+
+
+# map kind -> the keys its descriptor must hold beside "kind"
+_REQUIRED = {"kte": (), "sgibbs": ("domain", "kappa"), "mkte": ("domain",),
+             "vn": ("domain", "n")}
 
 
 def map_from_dict(data: dict):
-    """Rebuild an atomic map from its JSON descriptor."""
-    kind = data["kind"]
-    if kind == "kte":
-        return KteMap(float(data.get("alpha", 1.0)))
-    if kind not in ("sgibbs", "mkte", "vn"):
+    """Rebuild an atomic map from its JSON descriptor; a malformed one raises
+    ValueError."""
+    kind = _descriptor(data, "a map descriptor", "kind")["kind"]
+    if not (isinstance(kind, str) and kind in _REQUIRED):
         raise ValueError(f"unknown map kind {kind!r}")
+    _descriptor(data, f"the {kind} map descriptor", *_REQUIRED[kind])
+    if kind == "kte":
+        return KteMap(data.get("alpha", 1.0))
     dom = PiecewiseDomain.from_dict(data["domain"])
     if kind == "sgibbs":
-        return SGibbsMap(float(data["kappa"]), dom)
+        return SGibbsMap(data["kappa"], dom)
     if kind == "mkte":
-        return MkteMap(float(data.get("alpha", 1.0)), dom)
+        return MkteMap(data.get("alpha", 1.0), dom)
     return VnMap(data["n"], dom)
 
 

@@ -10,14 +10,18 @@ value depends on the order of the node list or on the block size.
 consecutive nodes the Lebesgue function has exactly one local maximum
 (Brutman, J. Inequal. Appl. 1997), and every named chain is increasing, so the
 grid splits at the nodes into cells on which the function is unimodal.  A
-coarse pass takes every k-th point of each cell, k = ceil(sqrt(2 * largest
-cell)), and a fine pass the k points either side of each coarse point within
-rounding error of its cell's best.  The fine pass skips every gap between
-coarse points whose bound shows that no value in it reaches the largest
-coarse value: between two mapped nodes N(s) = sum_j |w_j| / |s - s_j| is
-convex and -log |sum_j w_j / (s - s_j)| concave, so the values at a gap's
-ends and at its outer neighbours bound lambda on it (:func:`_gap_bounds`).
-Every value it evaluates has the bits the dense grid gives it, so the two
+coarse pass takes every k-th point of each cell and its last point, k =
+ceil(sqrt(2 * largest cell)), and a fine pass the points inside each gap
+between consecutive coarse points of one cell that has a near end: one
+within rounding error eps of its cell's best coarse value.  Each computed
+value lies within eps of lambda, so the interval where lambda >= best - eps
+holds both the best coarse point and the computed maximum; every coarse
+point between them is near, so the computed maximum lies in a gap with a
+near end.  The fine pass skips every such gap whose bound shows that no
+value in it reaches the largest coarse value: between two mapped nodes
+N(s) = sum_j |w_j| / |s - s_j| is convex and -log |sum_j w_j / (s - s_j)|
+concave, so the values at a gap's ends and at its outer neighbours bound
+lambda on it (:func:`_gap_bounds`).  Every value it evaluates has the bits the dense grid gives it, so the two
 maxima are equal.  Its bookkeeping works only on the points it evaluates: one
 binary search per node bounds the cells, and the points of both passes are
 built cell by cell.  A grid given by a point count is never materialised for
@@ -30,8 +34,8 @@ form the cells, and every index stays a position in the whole grid, so the
 range is searched with no copy of its points.  Both passes
 evaluate one basis, through the evaluator that :func:`lebesgue_function`
 also wraps.  Where 16 (n+1) u (lambda + 1) reaches 1 (u the unit roundoff)
-the computed values are noise on both paths: the search then looks around
-the best coarse point alone, with no gap skipped, and may pick another grid
+the computed values are noise on both paths: the search then looks in the
+two gaps beside the best coarse point alone, with no gap skipped, and may pick another grid
 point than the dense sweep, or miss a dense sample that cancelled to a
 non-finite value.
 
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import NodePartition, PiecewiseDomain, _integer, _node_array
+from .domain import NodePartition, PiecewiseDomain, _integer, _node_array, _nodes_inside
 from .exceptions import EvaluationError, PredictionUnavailableError
 from .interpolation import (MappedBasis, _blocks, _capacity_weights, _nodal_products,
                             _node_factor, _node_hits, mapped_basis)
@@ -251,9 +255,7 @@ class _SweepGrid:
 def _search_grid(domain: PiecewiseDomain, nodes, grid_spec):
     """:func:`lebesgue_grid`'s grid: a :class:`_SweepGrid` for a point count,
     a sorted array for explicit points or sweeps too narrow for one."""
-    x = np.sort(_node_array(nodes))  # midpoints of neighbours on the line
-    if x[0] < domain.interval.a or x[-1] > domain.interval.b:  # midpoints join the grid
-        raise ValueError("nodes must lie inside the domain")
+    x = np.sort(_nodes_inside(nodes, domain))  # their midpoints join the grid
     if isinstance(grid_spec, str):
         if grid_spec != "auto":
             raise ValueError(f"unknown grid spec {grid_spec!r}")
@@ -339,21 +341,22 @@ def _cell_search_max(basis: MappedBasis, grid, lo=0, hi=None) -> float:
     consecutive mapped nodes, where the Lebesgue function is unimodal (a cell
     that spans a cut maps to both sides of the shift's jump, still in order).
     Stage 1 evaluates every k-th point of each cell and its last point, with
-    k = ceil(sqrt(2 * largest cell)); the cell's maximum then lies in a gap
-    between its best stage-1 point and a neighbour.  Rounding error eps can
-    make the computed values of a flat-topped cell rise and fall more than
-    once, so every stage-1 point within 4 eps of its cell's best gets the
-    window of k points either side: one of them lies within k points of the
-    computed maximum.  Where 4 eps reaches lambda itself no digit is right,
-    and only the dense grid would reproduce its noise; such a cell gets the
-    window of its best point alone.
+    k = ceil(sqrt(2 * largest cell)).  Rounding error eps can make the
+    computed values of a flat-topped cell rise and fall more than once, so
+    every stage-1 point within 4 eps of its cell's best computed value b is
+    near.  lambda is unimodal on the cell and each computed value lies within
+    eps of it, so the interval where lambda >= b - eps holds both the best
+    stage-1 point and the computed maximum; every stage-1 point between them
+    computes to at least b - 2 eps and is near, so the computed maximum lies
+    in a gap between consecutive stage-1 points with a near end.  Where 4 eps
+    reaches lambda itself no digit is right, and only the dense grid would
+    reproduce its noise; in such a cell only its best point is near.
 
-    Stage 2 evaluates these windows, less every gap between consecutive
-    stage-1 points whose bound (:func:`_gap_bounds`) proves that no computed
-    value in it reaches the largest stage-1 value, so the result has the
-    bits the windows give.  A gap without a valid bound (in a noise cell,
-    beside a node hit, or in a cell of fewer than three stage-1 points) is
-    kept.  Cell ends are always evaluated: each |w_j / (s - s_j)| is convex
+    Stage 2 evaluates the interior of every gap with a near end, less the
+    gaps whose bound (:func:`_gap_bounds`) proves that no computed value in
+    them reaches the largest stage-1 value, so the result has the bits the
+    gaps give.  A gap without a valid bound (in a noise cell, beside a node
+    hit, or in a cell of fewer than three stage-1 points) is kept.  Cell ends are always evaluated: each |w_j / (s - s_j)| is convex
     on a cell, so a term that overflows somewhere on it overflows at an end,
     and the dense grid's EvaluationError still fires.  If the nodes, sorted
     by image, do not increase (the chain does not increase on them), every
@@ -398,27 +401,17 @@ def _cell_search_max(basis: MappedBasis, grid, lo=0, hi=None) -> float:
     four_eps[four_eps >= best] = 0.0  # no correct digit: the best point alone
     near = lam >= (best - four_eps)[cell]
     top = lam.max()
-    # stage 2, gap e lying between stage-1 entries e and e + 1 of one cell:
-    # a near point's window is the gap on either side, and a cell's last
-    # point, nearer than k to its neighbour, reaches on into the gap before
-    gap_lo, gap_hi = first[:-1] + 1, first[1:] - 1
-    wanted = (cell[1:] == cell[:-1]) & (near[:-1] | near[1:])
-    end = (head + per_cell - 1)[per_cell >= 3]
-    end = end[near[end] & (first[end] - first[end - 1] < k)]
-    reach = end[~wanted[end - 2]] - 2
-    gap_lo[reach] = first[reach + 2] - k
-    wanted[reach] = True
+    # stage 2: gap e lies between stage-1 entries e and e + 1 of one cell
+    e = np.flatnonzero((cell[1:] == cell[:-1]) & (near[:-1] | near[1:]))
     # the cell's mapped nodes, -inf and inf past the first and last
     left = np.searchsorted(past, starts, side="right") - 1
     nodes = np.concatenate(([-np.inf], basis.mapped_nodes, [np.inf]))
-    e = np.flatnonzero(wanted)
     bounds = _gap_bounds(e, s, lam, den, cell, nodes[left + 1][cell[e]],
                          nodes[left + 2][cell[e]], x.size)
     e = e[~(bounds < top)]  # a NaN bound keeps its gap
-    del cell, first, s, lam, den, near, wanted
-    size = gap_hi[e] - gap_lo[e] + 1
-    second = np.repeat(gap_lo[e] - (np.cumsum(size) - size), size) + np.arange(size.sum())
-    del gap_lo, gap_hi, e, size
+    size = first[e + 1] - first[e] - 1  # each gap's interior
+    second = np.repeat(first[e] + 1 - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    del cell, first, s, lam, den, near, e, size
     found = _lebesgue_values(basis.map(grid.take(second)), basis)
     return float(max(top, found.max(initial=-np.inf)))
 

@@ -10,6 +10,7 @@ from graspa import (
     NodeSet,
     bg_chebyshev_nodes,
     equispaced_nodes,
+    lebesgue_grid,
     partition_nodes,
 )
 
@@ -191,6 +192,44 @@ def test_partition_rejects_outside_nodes():
     dom = PiecewiseDomain(Interval(-1, 1), (0.0,))
     with pytest.raises(ValueError):
         partition_nodes(NodeSet([-2.0, 0.0]), dom)
+
+
+DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
+
+
+# numbers are read as the configs read them: a number or a numeric string,
+# never a bool; raw nodes are taken as every other nodes argument takes them,
+# and need not be sorted, so the domain check looks at their least and largest
+@pytest.mark.parametrize("build, want", [
+    (lambda: Interval(True, 2), "an interval endpoint must be a number"),
+    (lambda: Interval(-1, False), "an interval endpoint must be a number"),
+    (lambda: Interval(None, 1), "an interval endpoint must be a number"),
+    (lambda: Interval("-1", np.int64(2)).a, -1.0),
+    (lambda: PiecewiseDomain(Interval(-1, 1), (True,)), "a cut point must be a number"),
+    (lambda: PiecewiseDomain(Interval(-1, 1), ("x",)), "a cut point must be a number"),
+    (lambda: PiecewiseDomain(Interval(-1, 1), ("0.25",)).cuts[0], 0.25),
+    (lambda: bg_chebyshev_nodes(5, True, 0), "beta must be a number"),
+    (lambda: bg_chebyshev_nodes(5, 0, None), "gamma must be a number"),
+    (lambda: bg_chebyshev_nodes(5, "0", np.float32(0)).nodes[-1], 1.0),
+    (lambda: partition_nodes(np.array([-1.0, 0.0, 1.0]), DOM1).parts[1][0], 1.0),
+    (lambda: partition_nodes([0.5, -1.0, 0.0, -0.5], DOM1).cardinalities, (3, 1)),
+    (lambda: partition_nodes([0.0, 1.5, -0.5], DOM1), "nodes must lie inside the domain"),
+    (lambda: partition_nodes([0.5, -1.5, 0.0], DOM1), "nodes must lie inside the domain"),
+    (lambda: partition_nodes([0.0, np.nan], DOM1), "nodes must be finite"),
+    (lambda: partition_nodes(np.zeros((2, 2)), DOM1), "nonempty 1-D"),
+    (lambda: lebesgue_grid(DOM1, [0.0, 1.5, -0.5]), "nodes must lie inside the domain"),
+    (lambda: lebesgue_grid(DOM1, [0.5, -1.5, 0.0]), "nodes must lie inside the domain"),
+], ids=["interval-bool", "interval-bool-b", "interval-none", "interval-numeric-string",
+        "cut-bool", "cut-word", "cut-numeric-string", "bgcheb-beta-bool", "bgcheb-gamma-none",
+        "bgcheb-numeric-string", "partition-raw-nodes", "partition-unsorted-raw-nodes",
+        "partition-raw-above", "partition-raw-below", "partition-raw-nan", "partition-raw-2d",
+        "grid-raw-above", "grid-raw-below"])
+def test_domain_numbers_and_raw_nodes(build, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            build()
+    else:
+        assert build() == want
 
 
 def test_domain_roundtrips_through_dict():

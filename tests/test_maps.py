@@ -383,6 +383,69 @@ def test_map_from_dict_rejects_unknown_kind():
             map_from_dict({"kind": kind})
 
 
+# atoms and descriptors read their numbers as the configs do: a number or a
+# numeric string is stored as a float, anything else is a ValueError, and a
+# descriptor that is not an object or lacks a key is a ValueError naming it
+_F2 = DOM3.to_dict()
+_TYPED_BUILDS = [
+    ("kte-numeric-string", lambda: KteMap("0.5"), ("alpha", 0.5)),
+    ("mkte-numeric-string", lambda: MkteMap("0.5", DOM1), ("alpha", 0.5)),
+    ("sgibbs-numeric-string", lambda: SGibbsMap("5", DOM1), ("kappa", 5.0)),
+    ("sgibbs-int", lambda: SGibbsMap(5, DOM1), ("kappa", 5.0)),
+    ("kte-from-dict-int", lambda: map_from_dict({"kind": "kte", "alpha": 1}), ("alpha", 1.0)),
+    ("named-sgibbs-string", lambda: named_chain("sgibbs", DOM1, "1e4").maps[0],
+     ("kappa", 1e4)),
+    ("kte-bool", lambda: KteMap(True), "alpha must be a number"),
+    ("mkte-bool", lambda: MkteMap(True, DOM1), "alpha must be a number"),
+    ("sgibbs-bool", lambda: SGibbsMap(True, DOM1), "kappa must be a number"),
+    ("kte-word", lambda: KteMap("half"), "alpha must be a number"),
+    ("sgibbs-none", lambda: SGibbsMap(None, DOM1), "kappa must be a number"),
+    ("named-kte-bool", lambda: named_chain("kte", DOM1, 1e4, True), "alpha must be a number"),
+    ("kte-from-dict-bool", lambda: map_from_dict({"kind": "kte", "alpha": True}),
+     "alpha must be a number"),
+    ("sgibbs-from-dict-bool",
+     lambda: map_from_dict({"kind": "sgibbs", "kappa": True, "domain": _F2}),
+     "kappa must be a number"),
+    ("descriptor-without-kind", lambda: map_from_dict({"alpha": 1}),
+     "a map descriptor has no 'kind'"),
+    ("descriptor-a-list", lambda: map_from_dict(["kte"]), "a map descriptor must be an object"),
+    ("descriptor-kind-a-list", lambda: map_from_dict({"kind": ["kte"]}), "unknown map kind"),
+    ("sgibbs-without-kappa", lambda: map_from_dict({"kind": "sgibbs", "domain": _F2}),
+     "the sgibbs map descriptor has no 'kappa'"),
+    ("mkte-without-domain", lambda: map_from_dict({"kind": "mkte"}),
+     "the mkte map descriptor has no 'domain'"),
+    ("vn-without-n", lambda: map_from_dict({"kind": "vn", "domain": DOM1.to_dict()}),
+     "the vn map descriptor has no 'n'"),
+    ("chain-without-maps", lambda: MapChain.from_dict({"atoms": []}),
+     "a map chain descriptor has no 'maps'"),
+    ("chain-a-list", lambda: MapChain.from_dict([]), "a map chain descriptor must be an object"),
+    ("chain-maps-an-object", lambda: MapChain.from_dict({"maps": {"kind": "kte"}}),
+     "a map descriptor must be an object"),
+    ("domain-without-interval", lambda: PiecewiseDomain.from_dict({"cuts": [0.0]}),
+     "a domain descriptor has no 'interval'"),
+    ("domain-a-string", lambda: PiecewiseDomain.from_dict("[-1, 1]"),
+     "a domain descriptor must be an object"),
+    ("sgibbs-descriptor-domain-without-interval",
+     lambda: map_from_dict({"kind": "sgibbs", "kappa": 1.0, "domain": {}}),
+     "a domain descriptor has no 'interval'"),
+]
+
+
+@pytest.mark.parametrize("build, want", [case[1:] for case in _TYPED_BUILDS],
+                         ids=[case[0] for case in _TYPED_BUILDS])
+def test_atoms_and_descriptors_read_typed_values(build, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            build()
+        return
+    atom = build()
+    field, value = want
+    stored = getattr(atom, field)
+    assert type(stored) is float and stored == value
+    assert type(atom.to_dict()[field]) is float
+    assert map_from_dict(json.loads(json.dumps(atom.to_dict()))) == atom
+
+
 def test_named_chain_table():
     assert CHAIN_NAMES == ("identity", "kte", "mkte", "sgibbs", "graspa", "graspa+vn")
     with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ from graspa import (
     partition_nodes,
     sgibbs_chain,
 )
-from graspa import interpolation, stability
+from graspa import experiments, interpolation, stability
 from graspa.exceptions import EvaluationError, PredictionUnavailableError
 
 DOM0 = PiecewiseDomain(Interval(-1, 1))
@@ -319,9 +319,9 @@ def _reference_gap_bounds(basis, grid, first, s):
 
 def _reference_search_points(basis, grid, mapped):
     """(stage-1, stage-2) grid indices by whole-grid bookkeeping: a cell index
-    per grid point, stage-1 flags, a +-1 window count over the grid and the
-    stage-1 point at or before each point, whose gap's bound decides whether
-    the point is pruned.  ``mapped`` maps grid points."""
+    per grid point, stage-1 flags, and the stage-1 point at or before each
+    point, which opens its gap.  A point is in stage 2 if its gap has a near
+    end and the gap's bound does not prune it.  ``mapped`` maps grid points."""
     x = basis.nodes
     cell = np.searchsorted(x, grid, side="left")
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
@@ -337,13 +337,12 @@ def _reference_search_points(basis, grid, mapped):
     with np.errstate(over="ignore"):
         four_eps = 8.0 * x.size * sys.float_info.epsilon * best * (best + 1.0)
     four_eps[four_eps >= best] = 0.0
-    near = first[lam >= (best - four_eps)[owner[first]]]
-    window = np.zeros(grid.size + 1, dtype=np.intp)
-    np.add.at(window, np.maximum(near - k, starts[owner[near]]), 1)
-    np.add.at(window, np.minimum(near + k, ends[owner[near]] - 1) + 1, -1)
+    near = lam >= (best - four_eps)[owner[first]]
     gap = np.cumsum(coarse) - 1  # the stage-1 point at or before each point
+    # a point that is not stage-1 lies inside gap[p], whose ends share its cell
+    wanted = np.append(near[:-1] | near[1:], False)[gap]
     pruned = np.append(bounds, np.inf)[gap] < lam.max()
-    return first, np.flatnonzero((np.cumsum(window[:-1]) > 0) & ~coarse & ~pruned)
+    return first, np.flatnonzero(wanted & ~coarse & ~pruned)
 
 
 _RNG_GRID = np.random.default_rng(11)
@@ -424,9 +423,27 @@ def test_gap_bounds_lie_above_every_value_in_their_gap(nodes, chain, dom, spec):
         assert np.isfinite(bounds).any()
 
 
-def test_cell_search_point_count_at_f2_graspa_89(monkeypatch):
-    # the sweep_highdeg cell: 4985 points before stage 2 was pruned, 1756
-    # with it (k = 29 instead of 15), and the same maximum
+# the benchmark's sweep_highdeg traffic: its sweep cells (function, method,
+# n) and its limit predictions (function, n), each with the float hex of its
+# maximum and the number of points passed to the evaluator
+_SEARCH_WORK = [
+    (("f1", "classical", 51), "0x1.9db0a4b68b4f6p+42", 816),
+    (("f1", "graspa", 23), "0x1.7aa07a35968a4p+1", 294),
+    (("f1", "graspa", 89), "0x1.e89cd468dd9d8p+1", 1020),
+    (("f1", "graspa", 151), "0x1.09b81ad161326p+2", 1702),
+    # 4985 points before stage 2 was pruned, 1756 with it (k = 29 instead of
+    # 15), and the same maximum
+    (("f2", "graspa", 89), "0x1.eba6ebf664775p+4", 1756),
+    (("f2", "graspa", 201), "0x1.304956c14c52ap+49", 8756),
+    (("f1", 89), "0x1.5f9a00e34879ap+41", 1017),
+    (("f1", 50), "0x1.ffffff81ff7d9p+25", 5481),
+    (("f2", 87), "0x1.89a5d8e07470ep+20", 1407),
+]
+
+
+@pytest.mark.parametrize("case, found, points", _SEARCH_WORK, ids=[
+    "_".join(map(str, c if len(c) == 3 else ("limit", *c))) for c, _, _ in _SEARCH_WORK])
+def test_cell_search_point_count(monkeypatch, case, found, points):
     counts = []
     real = stability._lebesgue_values
     def counted(s, basis, den=None):
@@ -434,9 +451,14 @@ def test_cell_search_point_count_at_f2_graspa_89(monkeypatch):
         return real(s, basis, den)
 
     monkeypatch.setattr(stability, "_lebesgue_values", counted)
-    nodes, chain = equispaced_nodes(89), graspa_chain(1e4, _DOM_F2)
-    assert lebesgue_max(nodes, chain, _DOM_F2).hex() == "0x1.eba6ebf664775p+4"
-    assert sum(counts) == 1756
+    dom = PiecewiseDomain(Interval(-1, 1), experiments.FUNCTIONS[case[0]][1])
+    nodes = equispaced_nodes(case[-1])
+    if len(case) == 3:
+        value = lebesgue_max(nodes, experiments.method_chain(case[1], dom, 1e4, case[2]), dom)
+    else:
+        value = limit_lebesgue_prediction(partition_nodes(nodes, dom), dom).predicted
+    assert value.hex() == found
+    assert sum(counts) == points
 
 
 def test_cell_search_forms_the_weights_once(monkeypatch):

@@ -20,7 +20,9 @@ regressed and unresolved ``workload:metric`` pairs are listed under
 ``regressed`` and ``unresolved`` and printed.  A
 workload with no seed run on both sides is skipped and listed under
 ``unpaired``.  A claim holds when the change wins at least nine tenths of the
-pairs and the medians differ by more than the parent's quartile distance.
+pairs and the medians differ by more than the parent's quartile distance;
+``--claim`` must name a workload and an end-to-end metric of
+``BENCHMARK.json``, or the script exits 2.
 The speed factor moves with the memory traffic of the code under test, so a
 ``pass_s`` claim is also judged the same way on each seed's raw median pass
 wall, and that verdict is written as ``claim.raw``.
@@ -134,15 +136,34 @@ def claim_holds(workloads: dict, workload: str, metric: str) -> dict:
     return claim
 
 
+def claim_type(bench: dict):
+    """The --claim argument type: "workload:metric", a workload and an
+    end-to-end metric that the benchmark declares, read as a pair."""
+    workloads = [w["name"] for w in bench["workloads"]]
+    metrics = [m["name"] for m in bench["end_to_end"]]
+
+    def claim(text: str) -> tuple[str, str]:
+        workload, _, metric = text.partition(":")
+        if workload not in workloads or metric not in metrics:
+            raise argparse.ArgumentTypeError(
+                f"needs workload:metric, a workload of {', '.join(workloads)} and a "
+                f"metric of {', '.join(metrics)}; got {text!r}")
+        return workload, metric
+
+    return claim
+
+
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--claim", help="workload:metric the change claims to improve")
+    parser.add_argument("--claim", type=claim_type(bench),
+                        help="workload:metric the change claims to improve")
     parser.add_argument("--note", default="", help="how the runs were made")
     args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = bench["end_to_end"]
     parent, change = load_runs(args.parent), load_runs(args.change)
     workloads, unpaired = compare(parent, change, metrics)
     flagged = {kind: [f"{w}:{name}" for w, entry in workloads.items()
@@ -152,7 +173,7 @@ def main(argv=None) -> int:
            "traced": {side: {f"{w}-seed{s}": copied(r) for (w, s, t), r in runs.items() if t}
                       for side, runs in (("parent", parent), ("change", change))}}
     if args.claim:
-        doc["claim"] = claim_holds(workloads, *args.claim.split(":"))
+        doc["claim"] = claim_holds(workloads, *args.claim)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for workload, entry in workloads.items():
         for name, m in entry["metrics"].items():

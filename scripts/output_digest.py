@@ -26,7 +26,8 @@ OUT_DIR receives:
 The cases come from ``perfbench/workloads.py``, and graspa is imported from
 this checkout's ``src/``.  Run the script in two checkouts and compare the
 two directories with ``diff -r``: an empty diff means every output kept its
-bits.
+bits.  ``scripts/digest_diff.py REV`` does both runs and the comparison
+against a git revision, with this script copied into it.
 """
 
 import contextlib

@@ -58,7 +58,9 @@ class PiecewiseDomain:
     cuts: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        cuts = tuple(_number(c, "a cut point") for c in self.cuts)
+        if not isinstance(self.interval, Interval):
+            raise ValueError(f"interval must be an Interval, got {self.interval!r:.60}")
+        cuts = tuple(_number(c, "a cut point") for c in _vector(self.cuts, "cuts"))
         object.__setattr__(self, "cuts", cuts)
         if any(not np.isfinite(c) for c in cuts):
             raise ValueError("cut points must be finite")
@@ -105,8 +107,11 @@ class PiecewiseDomain:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseDomain":
-        a, b = _descriptor(data, "a domain descriptor", "interval")["interval"]
-        return cls(Interval(a, b), tuple(data.get("cuts", ())))
+        ends = _vector(_descriptor(data, "a domain descriptor", "interval")["interval"],
+                       "interval")
+        if len(ends) != 2:
+            raise ValueError(f"interval must hold two numbers, got {ends!r:.60}")
+        return cls(Interval(*ends), data.get("cuts", ()))
 
 
 def _descriptor(data, what: str, *keys) -> dict:
@@ -118,6 +123,18 @@ def _descriptor(data, what: str, *keys) -> dict:
         if key not in data:
             raise ValueError(f"{what} has no {key!r}")
     return data
+
+
+def _vector(value, what: str) -> tuple:
+    """The items of a flat list, tuple or 1-D array; a string, a mapping, a
+    bare number or a nested list is refused with a ValueError naming ``what``."""
+    try:
+        flat = np.ndim(value) == 1
+    except ValueError:  # numpy refuses ragged nesting such as [1, [2]]
+        flat = False
+    if not flat:
+        raise ValueError(f"{what} must be a flat list, got {value!r:.60}")
+    return tuple(value)
 
 
 def _number(value, what: str) -> float:
@@ -201,6 +218,8 @@ def equispaced_nodes(n: int, interval: Interval = Interval(-1.0, 1.0)) -> NodeSe
     n = _integer(n, "the degree")
     if n < 1:
         raise ValueError("need n >= 1; the single-node set is not generated here")
+    if not isinstance(interval, Interval):
+        raise ValueError(f"interval must be an Interval, got {interval!r:.60}")
     x = np.linspace(interval.a, interval.b, n + 1)
     x[0] = interval.a
     x[-1] = interval.b

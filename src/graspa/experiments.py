@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Interval, PiecewiseDomain, _integer, _number, equispaced_nodes
+from .domain import (Interval, PiecewiseDomain, _integer, _number, _vector,
+                     equispaced_nodes)
 from .exceptions import EvaluationError, NodeCollisionError
 from .interpolation import _interpolant, build_interpolant, mapped_basis
 from .maps import MapChain, _kappa, named_chain
@@ -108,16 +109,6 @@ def method_chain(method: str, domain: PiecewiseDomain, kappa: float,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return named_chain(_chain_name(method), domain, kappa, n=n)
-
-
-def _vector(value, what: str) -> tuple:
-    try:
-        flat = np.ndim(value) == 1
-    except ValueError:  # numpy refuses ragged nesting such as [1, [2]]
-        flat = False
-    if not flat:
-        raise ValueError(f"{what} must be a flat list, got {value!r}")
-    return tuple(value)
 
 
 @dataclass(frozen=True)

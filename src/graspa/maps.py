@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Interval, PiecewiseDomain, _descriptor, _integer, _number
+from .domain import Interval, PiecewiseDomain, _descriptor, _integer, _number, _vector
 from .exceptions import EvaluationError
 
 __all__ = [
@@ -325,7 +325,7 @@ class MapChain:
     @classmethod
     def from_dict(cls, data: dict) -> "MapChain":
         maps = _descriptor(data, "a map chain descriptor", "maps")["maps"]
-        return cls(tuple(map_from_dict(d) for d in maps))
+        return cls(tuple(map_from_dict(d) for d in _vector(maps, "maps")))
 
 
 # map kind -> the keys its descriptor must hold beside "kind"

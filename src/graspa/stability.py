@@ -28,10 +28,7 @@ built cell by cell.  A grid given by a point count is never materialised for
 the search: it is described per subinterval by its sweep's start, step,
 count and end, plus the merged midpoints, and yields each point the search
 asks for with the bits the materialised grid holds.  So the search holds
-O(n + points evaluated) beside the kernel's block buffer.  It may be given a
-range of grid positions instead of the whole grid: the range's points then
-form the cells, and every index stays a position in the whole grid, so the
-range is searched with no copy of its points.  Both passes
+O(n + points evaluated) beside the kernel's block buffer.  Both passes
 evaluate one basis, through the evaluator that :func:`lebesgue_function`
 also wraps.  Where 16 (n+1) u (lambda + 1) reaches 1 (u the unit roundoff)
 the computed values are noise on both paths: the search then looks in the
@@ -55,9 +52,11 @@ when max k - min k <= 1 (``NodePartition.balanced``), and on subinterval tau
 each inner sum being :func:`even_split_residual_sum` of the pair (mu, tau).
 Equal counts leave the classical side constants alone; one cut has c = 1.
 The predictions come from these closed forms; brute-force large-shift
-evaluation is only ever a test oracle.  A side with no heavier neighbour is
-searched in place on its range of the grid; the others are evaluated densely,
-since their integrand is returned, and that pass gives their side constants.
+evaluation is only ever a test oracle.  Each side's closed grid, both ends
+included, is built once as a sorted array; a side with no heavier neighbour
+is searched on it like any other basis, and the others are evaluated on it
+densely, since their integrand is returned, and that pass gives their side
+constants.
 """
 
 from __future__ import annotations
@@ -332,9 +331,8 @@ def lebesgue_max(nodes, chain: MapChain | None, domain: PiecewiseDomain,
     return _cell_search_max(mapped_basis(nodes, chain), grid)
 
 
-def _cell_search_max(basis: MappedBasis, grid, lo=0, hi=None) -> float:
-    """Largest Lebesgue-function value over grid positions lo .. hi - 1 of the
-    sorted grid (all of it by default), found cell by cell.
+def _cell_search_max(basis: MappedBasis, grid) -> float:
+    """Largest Lebesgue-function value over the sorted grid, found cell by cell.
 
     The nodes split the grid into cells, a point equal to a node closing the
     cell on its left.  An increasing chain maps each cell between two
@@ -363,22 +361,18 @@ def _cell_search_max(basis: MappedBasis, grid, lo=0, hi=None) -> float:
     point is evaluated.
 
     The grid is a sorted array or a :class:`_SweepGrid`; the search uses only
-    its ``size``, ``searchsorted`` and ``take``, and every index it forms is
-    a position in the whole grid: each node's first point past it is clipped
-    to [lo, hi], and the cell edges are lo, those points and hi, so a range
-    is searched in place.  The cells come from one binary search per node, and
-    both stages' points are built cell by cell or gap by gap, so apart from
-    the kernel the work and memory are O(n + points evaluated), not O(grid).
+    its ``size``, ``searchsorted`` and ``take``.  The cells come from one
+    binary search per node, and both stages' points are built cell by cell or
+    gap by gap, so apart from the kernel the work and memory are
+    O(n + points evaluated), not O(grid).
     """
-    hi = grid.size if hi is None else hi
     x = basis.nodes
     if not (np.diff(x) > 0).all():
-        s = basis.map(grid.take(np.arange(lo, hi)))
-        return float(_lebesgue_values(s, basis).max())
-    # cell bounds: the first point of the range past each node, sorted as the
-    # nodes are; empty cells drop out
-    past = np.clip(grid.searchsorted(x, side="right"), lo, hi)
-    edges = np.concatenate(([lo], past, [hi]))
+        return float(_lebesgue_values(basis.map(_points(grid)), basis).max())
+    # cell bounds: the first grid point past each node, sorted as the nodes
+    # are; empty cells drop out
+    past = grid.searchsorted(x, side="right")
+    edges = np.concatenate(([0], past, [grid.size]))
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
     starts = edges[:-1]
     last = np.diff(edges) - 1  # offset of each cell's last point
@@ -584,21 +578,21 @@ def limit_lebesgue_prediction(partition: NodePartition, domain: PiecewiseDomain,
     side_constants, tops, samples = [], [], []
     for tau, (part, lo, hi) in enumerate(zip(parts, starts, ends)):  # one side at a time
         basis = mapped_basis(part)
-        heavier = [mu for mu, k in enumerate(cards) if k == cards[tau] + 1]
-        if not heavier:  # searched in place
-            side_constants.append(_cell_search_max(basis, grid, lo, hi))
-            tops.append(side_constants[-1])
-            continue
-        # the integrand is returned, so this side's grid is evaluated densely,
-        # and its lambda_tau values hold the side constant
         g = grid[lo:hi] if isinstance(grid, np.ndarray) else grid.side(tau)
-        integrand = _lebesgue_values(basis.map(g), basis)
-        side_constants.append(float(integrand.max()))
-        for mu in heavier:  # c is an exact 1.0 for one cut
-            c = c_table.get((mu + 1, tau + 1), 1.0)
-            integrand += c * even_split_residual_sum(parts[mu], part, g)
-        tops.append(float(integrand.max()))
-        samples.append(integrand)
+        heavier = [mu for mu, k in enumerate(cards) if k == cards[tau] + 1]
+        if not heavier:
+            side_constants.append(_cell_search_max(basis, g))
+            tops.append(side_constants[-1])
+        else:
+            # the integrand is returned, so this side is evaluated densely,
+            # and its lambda_tau values hold the side constant
+            integrand = _lebesgue_values(basis.map(g), basis)
+            side_constants.append(float(integrand.max()))
+            for mu in heavier:  # c is an exact 1.0 for one cut
+                c = c_table.get((mu + 1, tau + 1), 1.0)
+                integrand += c * even_split_residual_sum(parts[mu], part, g)
+            tops.append(float(integrand.max()))
+            samples.append(integrand)
         del g
     r_max = r_samples = None
     if samples:

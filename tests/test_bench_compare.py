@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_compare.py"
 METRICS = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
@@ -121,3 +123,21 @@ def test_each_metric_is_judged_against_its_bound(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert f"regressed: {', '.join(doc['regressed'])}" in printed
     assert f"unresolved: {', '.join(doc['unresolved'])}" in printed
+
+
+@pytest.mark.parametrize("claim", ["figures", "figures:pass", "nosuch:pass_s",
+                                   "figures:pass_s:x", ":pass_s", ""])
+def test_a_claim_names_a_declared_workload_and_metric(tmp_path, capsys, claim):
+    # a claim without a metric crashed, and one of an undeclared metric read
+    # as not holding, or raised KeyError where the workload had pairs
+    bench_compare = _load_script()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write_run(parent, "figures", 1, 2.0)
+    _write_run(change, "figures", 1, 1.0)
+    out = tmp_path / "BENCH_test.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_compare.main(["--parent", str(parent), "--change", str(change),
+                            "--out", str(out), "--claim", claim])
+    assert exc.value.code == 2
+    assert "needs workload:metric" in capsys.readouterr().err
+    assert not out.exists()

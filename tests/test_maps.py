@@ -420,7 +420,30 @@ _TYPED_BUILDS = [
      "a map chain descriptor has no 'maps'"),
     ("chain-a-list", lambda: MapChain.from_dict([]), "a map chain descriptor must be an object"),
     ("chain-maps-an-object", lambda: MapChain.from_dict({"maps": {"kind": "kte"}}),
-     "a map descriptor must be an object"),
+     "maps must be a flat list"),
+    ("chain-maps-an-empty-object", lambda: MapChain.from_dict({"maps": {}}),
+     "maps must be a flat list"),
+    ("chain-maps-a-number", lambda: MapChain.from_dict({"maps": 5}),
+     "maps must be a flat list"),
+    ("domain-interval-a-number", lambda: PiecewiseDomain.from_dict({"interval": 5}),
+     "interval must be a flat list"),
+    ("domain-interval-of-three", lambda: PiecewiseDomain.from_dict({"interval": [-1, 1, 2]}),
+     "interval must hold two numbers"),
+    ("domain-cuts-a-number", lambda: PiecewiseDomain.from_dict({"interval": [-1, 1], "cuts": 0}),
+     "cuts must be a flat list"),
+    ("domain-cuts-a-string",
+     lambda: PiecewiseDomain.from_dict({"interval": [-1, 1], "cuts": "0"}),
+     "cuts must be a flat list"),
+    ("domain-built-with-cuts-a-number", lambda: PiecewiseDomain(Interval(-1, 1), 0.5),
+     "cuts must be a flat list"),
+    ("domain-built-with-cuts-a-string", lambda: PiecewiseDomain(Interval(-1, 1), "0"),
+     "cuts must be a flat list"),
+    ("domain-built-with-cuts-a-mapping", lambda: PiecewiseDomain(Interval(-1, 1), {0.0: 1}),
+     "cuts must be a flat list"),
+    ("domain-built-with-interval-a-tuple", lambda: PiecewiseDomain((-1, 1), (0,)),
+     "interval must be an Interval"),
+    ("equispaced-interval-a-tuple", lambda: equispaced_nodes(5, (-1, 1)),
+     "interval must be an Interval"),
     ("domain-without-interval", lambda: PiecewiseDomain.from_dict({"cuts": [0.0]}),
      "a domain descriptor has no 'interval'"),
     ("domain-a-string", lambda: PiecewiseDomain.from_dict("[-1, 1]"),

@@ -282,26 +282,6 @@ def test_lebesgue_max_falls_back_when_the_chain_reorders_the_nodes():
     assert lebesgue_max(nodes, wave, DOM0) == dense
 
 
-@pytest.mark.parametrize("kind", ["description", "array"])
-@pytest.mark.parametrize("chain", [
-    graspa_chain(1e4, PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))),
-    MapChain((lambda x: np.asarray(x) + 2.0 * np.sin(20.0 * np.asarray(x)),)),
-], ids=["increasing", "reordering"])
-def test_a_range_is_searched_as_its_copy(chain, kind):
-    # the second and third subintervals' points and one more: the search in
-    # place has the bits of the search of the range's copy, in both the cell
-    # search and the fallback of a chain that reorders the nodes
-    dom = PiecewiseDomain(Interval(-1, 1), (-0.5, 0.0, 0.5))
-    nodes = equispaced_nodes(41)
-    grid = stability._search_grid(dom, nodes, "auto")
-    assert isinstance(grid, stability._SweepGrid)
-    grid = grid if kind == "description" else stability._points(grid)
-    basis = interpolation.mapped_basis(nodes, chain)
-    lo, hi = grid.searchsorted([-0.5, 0.5], "right") + [0, 1]
-    want = stability._cell_search_max(basis, grid.take(np.arange(lo, hi)))
-    assert stability._cell_search_max(basis, grid, lo, hi) == want
-
-
 def _reference_gap_bounds(basis, grid, first, s):
     """_gap_bounds of every gap between consecutive stage-1 points (grid
     indices ``first``, images s) of one cell, with each cell's nodes found by
@@ -797,7 +777,8 @@ def test_limit_prediction_never_holds_the_whole_grid():
     (_DOM_TWO, 17), (_DOM_TWO, 29),
 ], ids=["f1-4", "f1-10", "f1-23", "f1-50", "f1-89", "f2-87", "two-cuts-17", "two-cuts-29"])
 def test_limit_predictions_at_the_materialised_grid_keep_their_bits(dom, n):
-    # the sides of a sorted array are searched in place as a description's are
+    # a sorted array's sides are sliced out of it, a description's built, with
+    # the same bits
     nodes = equispaced_nodes(n)
     part = partition_nodes(nodes, dom)
     auto = limit_lebesgue_prediction(part, dom)
@@ -812,10 +793,10 @@ def test_limit_predictions_at_the_materialised_grid_keep_their_bits(dom, n):
 
 @pytest.mark.parametrize("dom, n, bound", [(_DOM_F2, 87, 0.25e6), (DOM1, 89, 0.4e6)],
                          ids=["f2-87-multi-equal", "f1-89-odd"])
-def test_limit_prediction_copies_no_searched_side(dom, n, bound):
-    # no side has a heavier neighbour, so each is searched in place; taking
-    # each side's points out of the grid description peaked at 0.568 and
-    # 0.581 MB
+def test_limit_prediction_peak_memory_stays_under_its_bound(dom, n, bound):
+    # each side's points are built once, as a sorted array, and searched
+    # (no heavier neighbour) or evaluated densely: peaks of 0.21 and 0.35 MB,
+    # where looking each point up in the grid description took 0.57 and 0.58
     part = partition_nodes(equispaced_nodes(n), dom)
     limit_lebesgue_prediction(part, dom)  # a first call may fill caches of its own
     tracemalloc.start()

@@ -1,8 +1,9 @@
 """The SVG writer's polylines against a point-by-point reference, its column
-envelope of long curves, and its text escaping."""
+envelope of long curves, its degenerate ranges, and its text escaping."""
 
 import re
 import tracemalloc
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -101,6 +102,56 @@ def test_refused_plots_write_no_file(tmp_path, x, series):
     with pytest.raises(ValueError, match="x values must be finite|has shape"):
         write_line_svg(tmp_path / "p.svg", x, series)
     assert not list(tmp_path.iterdir())
+
+
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _drawn(path):
+    """(polylines' vertex arrays, texts) of a written SVG."""
+    root = ElementTree.parse(path).getroot()
+    lines = [np.array([p.split(",") for p in line.get("points").split()], dtype=float)
+             for line in root.iter(f"{_SVG}polyline")]
+    return lines, [t.text for t in root.iter(f"{_SVG}text")]
+
+
+@pytest.mark.parametrize("x, y, logy", [
+    (np.linspace(0.0, 1.0, 5), np.full(5, 2.0), False),
+    (np.full(5, 0.5), np.linspace(1.0, 2.0, 5), False),
+    (np.array([0.5]), np.array([3.0]), False),
+    (np.linspace(0.0, 1.0, 5), np.full(5, 100.0), True),
+], ids=["constant", "one-x-value", "one-point", "constant-log"])
+def test_degenerate_ranges_give_one_curve_inside_the_plot(tmp_path, x, y, logy):
+    # a zero-width x or y range is widened to one unit, not divided by
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        write_line_svg(tmp_path / "p.svg", x, [("y", y)], logy=logy)
+    (line,), texts = _drawn(tmp_path / "p.svg")
+    assert line.shape == (x.size, 2) and np.isfinite(line).all()
+    assert ((_ML <= line[:, 0]) & (line[:, 0] <= _W - _MR)).all()
+    assert ((_MT <= line[:, 1]) & (line[:, 1] <= _H - _MB)).all()
+    assert "y" in texts
+
+
+@pytest.mark.parametrize("y, logy", [
+    (np.full(5, np.nan), False),
+    (np.array([0.0, -1.0, np.nan, -np.inf, 0.0]), True),
+], ids=["all-nan", "nonpositive-log"])
+def test_nothing_to_plot_writes_no_file(tmp_path, y, logy):
+    with pytest.raises(ValueError, match="nothing to plot"):
+        write_line_svg(tmp_path / "p.svg", np.linspace(0.0, 1.0, 5), [("y", y)], logy=logy)
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_series_with_nothing_to_plot_is_skipped_with_its_legend(tmp_path):
+    x = np.linspace(0.0, 1.0, 5)
+    write_line_svg(tmp_path / "p.svg", x, [("empty", np.full(5, np.nan)), ("kept", x + 1.0)])
+    (line,), texts = _drawn(tmp_path / "p.svg")
+    assert line.shape == (5, 2)
+    assert "kept" in texts and "empty" not in texts
+    # the kept curve takes the first colour and the first legend row
+    svg = (tmp_path / "p.svg").read_text()
+    assert svg.count('stroke="#1f77b4"') == 2 and "#d62728" not in svg
 
 
 def test_memory_is_one_curves_worth(tmp_path):

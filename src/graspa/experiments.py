@@ -67,7 +67,7 @@ def f2(x):
     runge = 1.0 / (25.0 * (4.0 * xs + 3.0) ** 2 + 1.0) - 0.5
     kink = np.abs(4.0 * xs - 1.0)
     trig = np.sin(2.0 * xs) * np.cos(3.0 * xs) + 0.5
-    out = np.select([xs <= -0.5, (xs > 0.0) & (xs <= 0.5)], [runge, kink], default=trig)
+    out = np.where(xs <= -0.5, runge, np.where((xs > 0.0) & (xs <= 0.5), kink, trig))
     return float(out) if xs.ndim == 0 else out
 
 

@@ -30,18 +30,22 @@ leaves the normal range (``_row_products``).  The Lebesgue function and the
 basis matrix reduce each row as the unblocked formula does, so their values
 do not depend on the block size; the interpolant takes each block's
 numerator and denominator from one matrix product of the reciprocals
-``1 / (s - s_j)`` with the columns ``[w * f, w]``.  A point whose image
-equals a mapped node exactly makes its result non-finite, so after the loop
-only the non-finite points are compared with the mapped nodes
-(``_node_hits``); each evaluator applies its own policy to the hits and the
-misses.  A hit returns the node's stored value (Berrut & Trefethen, SIAM
-Rev. 2004).  The interpolant takes a miss (a denominator that cancelled to
-0, or a sum that overflowed) again in the first, modified Lagrange form
-``p(s) = l(s) sum_j w*_j f_j / (s - s_j)``, backward stable (Higham, IMA J.
-Numer. Anal. 2004), with ``l(s)`` exponent-tracked and the true weights
-``w*_j`` the stored ones without their common scale.  A row that is still
-non-finite, and any miss of the Lebesgue function or the basis matrix,
-raises EvaluationError; a non-finite evaluation point raises ValueError.
+``1 / (s - s_j)`` with the columns ``[w * f, w]``.  The interpolant and the
+Lebesgue function write each block's results over its images, which the
+chain returns in a new array (the identity's too), so an evaluation of m
+points holds the m images and the block buffer.  A point whose image equals
+a mapped node exactly makes its result non-finite, so each block keeps aside
+only the images of its non-finite points (``_keep``), and after the loop
+only these are compared with the mapped nodes (``_node_hits``); each
+evaluator applies its own policy to the hits and the misses.  A hit returns
+the node's stored value (Berrut & Trefethen, SIAM Rev. 2004).  The
+interpolant takes a miss (a denominator that cancelled to 0, or a sum that
+overflowed) again in the first, modified Lagrange form ``p(s) = l(s) sum_j
+w*_j f_j / (s - s_j)``, backward stable (Higham, IMA J. Numer. Anal. 2004),
+with ``l(s)`` exponent-tracked and the true weights ``w*_j`` the stored ones
+without their common scale.  A row that is still non-finite, and any miss of
+the Lebesgue function or the basis matrix, raises EvaluationError; a
+non-finite evaluation point raises ValueError.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ __all__ = [
 
 VANDERMONDE_MAX_DEGREE = 12
 _BLOCK_BYTES = 512 * 1024  # byte budget of the block loop's buffer
-_NO_HITS = (np.empty(0, dtype=np.intp),) * 3
+_NO_HITS = (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),)  # see _node_hits
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max  # the normal range
 _FREXP_BLOCK = 512  # mantissas per block product: >= 2**-512, still normal
 _MAX_WEIGHT_SPAN = 2.0**53  # 1/u: the widest max|w| / min|w| accepted
@@ -263,16 +267,26 @@ def _nodal_products(s, factor, cap, own=0):
         yield rows, *_row_products(diff), diff
 
 
-def _node_hits(s, basis: MappedBasis, out):
-    """(rows, cols, misses): of the points with a non-finite result in out, those
-    equal to a mapped node, their nodes, and the rest; only these are compared."""
-    finite = np.isfinite(out) if out.ndim == 1 else np.isfinite(out).all(axis=1)
-    if finite.all():
+def _keep(kept, rows, finite, s):
+    """Append to kept the block's rows whose ``finite`` is False, with their
+    images s, before the block's results overwrite them."""
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        bad += rows.start
+        kept.append((bad, s[bad]))
+
+
+def _node_hits(kept, basis: MappedBasis):
+    """(rows, cols, misses, images) of the points that :func:`_keep` kept, those
+    with a non-finite result: those whose image equals a mapped node, their
+    nodes, the rest and the images of the rest; only these are compared."""
+    if not kept:
         return _NO_HITS
-    rows = np.flatnonzero(~finite)
-    hit_row, hit_col = np.nonzero(s[rows, None] == basis.mapped_nodes)
-    misses = _NO_HITS[0] if hit_row.size == rows.size else np.delete(rows, hit_row)
-    return rows[hit_row], hit_col, misses
+    rows, images = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
+    hit, hit_col = np.nonzero(images[:, None] == basis.mapped_nodes)
+    if hit.size == rows.size:  # hits alone, the common case
+        return (rows, hit_col) + _NO_HITS[2:]
+    return rows[hit], hit_col, np.delete(rows, hit), np.delete(images, hit)
 
 
 def _first_form(s, interp: Interpolant) -> np.ndarray:
@@ -332,15 +346,18 @@ def eval_interpolant(interp: Interpolant, x):
     (:func:`_first_form`), and raises EvaluationError if it is still
     non-finite there.  The result has the shape of x (a float for scalar x).
     """
-    s = interp.map(x)
-    out = np.empty(s.size)
-    for rows, t in _blocks(s, interp.node_factor):  # no block's sums outlive it
-        np.divide(*(np.divide(1.0, t, out=t) @ interp.columns).T, out=out[rows])
+    out = interp.map(x)  # each block's values overwrite its images
+    kept = []
+    for rows, t in _blocks(out, interp.node_factor):  # no block's sums outlive it
+        num, den = (np.divide(1.0, t, out=t) @ interp.columns).T
+        vals = np.divide(num, den, out=num)
+        _keep(kept, rows, np.isfinite(vals), out)
+        out[rows] = vals
     t = None  # frees the block buffer
-    hit_row, hit_col, misses = _node_hits(s, interp, out)
+    hit_row, hit_col, misses, images = _node_hits(kept, interp)
     out[hit_row] = interp.values[hit_col]
     if misses.size:
-        out[misses] = _first_form(s[misses], interp)
+        out[misses] = _first_form(images, interp)
         if not np.isfinite(out[misses]).all():
             raise EvaluationError("barycentric evaluation lost finiteness")
     return _unwrap(x, out)

@@ -17,14 +17,16 @@ be serialized and logged; every atom is injective on its declared domain.
 :func:`named_chain` is the one table from a map name (``CHAIN_NAMES``) to
 its atoms; the GRASPA helpers and the experiment methods are views of it.
 
-A chain maps m points in place: its first atom writes the images into one
-new array of m floats, and every later one overwrites it, reading each
-point before it writes the point's image.  The caller's array is never
-written.  Beside the result, a call holds the subinterval index (m integers),
-at most one per-point scratch array of floats and a few masks of m bytes, so
-the GRASPA chain peaks at about 3.4 * 8m bytes (the S-Gibbs shift alone at
-2 * 8m).  The evaluator behind it needs O(m + block * n) for n nodes: the
-images, the results and a 512 KiB block buffer (see ``interpolation``).
+A chain maps m points in chunks of ``_CHUNK`` points, each in place: its
+first atom writes the chunk's images into that chunk of one new array of m
+floats, and every later one overwrites it, reading each point before it
+writes the point's image.  The caller's array is never written, and the
+result is always a new array (the identity copies the points).  Beside the
+result, a call holds one chunk's subinterval index, at most one scratch
+array of floats and a few byte masks, O(chunk) memory, so the GRASPA chain
+peaks near 8m bytes (about 1.2 * 8m at m = 10^5).  The evaluators behind it
+write their results over the images (see ``interpolation``), so an
+evaluation needs the m images and a 512 KiB block buffer.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ __all__ = [
     "graspa_chain",
     "map_from_dict",
 ]
+
+
+_CHUNK = 8192  # points per chunk of a MapChain call
 
 
 def _kappa(value) -> float:
@@ -152,6 +157,9 @@ class KteMap(_Atom):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         object.__setattr__(self, "alpha", alpha)
+        half = alpha * np.pi / 2.0  # the half-angle and its sine, once
+        object.__setattr__(self, "_half", half)
+        object.__setattr__(self, "_sine", np.sin(half))
 
     def _apply(self, xs, idx, out):
         # idx is unused.  Outside [-1, 1] the sine folds back and the map stops
@@ -163,10 +171,9 @@ class KteMap(_Atom):
     def _stretch(self, xs, out):
         """sin(alpha pi xs / 2) / sin(alpha pi / 2) of the 1-D xs, written into
         out, which may be xs."""
-        half = self.alpha * np.pi / 2.0
-        np.multiply(xs, half, out=out)
+        np.multiply(xs, self._half, out=out)
         np.sin(out, out=out)
-        out /= np.sin(half)
+        out /= self._sine
         return out
 
     def to_dict(self) -> dict:
@@ -206,20 +213,20 @@ class MkteMap(_Atom):
         object.__setattr__(self, "_kte", KteMap(self.alpha))  # reads and checks alpha
         object.__setattr__(self, "alpha", self._kte.alpha)
         # the ends lo, hi of subinterval tau at index tau (entry 0 is unused),
-        # its width and the float just inside its open left end
+        # its half-width and the float just inside its open left end
         hi = np.array(self.domain.breakpoints)
         lo = np.append(hi[0], hi[:-1])
-        object.__setattr__(self, "_ends", (lo, hi - lo, hi, np.nextafter(lo, hi)))
+        object.__setattr__(self, "_ends", (lo, (hi - lo) / 2.0, hi, np.nextafter(lo, hi)))
 
     def _apply(self, xs, idx, out):
-        lo, width, hi, inside = self._ends
+        lo, half, hi, inside = self._ends
         t = lo.take(idx)  # the one per-point scratch array, refilled by take
         above = xs > t  # read before out, which may be xs, is written
-        # u = 2 (x - lo) / (hi - lo) - 1, clipped to [-1, 1], so the stretch
-        # needs no bounds check; then lo + (hi - lo) (M(u) + 1) / 2
+        # u = (x - lo) / h - 1 with h = (hi - lo) / 2, clipped to [-1, 1], so
+        # the stretch needs no bounds check; then lo + (M(u) + 1) h.  Halving is
+        # exact, so these round as 2 (x - lo) / (hi - lo) and (M(u) + 1)(hi - lo) / 2
         np.subtract(xs, t, out=out)
-        out *= 2.0
-        out /= width.take(idx, out=t, mode="clip")
+        out /= half.take(idx, out=t, mode="clip")
         out -= 1.0
         top, bottom = out >= 1.0, out <= -1.0
         np.maximum(out, -1.0, out=out)
@@ -227,7 +234,6 @@ class MkteMap(_Atom):
         self._kte._stretch(out, out)
         out += 1.0
         out *= t
-        out /= 2.0
         out += lo.take(idx, out=t, mode="clip")
         # Pin subinterval ends exactly, and keep every interior image strictly
         # inside its half-open source cell: the sine flattens quadratically at the
@@ -287,37 +293,52 @@ class MapChain:
     """Composition of atomic maps, applied left-to-right; empty = identity.
 
     The one applier of the atoms (an atom called alone runs its one-atom
-    chain).  The subinterval index is computed for the atoms that read a
-    partition and handed on past those that keep every point in its
-    subinterval (MKTE, the node correction), so a GRASPA chain computes it
-    once per call.  Any callable on a 1-D array of points may stand in the
-    chain too; after it, the index is recomputed, and the next atom writes
-    into a new array, since the callable's result may be the caller's array.
-    The result has the shape of x (a float for scalar x).  A non-finite image
-    raises ValueError("points must be finite") if a point is non-finite (the
-    atoms refuse +-inf first, as outside their domain), else EvaluationError.
+    chain).  It maps its points ``_CHUNK`` at a time, each chunk's atoms
+    writing into that chunk of the one result array, so beside the result a
+    call holds O(chunk) memory.  The subinterval index is computed for the
+    atoms that read a partition and handed on past those that keep every
+    point in its subinterval (MKTE, the node correction), so a GRASPA chain
+    computes it once per chunk.  Any callable on a 1-D array of points may
+    stand in the chain too, provided it maps each point on its own: it runs
+    once per chunk.  After it, the index is recomputed, and the next atom
+    writes into the result, since the callable's output may be the caller's
+    array.  The result is a new array, the identity's too, with the shape of
+    x (a float for scalar x).  A non-finite image raises ValueError("points
+    must be finite") if a point is non-finite (the atoms refuse +-inf first,
+    as outside their domain), else EvaluationError.
     """
 
     maps: tuple = ()
 
     def __call__(self, x):
-        points = out = np.asarray(x, dtype=float).ravel()
-        own = False  # whether out is the chain's own array, which atoms overwrite
-        idx = domain = None  # the subinterval index of out in domain, while valid
-        for m in self.maps:
-            if not isinstance(m, _Atom):
-                out, own, idx = np.asarray(m(out), dtype=float).ravel(), False, None
-                continue
-            if hasattr(m, "domain") and (idx is None or m.domain != domain):
-                idx, domain = m.domain.subinterval_index(out), m.domain
-            out = m._apply(out, idx, out if own else np.empty_like(out))
-            own = True
-            if not m.keeps_subinterval:
-                idx = None
-        if not np.isfinite(out).all():
+        points = np.asarray(x, dtype=float).ravel()
+        out, finite = np.empty(points.size) if self.maps else points.copy(), True
+        # every chunk runs, so an atom's error anywhere comes before this one
+        for lo in range(0, points.size, _CHUNK):
+            chunk = out[lo:lo + _CHUNK]
+            if self.maps:
+                self._map_chunk(points[lo:lo + _CHUNK], chunk)
+            finite = finite and np.isfinite(chunk).all()
+        if not finite:
             _finite_points(points)  # the caller's points, which no atom writes
             raise EvaluationError("map chain produced non-finite values")
         return _unwrap(x, out)
+
+    def _map_chunk(self, xs, out):
+        """Write the images of the 1-D points xs into out."""
+        idx = domain = None  # the subinterval index of xs in domain, while valid
+        for m in self.maps:
+            if not isinstance(m, _Atom):
+                xs, idx = np.asarray(m(xs), dtype=float).ravel(), None
+                continue
+            if hasattr(m, "domain") and (idx is None or (
+                    m.domain is not domain and m.domain != domain)):
+                idx, domain = m.domain.subinterval_index(xs), m.domain
+            xs = m._apply(xs, idx, out)
+            if not m.keeps_subinterval:
+                idx = None
+        if xs is not out:  # a chain that ends in a callable
+            out[...] = xs
 
     def to_dict(self) -> dict:
         return {"maps": [m.to_dict() for m in self.maps]}

@@ -3,7 +3,11 @@
 The Lebesgue function is evaluated from the same mapped basis as the
 interpolant (``interpolation.MappedBasis``), through the same block loop
 (see ``interpolation``), so the two share their numerical behaviour, and no
-value depends on the order of the node list or on the block size.
+value depends on the order of the node list or on the block size.  Its one
+evaluator writes the values over the images it is given:
+:func:`lebesgue_function`, the search's second stage and the limit sides
+hand it images they do not read again, and the search's first stage a copy
+of its images, which its gap bounds read.
 
 :func:`lebesgue_max` returns the same grid maximum as
 :func:`lebesgue_constant` without evaluating every grid point.  Between two
@@ -67,7 +71,7 @@ import numpy as np
 
 from .domain import NodePartition, PiecewiseDomain, _integer, _node_array, _nodes_inside
 from .exceptions import EvaluationError, PredictionUnavailableError
-from .interpolation import (MappedBasis, _blocks, _capacity_weights, _nodal_products,
+from .interpolation import (MappedBasis, _blocks, _capacity_weights, _keep, _nodal_products,
                             _node_factor, _node_hits, mapped_basis)
 from .maps import MapChain, _unwrap
 
@@ -127,21 +131,25 @@ def lebesgue_function(nodes, chain: MapChain | None, x):
 
 
 def _lebesgue_values(s, basis: MappedBasis, den=None) -> np.ndarray:
-    """Lebesgue function of the basis at the mapped points s; the one evaluator
-    behind :func:`lebesgue_function`, the cell search and the even split.
-    ``den``, if given, receives each point's sum_j w_j / (s - s_j)."""
-    lam = np.empty(s.size)
+    """Lebesgue function of the basis at the mapped points s, written over s
+    block by block and returned; the one evaluator behind
+    :func:`lebesgue_function`, the cell search and the limit sides.  ``den``,
+    if given, receives each point's sum_j w_j / (s - s_j)."""
+    kept = []
     for rows, t in _blocks(s, basis.node_factor):
         d = np.divide(basis.weights, t, out=t).sum(axis=1)
         if den is not None:
             den[rows] = d
-        lam[rows] = np.abs(t, out=t).sum(axis=1) / np.abs(d, out=d)
+        lam = np.abs(t, out=t).sum(axis=1)
+        lam /= np.abs(d, out=d)
+        _keep(kept, rows, np.isfinite(lam), s)
+        s[rows] = lam
     t = None  # frees the block buffer
-    hit_row, _, misses = _node_hits(s, basis, lam)
+    hit_row, _, misses, _ = _node_hits(kept, basis)
     if misses.size:
         raise EvaluationError("Lebesgue function evaluation lost finiteness")
-    lam[hit_row] = 1.0
-    return lam
+    s[hit_row] = 1.0
+    return s
 
 
 def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarray:
@@ -386,7 +394,7 @@ def _cell_search_max(basis: MappedBasis, grid) -> float:
     del step
     s = basis.map(grid.take(first))
     den = np.empty(s.size)
-    lam = _lebesgue_values(s, basis, den)
+    lam = _lebesgue_values(s.copy(), basis, den)  # s stays, for the gap bounds
     # |computed - exact| <= eps = 4 (n+1) u lambda (lambda + 1) to first
     # order: the sums and quotients, and the weights' own rounding
     best = np.maximum.reduceat(lam, head)
@@ -486,12 +494,14 @@ def lagrange_matrix(nodes, chain: MapChain | None, grid) -> np.ndarray:
     basis = mapped_basis(nodes, chain)
     s = basis.map(g)
     mat = np.empty((basis.order.size, s.size))
+    kept = []
     for rows, t in _blocks(s, basis.node_factor):
         np.divide(basis.weights, t, out=t)
         np.divide(t, t.sum(axis=1)[:, None], out=t)
         mat[basis.order, rows] = np.abs(t, out=t).T  # row i is node order[i]
+        _keep(kept, rows, np.isfinite(t).all(axis=1), s)
     t = None  # frees the block buffer
-    hit_row, hit_col, misses = _node_hits(s, basis, mat.T)
+    hit_row, hit_col, misses, _ = _node_hits(kept, basis)
     if misses.size:
         raise EvaluationError("Lagrange matrix evaluation lost finiteness")
     mat[:, hit_row] = 0.0

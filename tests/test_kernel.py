@@ -22,7 +22,9 @@ from graspa import (
     f2,
     graspa_chain,
     lagrange_matrix,
+    lebesgue_constant,
     lebesgue_function,
+    lebesgue_grid,
     method_chain,
     sgibbs_chain,
 )
@@ -150,19 +152,21 @@ def _peak_bytes(call, x):
 
 
 def test_graspa_chain_memory_is_a_few_arrays_of_its_points():
-    # the images, the subinterval index, one scratch array and byte masks
+    # the images, and one chunk's subinterval index, scratch array and byte
+    # masks (about 1.2 * 8m here; 3.4 * 8m when they spanned every point)
     m = 100_000
     x = np.random.default_rng(7).uniform(-1, 1, m)
-    assert _peak_bytes(CHAIN_F2, x) <= 5.5 * 8 * m
+    assert _peak_bytes(CHAIN_F2, x) <= 1.5 * 8 * m
 
 
 def test_graspa_evaluation_memory_is_near_the_evaluators_own():
-    # the evaluator holds the images, the results and its 512 KiB block buffer
-    # (about 1.05 MB here); the chain's own peak stays below that
+    # the evaluator holds the images, which its results overwrite, and its
+    # 512 KiB block buffer (about 0.81 MB here; 1.05 MB when the results sat
+    # beside the images); the chain's own peak stays below that
     nodes = equispaced_nodes(81)
     interp = build_interpolant(nodes, f1(nodes.nodes), graspa_chain(1e4, DOM_F1))
     x = np.random.default_rng(8).uniform(-1, 1, 32768)
-    assert _peak_bytes(interp, x) <= 1.5e6
+    assert _peak_bytes(interp, x) <= 1.0e6
 
 
 def _unblocked_weights(s):
@@ -464,9 +468,9 @@ def test_block_buffer_is_freed_before_the_node_hit_search(monkeypatch, call):
             buffers.append(weakref.ref(d.base))
             yield rows, d
 
-    def hits(s, basis, out):
+    def hits(kept, basis):
         alive.append(any(ref() is not None for ref in buffers))
-        return real_hits(s, basis, out)
+        return real_hits(kept, basis)
 
     for module in (interpolation, stability):
         monkeypatch.setattr(module, "_blocks", blocks)
@@ -482,3 +486,129 @@ def test_block_buffer_is_freed_before_the_node_hit_search(monkeypatch, call):
     else:
         lagrange_matrix(nodes, None, x)
     assert buffers and alive and not any(alive)
+
+
+def _separate_results(interp, x):
+    """(images, quotients): each block's quotients written into an array of
+    their own, beside the images, as the evaluator did before it wrote its
+    results over the images; the reference for the in-place evaluation."""
+    s = interp.chain(x)
+    out = np.empty(s.size)
+    for rows, t in interpolation._blocks(s, interp.node_factor):
+        np.divide(*(np.divide(1.0, t, out=t) @ interp.columns).T, out=out[rows])
+    return s, out
+
+
+def test_in_place_evaluation_keeps_node_hits_and_first_form_rows():
+    # f2 graspa n = 171: 1983 of 200001 grid points cancel or overflow in the
+    # quotient and take the first form; 4 of them and 4 node hits go into each
+    # of three blocks, among random points
+    nodes = equispaced_nodes(171)
+    values = f2(nodes.nodes)
+    interp = build_interpolant(nodes, values, method_chain("graspa", DOM_F2, 1e4))
+    grid = np.linspace(-1, 1, 200001)
+    s, q = _separate_results(interp, grid)
+    far = grid[~np.isfinite(q) & ~np.isin(s, interp.mapped_nodes)]
+    assert far.size == 1983
+    block = _block_rows(172)
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-1, 1, 3 * block)
+    at = np.concatenate([b * block + rng.choice(block, 8, replace=False) for b in range(3)])
+    hit, miss = at.reshape(3, 2, 4).transpose(1, 0, 2).reshape(2, -1)
+    picks = rng.choice(nodes.nodes.size, hit.size, replace=False)
+    x[hit] = nodes.nodes[picks]
+    x[miss] = rng.choice(far, miss.size, replace=False)
+    kept = x.copy()
+    got = interp(x)
+    assert x.tobytes() == kept.tobytes()
+    s, want = _separate_results(interp, x)
+    bad = np.flatnonzero(~np.isfinite(want))
+    assert np.isin(hit, bad).all() and np.isin(miss, bad).all()
+    on_node = np.isin(s[bad], interp.mapped_nodes)
+    want[hit] = values[picks]
+    want[bad[~on_node]] = interpolation._first_form(s[bad[~on_node]], interp)
+    assert np.isfinite(want).all()
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_in_place_lebesgue_still_raises_on_a_miss():
+    # the overflowing sgibbs setting: 2184 points over three blocks that all
+    # evaluate, then one that overflows placed in the third block
+    nodes = equispaced_nodes(89)
+    chain = sgibbs_chain(3.6e4, PiecewiseDomain(Interval(-1, 1), (0.6,)))
+    grid = np.linspace(-1, 1, 332)
+    finite = [v for v in grid if np.isfinite(_lebesgue_or_nan(nodes, chain, v))]
+    assert len(finite) == 328
+    x = np.resize(finite, 3 * _block_rows(90))
+    assert np.isfinite(lebesgue_function(nodes, chain, x)).all()
+    x[-5] = np.setdiff1d(grid, finite)[0]
+    kept = x.copy()
+    with pytest.raises(EvaluationError, match="lost finiteness"):
+        lebesgue_function(nodes, chain, x)
+    assert x.tobytes() == kept.tobytes()
+
+
+def _lebesgue_or_nan(nodes, chain, v):
+    try:
+        return lebesgue_function(nodes, chain, v)
+    except EvaluationError:
+        return np.nan
+
+
+class _Same:
+    """A callable that returns the array it is given."""
+
+    def __call__(self, x):
+        return x
+
+
+class _Stored:
+    """An array-like whose ``__array__`` hands back the float array it stores."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __array__(self, dtype=None, copy=None):
+        return self.values
+
+
+@pytest.mark.parametrize("chain", [None, MapChain((_Same(),))], ids=["identity", "callable"])
+def test_no_evaluation_writes_the_callers_points(chain):
+    # the evaluators write their results over the images, so the chain must
+    # hand them a new array, never the caller's memory
+    nodes = equispaced_nodes(20)
+    interp = build_interpolant(nodes, f1(nodes.nodes), chain)
+    x = np.linspace(-1.0, 1.0, 2 * _block_rows(21) + 1)  # three blocks, nodes among them
+    kept = x.copy()
+    for pts in (x, x[::2], x[:-1].reshape(2, -1), _Stored(x)):
+        want = np.array(pts)
+        values = interp(pts)
+        lam = lebesgue_function(nodes, chain, pts)
+        assert np.asarray(pts).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(values, interp(want.tolist()))
+        np.testing.assert_array_equal(lam, lebesgue_function(nodes, chain, want.tolist()))
+    assert x.tobytes() == kept.tobytes()
+    x.setflags(write=False)
+    interp(x)
+    lebesgue_function(nodes, chain, x)
+
+
+def test_lebesgue_constant_keeps_its_report_grid():
+    # the classical chain is the identity, whose images are the grid itself
+    nodes = equispaced_nodes(12)
+    for grid_spec in ("auto", np.linspace(-1.0, 1.0, 1500)):
+        report = lebesgue_constant(nodes, None, DOM_F1, grid_spec)
+        assert report.grid.tobytes() == lebesgue_grid(DOM_F1, nodes, grid_spec).tobytes()
+        assert report.lebesgue_values.max() == report.lebesgue_constant > 1.0
+
+
+@pytest.mark.parametrize("method", ["graspa", "sgibbs"])
+def test_large_evaluation_memory_is_its_result_and_a_little_more(method):
+    # 10**6 points, f2 at n = 81: the chain works in chunks and the results
+    # overwrite the images, so the peak is the 8 MB result plus the block
+    # buffer and one chunk's scratch (27.0 and 17.0 MB when the chain held
+    # its per-point arrays whole and the results sat beside the images)
+    nodes = equispaced_nodes(81)
+    interp = build_interpolant(nodes, f2(nodes.nodes), method_chain(method, DOM_F2, 1e4))
+    x = np.random.default_rng(10).uniform(-1, 1, 10**6)
+    assert _peak_bytes(interp, x) <= 8e6 + 1.5e6

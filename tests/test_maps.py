@@ -34,6 +34,7 @@ from graspa import (
     sgibbs_chain,
     vn_correction,
 )
+from graspa import maps
 from graspa.maps import _CHAINS
 
 DOM1 = PiecewiseDomain(Interval(-1, 1), (0.0,))
@@ -662,3 +663,57 @@ def test_affine_helpers_refuse_non_finite_points(bad):
         for x in (bad, [0.0, bad]):
             with pytest.raises(ValueError, match="points must be finite"):
                 helper(x, 2, DOM3)
+
+
+def _cube(x):
+    """A callable that maps each point on its own and keeps [-1, 1]."""
+    return np.asarray(x) ** 3
+
+
+CHUNK = maps._CHUNK
+# chains through which chunked calls must give the bits of one-point calls
+CHUNKED_CHAINS = {
+    "graspa": named_chain("graspa", DOM3, 1e4),
+    "sgibbs": named_chain("sgibbs", DOM3, 1e4),
+    "graspa+vn": named_chain("graspa+vn", DOM1, 1e4, n=8),
+    "kte": named_chain("kte", DOM3, None, 0.7),
+    "callable": MapChain((MkteMap(1.0, DOM3), _cube, SGibbsMap(1e4, DOM3))),
+    "callable alone": MapChain((_cube,)),
+    "identity": MapChain(),
+}
+
+
+@pytest.mark.parametrize("name", CHUNKED_CHAINS)
+def test_chunked_chains_keep_the_bits_of_one_point_calls(name):
+    # chunk - 1, chunk, chunk + 1 and 3 chunk + 1 points: each call's images
+    # are the first images of the longest call, and those of one-point calls
+    # at every chunk's ends and at every 97th point; every result is a new
+    # array, the identity's too
+    chain = CHUNKED_CHAINS[name]
+    x = np.random.default_rng(29).uniform(-1, 1, 3 * CHUNK + 1)
+    x[::1000] = np.array([-1.0, -0.5, 0.0, 0.5, 1.0] * 5)[:x[::1000].size]
+    kept = x.copy()
+    images = chain(x)
+    assert x.tobytes() == kept.tobytes() and not np.may_share_memory(images, x)
+    ends = (np.arange(CHUNK, x.size, CHUNK)[:, None] + np.arange(-2, 2)).ravel()
+    for i in np.union1d(ends[ends < x.size], np.arange(0, x.size, 97)):
+        assert images[i].tobytes() == np.float64(chain(float(x[i]))).tobytes()
+    for m in (CHUNK - 1, CHUNK, CHUNK + 1):
+        assert chain(x[:m]).tobytes() == images[:m].tobytes()
+    assert chain(x.reshape(1, -1)).tobytes() == images.tobytes()
+
+
+def test_a_chunked_call_raises_as_a_whole_call_does():
+    # a point outside the domain in the last chunk is a ValueError even where
+    # an earlier chunk's images leave the float range; a non-finite point
+    # anywhere is "points must be finite"
+    chain = named_chain("graspa", DOM3, 1e308)
+    x = np.full(2 * CHUNK + 1, 0.9)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        chain(x)
+    x[-1] = 2.0
+    with pytest.raises(ValueError, match="outside the domain"):
+        chain(x)
+    x[-1] = np.nan
+    with pytest.raises(ValueError, match="points must be finite"):
+        chain(x)

@@ -289,7 +289,7 @@ def _reference_gap_bounds(basis, grid, first, s):
     a node.  Returns (bounds, stage-1 values)."""
     cell = np.searchsorted(basis.nodes, grid[first], side="left")
     den = np.empty(s.size)
-    lam = stability._lebesgue_values(s, basis, den)
+    lam = stability._lebesgue_values(s.copy(), basis, den)  # it writes over its points
     nodes = np.concatenate(([-np.inf], basis.mapped_nodes, [np.inf]))
     e = np.arange(s.size - 1)
     bounds = stability._gap_bounds(e, s, lam, den, cell, nodes[cell[e]], nodes[cell[e] + 1],

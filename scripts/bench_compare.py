@@ -10,8 +10,11 @@ Each DIR holds the perfbench results files of one commit
 under ``.perfbench_out/results/``), with the same seeds on both sides.  For
 every workload and end-to-end metric of ``BENCHMARK.json`` the output gives
 both sides' values per seed, their medians and quartiles, and the number of
-pairs the change won (ties count for neither side); the medians of the raw
-``pass_walls_s``, which are not speed-normalised, sit next to them.  Each
+pairs the change won (ties count for neither side).  One more row,
+``pass_s:raw``, holds each run's median raw ``pass_walls_s``, which are not
+speed-normalised, with ``pass_s``'s unit, direction and bound: the speed
+factor moves with the memory traffic of the code under test, so every
+workload's ``pass_s`` is also judged on raw walls.  Each
 metric also gets a verdict against its relative ``bound``: "regressed" when
 the change's median is worse than the parent's by more than bound times the
 parent's median, "unresolved" when the parent's quartile distance exceeds
@@ -22,12 +25,11 @@ workload with no seed run on both sides is skipped and listed under
 ``unpaired``.  A claim holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's quartile distance;
 ``--claim`` must name a workload and an end-to-end metric of
-``BENCHMARK.json``, or the script exits 2.
-The speed factor moves with the memory traffic of the code under test, so a
-``pass_s`` claim is also judged the same way on each seed's raw median pass
-wall, and that verdict is written as ``claim.raw``.
-Every run's metrics, median pass wall, speed factor and commit are copied in;
-traced runs are copied in with their per-layer metrics.
+``BENCHMARK.json``, or the script exits 2.  A claimed metric with a raw row
+is also judged the same way on that row, and that verdict is written as
+``claim.raw``.
+Every run's metrics (its raw row included), speed factor and commit are
+copied in; traced runs are copied in with their per-layer metrics.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RAW = "pass_s:raw"  # a run's median raw pass wall, judged as pass_s is
 RESULT_NAME = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 
@@ -61,10 +64,10 @@ def spread(values: list) -> dict:
 
 def copied(run: dict) -> dict:
     walls = run.get("pass_walls_s")  # traced runs record none
+    metrics = {k: m["value"] for k, m in run["result"]["metrics"].items()}
     return {"commit": run["environment"]["commit"], "correct": run["result"]["correct"],
             "failed": run["result"]["failed"], "speed_factor": run["speed_factor"],
-            "pass_wall_median_s": statistics.median(walls) if walls else None,
-            "metrics": {k: m["value"] for k, m in run["result"]["metrics"].items()}}
+            "metrics": {**metrics, RAW: statistics.median(walls) if walls else None}}
 
 
 def compare(parent: dict, change: dict, metrics: list) -> tuple[dict, list]:
@@ -76,25 +79,20 @@ def compare(parent: dict, change: dict, metrics: list) -> tuple[dict, list]:
         if not seeds:  # nothing to pair: no medians, no wins
             unpaired.append(workload)
             continue
-        sides = {"parent": [parent[workload, s, 0] for s in seeds],
-                 "change": [change[workload, s, 0] for s in seeds]}
+        sides = {"parent": [copied(parent[workload, s, 0]) for s in seeds],
+                 "change": [copied(change[workload, s, 0]) for s in seeds]}
         table = {}
         for spec in metrics:
             name, lower = spec["name"], spec["better"] == "lower"
-            vals = {side: [r["result"]["metrics"][name]["value"] for r in runs]
-                    for side, runs in sides.items()}
+            vals = {side: [r["metrics"][name] for r in runs] for side, runs in sides.items()}
             wins = verdict(vals["parent"], vals["change"], lower)["change_wins"]
             table[name] = {"unit": spec["unit"], "better": spec["better"], "change_wins": wins,
                            "bound": spec["bound"],
                            "verdict": bound_verdict(vals["parent"], vals["change"], lower,
                                                     spec["bound"]),
                            **{side: {"values": v, **spread(v)} for side, v in vals.items()}}
-        walls = {side: spread([copied(r)["pass_wall_median_s"] for r in runs])
-                 for side, runs in sides.items()}
         out[workload] = {"seeds": seeds, "pairs": len(seeds), "metrics": table,
-                         "raw_pass_wall_median_s": walls,
-                         "runs": {side: [copied(r) for r in runs]
-                                  for side, runs in sides.items()}}
+                         "runs": sides}
     return out, unpaired
 
 
@@ -129,10 +127,10 @@ def claim_holds(workloads: dict, workload: str, metric: str) -> dict:
     claim = {"workload": workload, "metric": metric,
              **verdict(entry["parent"]["values"], entry["change"]["values"],
                        entry["better"] == "lower")}
-    if metric == "pass_s":  # the speed factor also moves with the code under test
-        runs = workloads[workload]["runs"]
-        claim["raw"] = verdict(*([r["pass_wall_median_s"] for r in runs[side]]
-                                 for side in ("parent", "change")), lower=True)
+    raw = workloads[workload]["metrics"].get(f"{metric}:raw")
+    if raw:
+        claim["raw"] = verdict(raw["parent"]["values"], raw["change"]["values"],
+                               raw["better"] == "lower")
     return claim
 
 
@@ -163,7 +161,8 @@ def main(argv=None) -> int:
                         help="workload:metric the change claims to improve")
     parser.add_argument("--note", default="", help="how the runs were made")
     args = parser.parse_args(argv)
-    metrics = bench["end_to_end"]
+    pass_s = next(m for m in bench["end_to_end"] if m["name"] == "pass_s")
+    metrics = [*bench["end_to_end"], {**pass_s, "name": RAW}]
     parent, change = load_runs(args.parent), load_runs(args.change)
     workloads, unpaired = compare(parent, change, metrics)
     flagged = {kind: [f"{w}:{name}" for w, entry in workloads.items()

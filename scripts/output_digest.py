@@ -14,8 +14,9 @@ OUT_DIR receives:
 - passes.txt: the SHA-256 of each operation's outputs in one interp_stream
   pass and one interp_build pass, on a fixed seed;
 - cli/: the CSVs of the command-line calls in ``CLI_CALLS`` (the README's
-  examples other than ``experiment``, bgcheb nodes, and the KTE stretch of
-  a grid and of nodes), one subdirectory per call, since each command
+  examples other than ``experiment``, bgcheb nodes, the KTE stretch of a
+  grid and of nodes, and calls with negative cut lists, an interval and a
+  lebesgue grid count), one subdirectory per call, since each command
   writes a fixed file name;
 - lebesgue_points.txt: the number of points passed to the Lebesgue
   evaluator ``graspa.stability._lebesgue_values`` by each figure id, each
@@ -57,6 +58,12 @@ CLI_CALLS = {
     "nodes_bgcheb": "nodes --n 8 --kind bgcheb --beta 0.1 --gamma 0.2",
     "map_kte": "map --map kte --alpha 0.5 --grid 200",
     "nodes_kte": "nodes --n 12 --map kte --alpha 0.7",
+    # negative comma lists, an interval and a lebesgue grid count
+    "interp_sgibbs_cuts": "interp --function f2 --method sgibbs --n 29 --cuts=-0.5,0,0.5 "
+                          "--grid 200",
+    "map_graspa_interval": "map --map graspa --interval=-2,3 --cuts=-1,0.5 --grid 300",
+    "lebesgue_graspa_grid": "lebesgue --method graspa --n 21 --cuts=0.5 --interval=0,1 "
+                            "--grid 1500",
 }
 
 

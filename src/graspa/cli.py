@@ -8,6 +8,12 @@ outputs are CSV with a header row and 17-significant-digit floats, written
 under --out-dir (default: $GRASPA_OUT_DIR or the working directory) by one
 step, :func:`_write_figure_outputs`, which also prints each path.
 
+The degree, point-count, grid-spec, cut and interval flags are each read by
+the library's own reader of that value (see :func:`_flag`): --n and every
+--grid count as a degree is read, --cuts and --interval, from the items of
+a comma list, as a :class:`PiecewiseDomain` reads them, and lebesgue's
+--grid as :func:`stability.lebesgue_grid` reads a grid spec.
+
 Exit codes: 0 ok, 2 invalid flags/config, 3 numerical failure.
 """
 
@@ -23,15 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Interval, PiecewiseDomain, bg_chebyshev_nodes, equispaced_nodes, \
-    partition_nodes
+from .domain import Interval, PiecewiseDomain, _cut_list, _integer, _interval_from, \
+    bg_chebyshev_nodes, equispaced_nodes, partition_nodes
 from .exceptions import EvaluationError
 from .experiments import DEFAULT_KAPPA, FIGURE_IDS, FLOAT_FORMAT, FUNCTIONS, METHODS, \
     ExperimentConfig, FigureOutput, _chain_name, build_figure, matrix_table, \
     method_chain, run_comparison, sweep_table
 from .interpolation import build_interpolant
 from .maps import _CHAINS, CHAIN_NAMES, named_chain
-from .stability import lebesgue_constant
+from .stability import _grid_spec_from, lebesgue_constant
 from .svgplot import write_line_svg
 
 
@@ -71,44 +77,29 @@ def _write_figure_outputs(args, outputs, svg: bool = False) -> None:
             print(svg_path)
 
 
+def _flag(read):
+    """The argparse type that reads a flag's text with the library reader
+    ``read``: its ValueError becomes argparse's error, whose message names
+    the flag (exit 2)."""
+    def parse(text: str):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _items(text: str) -> list:
+    """The items of a comma list; the empty string has none."""
+    return text.split(",") if text else []
+
+
 def _point_count(text: str) -> int:
-    """A --grid argument: a positive number of points."""
-    count = int(text)
+    """A --grid argument of map, interp and lagmatrix: at least 1 point."""
+    count = _integer(text, "a point count")
     if count < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1 point, got {count}")
+        raise ValueError(f"needs at least 1 point, got {count}")
     return count
-
-
-def _grid_spec(text: str):
-    """lebesgue's --grid argument: "auto" or a whole per-subinterval count
-    (stability refuses counts below 2)."""
-    if text == "auto":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"needs 'auto' or a whole point count, got {text!r}") from None
-
-
-def _cut_points(text: str) -> tuple:
-    """A --cuts argument: a comma list of numbers; the empty string has none."""
-    try:
-        return tuple(float(tok) for tok in text.split(",")) if text else ()
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"needs a comma list of numbers, got {text!r}") from None
-
-
-def _interval(text: str) -> Interval:
-    """An --interval argument: 'a,b' with finite numbers a < b."""
-    ends = _cut_points(text)
-    try:
-        if len(ends) != 2:
-            raise ValueError(f"interval must be 'a,b', got {text!r}")
-        return Interval(*ends)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # the parameter flags, each at the default of every subcommand that takes it
@@ -248,8 +239,10 @@ def _add_domain(p, *, interval=True, cuts_help=None):
     """The domain options: --interval (where the command takes one), --cuts
     and the shift --kappa."""
     if interval:
-        p.add_argument("--interval", type=_interval, default=_DEFAULTS["interval"])
-    p.add_argument("--cuts", type=_cut_points, default=None, help=cuts_help)
+        p.add_argument("--interval", type=_flag(lambda text: _interval_from(_items(text))),
+                       default=_DEFAULTS["interval"])
+    p.add_argument("--cuts", type=_flag(lambda text: _cut_list(_items(text))),
+                   default=None, help=cuts_help)
     p.add_argument("--kappa", type=float, default=_DEFAULTS["kappa"])
 
 
@@ -275,9 +268,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="graspa",
         description="Mapped-basis polynomial interpolation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    degree = _flag(lambda text: _integer(text, "the degree"))
+    count = _flag(_point_count)
 
     p = sub.add_parser("nodes", help="generate a node family, optionally mapped")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=degree, required=True)
     p.add_argument("--kind", choices=("equispaced", "bgcheb"), default="equispaced")
     p.add_argument("--beta", type=float, default=_DEFAULTS["beta"])
     p.add_argument("--gamma", type=float, default=_DEFAULTS["gamma"])
@@ -288,33 +283,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="sample a named map on a uniform grid")
     _add_map(p, required=True)
     _add_domain(p)
-    p.add_argument("--n", type=int, default=_DEFAULTS["n"],
+    p.add_argument("--n", type=degree, default=_DEFAULTS["n"],
                    help="degree (needed by graspa+vn)")
-    p.add_argument("--grid", type=_point_count, default=100)
+    p.add_argument("--grid", type=count, default=100)
     _add_common(p, _cmd_map)
 
     p = sub.add_parser("interp", help="interpolate a benchmark function once")
     p.add_argument("--function", choices=tuple(FUNCTIONS), default="f1")
     p.add_argument("--method", choices=METHODS, default="graspa")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=degree, required=True)
     _add_domain(p, interval=False,
                 cuts_help="comma list; defaults to the function's jumps")
-    p.add_argument("--grid", type=_point_count, default=332)
+    p.add_argument("--grid", type=count, default=332)
     _add_common(p, _cmd_interp)
 
     p = sub.add_parser("lebesgue", help="Lebesgue function and constant")
     p.add_argument("--method", choices=METHODS, default="classical")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=degree, required=True)
     _add_domain(p)
-    p.add_argument("--grid", type=_grid_spec, default="auto",
+    p.add_argument("--grid", type=_flag(_grid_spec_from), default="auto",
                    help="'auto' or per-subinterval point count")
     _add_common(p, _cmd_lebesgue)
 
     p = sub.add_parser("lagmatrix", help="absolute mapped-basis matrix on a grid")
     p.add_argument("--method", choices=METHODS, default="graspa")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=degree, required=True)
     _add_domain(p)
-    p.add_argument("--grid", type=_point_count, default=100)
+    p.add_argument("--grid", type=count, default=100)
     _add_common(p, _cmd_lagmatrix)
 
     p = sub.add_parser("experiment", help="reproduce a figure or run a JSON config")

@@ -4,6 +4,13 @@ A :class:`PiecewiseDomain` splits ``[a, b]`` at known jump locations into
 half-open subintervals; a point equal to a cut belongs to the subinterval on
 its left.  Node generators produce the equispaced and (beta, gamma)-Chebyshev
 families, and :func:`partition_nodes` assigns a node set to the subintervals.
+
+The module also holds the one reader of each input value that a library call,
+a JSON config and a command-line flag share: :func:`_integer` for a degree
+(an int, an integral float or a string holding one), and for every point
+count, which is read as a degree is; :func:`_cut_list` for a cut list; and
+:func:`_interval_from` for an interval.  The command line hands the last two
+the items of its comma lists as strings.
 """
 
 from __future__ import annotations
@@ -60,12 +67,8 @@ class PiecewiseDomain:
     def __post_init__(self) -> None:
         if not isinstance(self.interval, Interval):
             raise ValueError(f"interval must be an Interval, got {self.interval!r:.60}")
-        cuts = tuple(_number(c, "a cut point") for c in _vector(self.cuts, "cuts"))
+        cuts = _cut_list(self.cuts)
         object.__setattr__(self, "cuts", cuts)
-        if any(not np.isfinite(c) for c in cuts):
-            raise ValueError("cut points must be finite")
-        if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])):
-            raise ValueError("cut points must be strictly increasing")
         if cuts and not (self.interval.a < cuts[0] and cuts[-1] < self.interval.b):
             raise ValueError("cut points must lie strictly inside (a, b)")
 
@@ -107,11 +110,29 @@ class PiecewiseDomain:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseDomain":
-        ends = _vector(_descriptor(data, "a domain descriptor", "interval")["interval"],
-                       "interval")
-        if len(ends) != 2:
-            raise ValueError(f"interval must hold two numbers, got {ends!r:.60}")
-        return cls(Interval(*ends), data.get("cuts", ()))
+        interval = _descriptor(data, "a domain descriptor", "interval")["interval"]
+        return cls(_interval_from(interval), data.get("cuts", ()))
+
+
+def _interval_from(ends) -> Interval:
+    """The Interval of a flat list of its two endpoints, each a number or a
+    string holding one."""
+    ends = _vector(ends, "interval")
+    if len(ends) != 2:
+        raise ValueError(f"interval must hold two numbers, got {ends!r:.60}")
+    return Interval(*ends)
+
+
+def _cut_list(cuts) -> tuple[float, ...]:
+    """A flat list of cut points, each a number or a string holding one, as
+    floats: finite and strictly increasing (whether they lie inside an
+    interval is the domain's check)."""
+    cuts = tuple(_number(c, "a cut point") for c in _vector(cuts, "cuts"))
+    if any(not np.isfinite(c) for c in cuts):
+        raise ValueError("cut points must be finite")
+    if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])):
+        raise ValueError("cut points must be strictly increasing")
+    return cuts
 
 
 def _descriptor(data, what: str, *keys) -> dict:

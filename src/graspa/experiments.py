@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (Interval, PiecewiseDomain, _integer, _number, _vector,
-                     equispaced_nodes)
+from .domain import Interval, PiecewiseDomain, _integer, _vector, equispaced_nodes
 from .exceptions import EvaluationError, NodeCollisionError
 from .interpolation import _interpolant, build_interpolant, mapped_basis
 from .maps import MapChain, _kappa, named_chain
-from .stability import (_cell_search_max, _constant_grid, lebesgue_function,
-                        lebesgue_grid, lagrange_matrix)
+from .stability import (_cell_search_max, _constant_grid, _grid_spec_from,
+                        lebesgue_function, lebesgue_grid, lagrange_matrix)
 
 __all__ = [
     "DEFAULT_KAPPA",
@@ -115,9 +114,13 @@ def method_chain(method: str, domain: PiecewiseDomain, kappa: float,
 class ExperimentConfig:
     """Sweep description on [-1, 1]; cuts default to the function's own jumps.
 
-    Fields are normalised on construction: degrees and grid sizes to ints
-    (integral floats and numeric strings pass, fractions and bools do not),
-    the shift and the cuts to floats, the lists to tuples.
+    Fields are normalised on construction by the library's own readers, the
+    ones its calls and the command line use: degrees and grid sizes to ints,
+    each read as a degree is (integral floats and numeric strings pass,
+    fractions and bools do not), the shift and the cuts (read by the
+    config's :class:`PiecewiseDomain`) to floats, the lists to tuples.
+    ``lebesgue_grid`` is ``"auto"`` or a count, as :func:`lebesgue_grid`
+    reads it.  A degree or method listed twice is refused.
     """
 
     function: str = "f1"
@@ -132,8 +135,7 @@ class ExperimentConfig:
         if self.function not in tuple(FUNCTIONS):
             raise ValueError(f"unknown function {self.function!r}")
         cuts = self.cuts if self.cuts is not None else FUNCTIONS[self.function][1]
-        object.__setattr__(self, "cuts",
-                           tuple(_number(c, "a cut") for c in _vector(cuts, "cuts")))
+        object.__setattr__(self, "cuts", PiecewiseDomain(Interval(-1.0, 1.0), cuts).cuts)
         n_values = tuple(_integer(n, "a degree") for n in _vector(self.n_values, "n"))
         if not n_values:
             n_values = (13, 29, 41) if self.function == "f2" else (11, 23, 51)
@@ -147,13 +149,17 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+        # a repeated cell would run twice and write two columns or rows
+        for key, values in (("n", n_values), ("methods", self.methods)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} lists a value twice: {list(values)}")
         object.__setattr__(self, "rmae_grid", _integer(self.rmae_grid, "rmae_grid"))
         if self.rmae_grid < 2:
             raise ValueError("the error grid needs at least 2 points")
-        if self.lebesgue_grid != "auto":
-            object.__setattr__(self, "lebesgue_grid",
-                               _integer(self.lebesgue_grid, "lebesgue_grid"))
-        self.domain()  # validates the cuts against the interval
+        if np.ndim(self.lebesgue_grid):  # a config of grid points would not stay JSON
+            raise ValueError("lebesgue_grid must be 'auto' or a point count, not a list")
+        object.__setattr__(self, "lebesgue_grid",
+                           _grid_spec_from(self.lebesgue_grid, "lebesgue_grid"))
 
     def domain(self) -> PiecewiseDomain:
         return PiecewiseDomain(Interval(-1.0, 1.0), self.cuts)

@@ -159,9 +159,10 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
     edge, matching the membership rule), unioned with the midpoints of
     adjacent nodes where the local maxima sit; where a midpoint equals a sweep
     point, the sweep point stays.  ``grid_spec`` is ``"auto"``
-    (max(2000, 100 * node count) points per subinterval), an integer count
-    per subinterval, or a nonempty 1-D array of finite points; anything else
-    raises ValueError, as do nodes outside the domain.
+    (max(2000, 100 * node count) points per subinterval), a count per
+    subinterval of at least 2, read as a degree is (an int, an integral float
+    or a string holding one), or a nonempty 1-D array of finite points;
+    anything else raises ValueError, as do nodes outside the domain.
     """
     return _points(_search_grid(domain, nodes, grid_spec))
 
@@ -263,23 +264,12 @@ def _search_grid(domain: PiecewiseDomain, nodes, grid_spec):
     """:func:`lebesgue_grid`'s grid: a :class:`_SweepGrid` for a point count,
     a sorted array for explicit points or sweeps too narrow for one."""
     x = np.sort(_nodes_inside(nodes, domain))  # their midpoints join the grid
-    if isinstance(grid_spec, str):
-        if grid_spec != "auto":
-            raise ValueError(f"unknown grid spec {grid_spec!r}")
-        per = max(2000, 100 * x.size)
-    elif isinstance(grid_spec, (int, np.integer)):
-        per = int(grid_spec)
-        if per < 2:
-            raise ValueError("per-subinterval grid needs at least 2 points")
-    else:
-        grid = np.asarray(grid_spec, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
-            raise ValueError("grid spec must be 'auto', an integer count or a nonempty "
-                             f"1-D array of finite points, got {grid_spec!r:.60}")
-        grid = np.sort(grid)
-        if grid[0] < domain.interval.a or grid[-1] > domain.interval.b:
+    spec = _grid_spec_from(grid_spec)
+    if isinstance(spec, np.ndarray):
+        if spec[0] < domain.interval.a or spec[-1] > domain.interval.b:
             raise ValueError("grid points outside the domain")
-        return grid
+        return spec
+    per = max(2000, 100 * x.size) if spec == "auto" else spec
     bp = np.array(domain.breakpoints, dtype=float)
     start, end = bp[:-1], bp[1:]
     step = (end - start) / (per - 1)  # np.linspace's step
@@ -288,6 +278,25 @@ def _search_grid(domain: PiecewiseDomain, nodes, grid_spec):
     if (step >= _MIN_STEP_SPACINGS * spacing).all():
         return _SweepGrid(start, end, step, per, mid)
     return _merged_sweeps(start, end, per, mid)  # a subinterval too narrow to describe
+
+
+def _grid_spec_from(grid_spec, what="the grid spec"):
+    """A grid spec as :func:`lebesgue_grid` documents it: ``"auto"``, a count
+    (read by :func:`domain._integer`) of at least 2, or the points of a
+    nonempty finite 1-D array, sorted, as floats; anything else raises
+    ValueError, whose text names ``what`` where the spec is no array."""
+    if isinstance(grid_spec, str) and grid_spec == "auto":
+        return grid_spec
+    if np.ndim(grid_spec) == 0:
+        per = _integer(grid_spec, what)
+        if per < 2:
+            raise ValueError(f"{what} needs at least 2 points per subinterval")
+        return per
+    grid = np.asarray(grid_spec, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError("grid spec must be 'auto', an integer count or a nonempty "
+                         f"1-D array of finite points, got {grid_spec!r:.60}")
+    return np.sort(grid)
 
 
 def _merged_sweeps(start, end, per, mid) -> np.ndarray:

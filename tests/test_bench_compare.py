@@ -119,10 +119,39 @@ def test_each_metric_is_judged_against_its_bound(tmp_path, capsys):
     assert doc["regressed"] == (
         [f"figures:{m['name']}" for m in METRICS if m["better"] == "lower" and m["bound"] < 0.1]
         + [f"interp_build:{m['name']}" for m in METRICS if m["better"] == "higher"])
-    assert doc["unresolved"] == [f"interp_stream:{m['name']}" for m in METRICS]
+    # the raw pass walls read as pass_s does here, so their row follows it
+    assert doc["unresolved"] == [f"interp_stream:{m['name']}" for m in METRICS] + [
+        "interp_stream:pass_s:raw"]
     printed = capsys.readouterr().out
     assert f"regressed: {', '.join(doc['regressed'])}" in printed
     assert f"unresolved: {', '.join(doc['unresolved'])}" in printed
+
+
+def test_raw_pass_walls_are_judged_against_the_pass_s_bound(tmp_path, capsys):
+    bench_compare = _load_script()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(10):
+        # every metric, speed-normalised pass_s included, is equal on both
+        # sides; the raw pass walls of figures are 30% slower, beyond pass_s's
+        # bound of 0.25, and those of sweep_highdeg 20% slower, within it
+        _write_run(parent, "figures", seed, 1.0, wall=1.0)
+        _write_run(change, "figures", seed, 1.0, wall=1.3)
+        _write_run(parent, "sweep_highdeg", seed, 1.0, wall=1.0)
+        _write_run(change, "sweep_highdeg", seed, 1.0, wall=1.2)
+    out = tmp_path / "BENCH_test.json"
+    assert bench_compare.main(["--parent", str(parent), "--change", str(change),
+                               "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    pass_s = next(m for m in METRICS if m["name"] == "pass_s")
+    for workload, verdict in (("figures", "regressed"), ("sweep_highdeg", "ok")):
+        table = doc["workloads"][workload]["metrics"]
+        assert table["pass_s"]["verdict"] == "ok"
+        raw = table["pass_s:raw"]
+        assert (raw["unit"], raw["better"], raw["bound"]) == ("s", "lower", pass_s["bound"])
+        assert raw["verdict"] == verdict
+        assert raw["parent"]["median"] == 1.0  # each seed's median wall
+    assert doc["regressed"] == ["figures:pass_s:raw"] and doc["unresolved"] == []
+    assert "figures pass_s:raw: 1 -> 1.3 (0/10) regressed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("claim", ["figures", "figures:pass", "nosuch:pass_s",

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from graspa.cli import _CSV_BLOCK_VALUES, _write_figure_outputs, main
-from graspa import CHAIN_NAMES
-from graspa.experiments import METHODS, FigureOutput
+from graspa import CHAIN_NAMES, Interval, PiecewiseDomain, equispaced_nodes, lebesgue_grid
+from graspa.experiments import METHODS, ExperimentConfig, FigureOutput
 
 GOLDEN_EQUISPACED_N10 = 29.899955440644437
 
@@ -152,7 +152,8 @@ def test_experiment_rejects_bad_target(tmp_path):
     for text in ('{"function": "f1", "unknown_key": 1}', '{"n": 5}', '{"cuts": 0.0}',
                  '{"kappa": null}', '{"n": [5.7]}', '{"n": [true]}', '[]',
                  '{"methods": "graspa"}', '{"rmae_grid": null}', '{"n": [1, [2]]}',
-                 '{"kappa": "inf"}', '{"kappa": Infinity}', '{"n": [5'):
+                 '{"kappa": "inf"}', '{"kappa": Infinity}', '{"n": [5',
+                 '{"n": [11, 11]}', '{"methods": ["graspa", "graspa"]}'):
         bad.write_text(text)
         assert main(["experiment", str(bad), "--out-dir", str(tmp_path)]) == 2, text
         assert not (tmp_path / "bad.csv").exists()
@@ -400,10 +401,10 @@ def test_lebesgue_grid_is_auto_or_a_whole_count(tmp_path, capsys, grid):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["nodes", "--n", "5", "--interval", "1,2,3"], "interval must be 'a,b'"),
-    (["map", "--map", "kte", "--interval", "1,2,3"], "interval must be 'a,b'"),
-    (["lebesgue", "--n", "5", "--interval", "1,2,3"], "interval must be 'a,b'"),
-    (["lagmatrix", "--n", "5", "--interval", "1,2,3"], "interval must be 'a,b'"),
+    (["nodes", "--n", "5", "--interval", "1,2,3"], "interval must hold two numbers"),
+    (["map", "--map", "kte", "--interval", "1,2,3"], "interval must hold two numbers"),
+    (["lebesgue", "--n", "5", "--interval", "1,2,3"], "interval must hold two numbers"),
+    (["lagmatrix", "--n", "5", "--interval", "1,2,3"], "interval must hold two numbers"),
     (["nodes", "--n", "5", "--interval=-1,inf"], "endpoints must be finite"),
     (["nodes", "--n", "5", "--map", "sgibbs", "--cuts", "nan"], "cut points must be finite"),
     (["map", "--map", "mkte", "--cuts", "x"], "--cuts"),
@@ -413,6 +414,77 @@ def test_lebesgue_grid_is_auto_or_a_whole_count(tmp_path, capsys, grid):
 def test_malformed_domain_exits_2(tmp_path, capsys, argv, message):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+F2_DOMAIN = PiecewiseDomain(Interval(-1.0, 1.0), (-0.5, 0.0, 0.5))
+# each value's library call, its JSON config (None: a config has no such
+# key), the command before its flag, the flag, and a word that every refusal
+# of the value names; a comma list is passed to the call and the config as
+# its items and to the flag as their text joined by commas
+SPELLING_ENTRIES = {
+    "degree": (lambda v: equispaced_nodes(v).nodes.tobytes(), lambda v: {"n": [v]},
+               ["nodes"], "--n", "degree"),
+    "grid": (lambda v: lebesgue_grid(F2_DOMAIN, equispaced_nodes(5), v).tobytes(),
+             lambda v: {"function": "f2", "lebesgue_grid": v},
+             ["lebesgue", "--n", "5", "--cuts=-0.5,0,0.5"], "--grid", "grid"),
+    "cuts": (lambda v: PiecewiseDomain(Interval(-1.0, 1.0), v).cuts, lambda v: {"cuts": v},
+             ["map", "--map", "mkte", "--grid", "50"], "--cuts", "cut"),
+    "interval": (lambda v: PiecewiseDomain.from_dict({"interval": v}).interval, None,
+                 ["nodes", "--n", "5"], "--interval", "interval"),
+}
+# (value, spelling, the spelling it reads as; None where it is refused)
+SPELLINGS = [
+    ("degree", 23, 23), ("degree", 23.0, 23), ("degree", "23", 23),
+    ("degree", 23.5, None), ("degree", True, None), ("degree", "abc", None),
+    ("grid", 300, 300), ("grid", 300.0, 300), ("grid", "300", 300), ("grid", "auto", "auto"),
+    ("grid", 1, None), ("grid", 2.5, None), ("grid", True, None), ("grid", "abc", None),
+    ("cuts", ["0", "0.5"], [0.0, 0.5]), ("cuts", [0.0, 0.5], [0.0, 0.5]),
+    ("cuts", ["x"], None), ("cuts", ["0", "", "0.5"], None), ("cuts", ["nan"], None),
+    ("interval", ["-1", "2"], [-1.0, 2.0]), ("interval", [-1, 2], [-1.0, 2.0]),
+    ("interval", ["1", "2", "3"], None), ("interval", ["a", "b"], None),
+    ("interval", ["-1", "inf"], None),
+]
+
+
+def _flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _through_every_entry(kind, value, out):
+    """{entry: the value read through it}: the library call's result, the
+    JSON config, and the command's exit code and the bytes it wrote."""
+    call, config, command, flag, _ = SPELLING_ENTRIES[kind]
+    read = {"call": call(value)}
+    if config:
+        read["config"] = ExperimentConfig.from_json_dict(json.loads(json.dumps(config(value))))
+    code = main(command + [f"{flag}={_flag_text(value)}", "--out-dir", str(out)])
+    read["flag"] = (code, [p.read_bytes() for p in sorted(out.glob("*"))])
+    return read
+
+
+@pytest.mark.parametrize("kind, value, reads_as", SPELLINGS,
+                         ids=[f"{kind}={value!r}" for kind, value, _ in SPELLINGS])
+def test_a_value_reads_alike_through_call_config_and_flag(tmp_path, capsys, kind, value,
+                                                          reads_as):
+    # one reader per value: an accepted spelling gives what its plain
+    # spelling gives through each entry point (the same grid bytes for a
+    # grid spec), and a refused one is a ValueError or exit 2 that names the
+    # value, or the flag, through every entry point
+    call, config, command, flag, word = SPELLING_ENTRIES[kind]
+    if reads_as is not None:
+        got = _through_every_entry(kind, value, tmp_path / "spelling")
+        assert got["flag"][0] == 0
+        assert got == _through_every_entry(kind, reads_as, tmp_path / "plain")
+        return
+    with pytest.raises(ValueError, match=word):
+        call(value)
+    if config:
+        with pytest.raises(ValueError, match=word):
+            ExperimentConfig.from_json_dict(json.loads(json.dumps(config(value))))
+    assert main(command + [f"{flag}={_flag_text(value)}", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and word in err
     assert not list(tmp_path.iterdir())
 
 

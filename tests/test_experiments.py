@@ -97,6 +97,11 @@ def test_config_validation():
             ExperimentConfig(**bad)
     with pytest.raises(ValueError, match="^n must be a flat list"):
         ExperimentConfig(n_values=[1, [2]])  # ragged: numpy's own text named no key
+    # a repeated cell ran twice and wrote two rows or two equal columns
+    for key, bad in (("n", {"n_values": (11, 11)}), ("n", {"n_values": (11, "11.0")}),
+                     ("methods", {"methods": ("graspa", "classical", "graspa")})):
+        with pytest.raises(ValueError, match=f"^{key} lists a value twice"):
+            ExperimentConfig(function="f1", **bad)
     cfg = ExperimentConfig(n_values=(11.0, "23"), kappa=500, lebesgue_grid="300")
     assert cfg.n_values == (11, 23) and cfg.lebesgue_grid == 300
     assert cfg.kappa == 500.0 and isinstance(cfg.kappa, float)

@@ -143,6 +143,13 @@ def test_grid_spec_validation():
         lebesgue_grid(DOM0, nodes, np.array([]))
     with pytest.raises(ValueError):
         lebesgue_grid(DOM0, nodes, "fine")
+    # a count is read as a degree is: an integral float or a numeric string
+    # gives the integer count's grid, and a bool is no count
+    grid = lebesgue_grid(DOM0, nodes, 2000).tobytes()
+    for spec in (2000.0, "2000", np.float64(2000.0)):
+        assert lebesgue_grid(DOM0, nodes, spec).tobytes() == grid, spec
+    with pytest.raises(ValueError, match="must be a number"):
+        lebesgue_grid(DOM0, nodes, True)
 
 
 @pytest.mark.parametrize("compute, message", [
@@ -159,7 +166,6 @@ def test_grid_spec_validation():
      "grid resolves to 2 points"),
     (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), [np.nan, 0.0]), "grid spec"),
     (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), np.zeros((2, 3))), "grid spec"),
-    (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), 2000.0), "grid spec"),
     # a partition made for the cut at 0 was paired with f2's three cuts
     # (1.758e7, case "odd") and with a cut at 0.3 (1.136e6)
     (lambda: limit_lebesgue_prediction(partition_nodes(equispaced_nodes(23), DOM1),
@@ -177,7 +183,7 @@ def test_grid_spec_validation():
      "nodes must lie inside the domain"),
 ], ids=["even-split-counts", "grid-count-below-2", "grid-below-a", "grid-above-b",
         "subinterval-without-grid-points", "limit-grid-too-coarse", "grid-with-nan",
-        "grid-2d", "grid-float-count", "partition-with-fewer-parts",
+        "grid-2d", "partition-with-fewer-parts",
         "partition-for-another-cut", "constant-nodes-outside", "max-nodes-outside"])
 def test_malformed_grids_and_splits_are_refused(compute, message):
     with pytest.raises(ValueError, match=message):

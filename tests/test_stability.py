@@ -166,6 +166,8 @@ def test_grid_spec_validation():
      "grid resolves to 2 points"),
     (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), [np.nan, 0.0]), "grid spec"),
     (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), np.zeros((2, 3))), "grid spec"),
+    # an integral float is a count (test_grid_spec_validation); a fraction is none
+    (lambda: lebesgue_grid(DOM0, equispaced_nodes(5), 2000.5), "grid spec"),
     # a partition made for the cut at 0 was paired with f2's three cuts
     # (1.758e7, case "odd") and with a cut at 0.3 (1.136e6)
     (lambda: limit_lebesgue_prediction(partition_nodes(equispaced_nodes(23), DOM1),
@@ -183,7 +185,7 @@ def test_grid_spec_validation():
      "nodes must lie inside the domain"),
 ], ids=["even-split-counts", "grid-count-below-2", "grid-below-a", "grid-above-b",
         "subinterval-without-grid-points", "limit-grid-too-coarse", "grid-with-nan",
-        "grid-2d", "partition-with-fewer-parts",
+        "grid-2d", "grid-float-count", "partition-with-fewer-parts",
         "partition-for-another-cut", "constant-nodes-outside", "max-nodes-outside"])
 def test_malformed_grids_and_splits_are_refused(compute, message):
     with pytest.raises(ValueError, match=message):

@@ -15,9 +15,10 @@ OUT_DIR receives:
   pass and one interp_build pass, on a fixed seed;
 - cli/: the CSVs of the command-line calls in ``CLI_CALLS`` (the README's
   examples other than ``experiment``, bgcheb nodes, the KTE stretch of a
-  grid and of nodes, and calls with negative cut lists, an interval and a
-  lebesgue grid count), one subdirectory per call, since each command
-  writes a fixed file name;
+  grid and of nodes, calls with negative cut lists, an interval and a
+  lebesgue grid count, and tables large enough for the CSV float kernel
+  that reach each of its layouts), one subdirectory per call, since each
+  command writes a fixed file name;
 - lebesgue_points.txt: the number of points passed to the Lebesgue
   evaluator ``graspa.stability._lebesgue_values`` by each figure id, each
   sweep case and each limit case on both grids, counted by wrapping that
@@ -64,6 +65,15 @@ CLI_CALLS = {
     "map_graspa_interval": "map --map graspa --interval=-2,3 --cuts=-1,0.5 --grid 300",
     "lebesgue_graspa_grid": "lebesgue --method graspa --n 21 --cuts=0.5 --interval=0,1 "
                             "--grid 1500",
+    # tables the CSV float kernel writes, each over several of its blocks:
+    # negatives and exact zeros; leading zeros (0.000d) and two-digit
+    # exponents on rows wider than half a block; negative three-digit
+    # exponents; positive three-digit exponents; up to 13 integer digits
+    "interp_f2_fine": "interp --function f2 --method graspa --n 29 --grid 4001",
+    "lagmatrix_graspa_fine": "lagmatrix --n 51 --grid 2000",
+    "lagmatrix_classical_400": "lagmatrix --method classical --n 400 --grid 50",
+    "map_sgibbs_huge_shift": "map --map sgibbs --kappa 1e150 --cuts 0 --grid 1000",
+    "lebesgue_classical_51": "lebesgue --method classical --n 51",
 }
 
 

@@ -164,7 +164,7 @@ def lebesgue_grid(domain: PiecewiseDomain, nodes, grid_spec="auto") -> np.ndarra
     or a string holding one), or a nonempty 1-D array of finite points;
     anything else raises ValueError, as do nodes outside the domain.
     """
-    return _points(_search_grid(domain, nodes, grid_spec))
+    return _search_grid(domain, nodes, grid_spec, describe=False)
 
 
 # the fewest points a grid may resolve to for a Lebesgue-constant maximum
@@ -260,9 +260,10 @@ class _SweepGrid:
         return out
 
 
-def _search_grid(domain: PiecewiseDomain, nodes, grid_spec):
-    """:func:`lebesgue_grid`'s grid: a :class:`_SweepGrid` for a point count,
-    a sorted array for explicit points or sweeps too narrow for one."""
+def _search_grid(domain: PiecewiseDomain, nodes, grid_spec, describe=True):
+    """:func:`lebesgue_grid`'s grid: a :class:`_SweepGrid` for a point count
+    when ``describe`` is set, else a sorted array, as for explicit points or
+    sweeps too narrow for one."""
     x = np.sort(_nodes_inside(nodes, domain))  # their midpoints join the grid
     spec = _grid_spec_from(grid_spec)
     if isinstance(spec, np.ndarray):
@@ -275,9 +276,9 @@ def _search_grid(domain: PiecewiseDomain, nodes, grid_spec):
     step = (end - start) / (per - 1)  # np.linspace's step
     mid = (x[:-1] + x[1:]) / 2.0  # none for a single node; nondecreasing, as x is
     spacing = np.spacing(np.maximum(np.abs(start), np.abs(end)))
-    if (step >= _MIN_STEP_SPACINGS * spacing).all():
+    if describe and (step >= _MIN_STEP_SPACINGS * spacing).all():
         return _SweepGrid(start, end, step, per, mid)
-    return _merged_sweeps(start, end, per, mid)  # a subinterval too narrow to describe
+    return _merged_sweeps(start, end, per, mid)
 
 
 def _grid_spec_from(grid_spec, what="the grid spec"):
@@ -314,9 +315,9 @@ def _points(grid) -> np.ndarray:
         grid.start, grid.end, grid.per, grid.mid)
 
 
-def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec):
+def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec, describe=True):
     """:func:`_search_grid`, refused when too coarse for a Lebesgue constant."""
-    grid = _search_grid(domain, nodes, grid_spec)
+    grid = _search_grid(domain, nodes, grid_spec, describe)
     if grid.size < _MIN_GRID_POINTS:
         raise ValueError(f"grid resolves to {grid.size} points; "
                          f"need at least {_MIN_GRID_POINTS}")
@@ -326,7 +327,7 @@ def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec):
 def lebesgue_constant(nodes, chain: MapChain | None, domain: PiecewiseDomain,
                       grid_spec="auto") -> StabilityReport:
     """Maximum of the mapped Lebesgue function over a dense grid."""
-    grid = _points(_constant_grid(domain, nodes, grid_spec))
+    grid = _constant_grid(domain, nodes, grid_spec, describe=False)
     vals = lebesgue_function(nodes, chain, grid)
     grid.setflags(write=False)
     vals.setflags(write=False)

@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from graspa.cli import _CSV_BLOCK_VALUES, _write_figure_outputs, main
+from graspa.cli import _CSV_BLOCK_VALUES, _CSV_KERNEL_MIN_VALUES, _write_figure_outputs, main
 from graspa import CHAIN_NAMES, Interval, PiecewiseDomain, equispaced_nodes, lebesgue_grid
 from graspa.experiments import METHODS, ExperimentConfig, FigureOutput
 
@@ -332,12 +332,16 @@ def test_csv_bytes_match_the_csv_module_contract(tmp_path, capsys):
     assert capsys.readouterr().out == f"{tmp_path / 'contract.csv'}\n"
     # rows are formatted a block at a time: one row short of a block, a
     # whole block and one row past it, with the special values on both
-    # sides of the first block edge
+    # sides of the first block edge; and tables one value short of the
+    # kernel's crossover, at it and one past it (for 100 columns, the
+    # tables of whole rows either side of it)
     rng = np.random.default_rng(3)
     specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
     for width in (1, 100):
         per_block = _CSV_BLOCK_VALUES // width
-        for count in (per_block - 1, per_block, per_block + 1):
+        least = _CSV_KERNEL_MIN_VALUES
+        crossover = {(least - 1) // width, least // width, -(-(least + 1) // width)}
+        for count in (per_block - 1, per_block, per_block + 1, *sorted(crossover)):
             rows = rng.standard_normal((count, width)) * 10.0 ** rng.integers(
                 -300, 300, (count, width))
             edge = min(per_block, count) * width  # flat index of the first edge

@@ -112,6 +112,14 @@ def test_grid_is_the_sorted_union_of_sweeps_and_midpoints(cuts, a, b):
             want = np.unique(np.concatenate(pieces + [(ordered[:-1] + ordered[1:]) / 2.0]))
             grid = lebesgue_grid(dom, nodes, spec)
             assert grid.tobytes() == want.tobytes()
+            # lebesgue_constant sweeps the same points, built without a
+            # description, the narrow domain's included
+            if grid.size >= stability._MIN_GRID_POINTS:
+                assert stability._constant_grid(
+                    dom, nodes, spec, describe=False).tobytes() == grid.tobytes()
+                if nodes.size == 1:
+                    assert lebesgue_constant(nodes, None, dom, spec).grid.tobytes() \
+                        == grid.tobytes()
             described = stability._search_grid(dom, nodes, spec)
             assert isinstance(described, np.ndarray) is narrow
             assert described.size == grid.size

@@ -142,6 +142,22 @@ def test_mkte_preserves_membership():
         assert DOM3.subinterval_index(y) == DOM3.subinterval_index(x)
 
 
+@pytest.mark.parametrize("cuts", [(0.0, 5e-324), (0.0, 1.5e-323), (-5e-324, 0.0)])
+def test_mkte_subnormal_width_cell(cuts):
+    # a cell a few subnormal ulps wide halves inexactly, or to zero; its points
+    # still map into their own cell, in order, with no division warning
+    dom = PiecewiseDomain(Interval(-1, 1), cuts)
+    bp = np.array(dom.breakpoints)
+    x = np.unique(np.concatenate([bp, np.nextafter(bp, -2.0), np.nextafter(bp, 2.0),
+                                  np.linspace(-1, 1, 101), [1e-323, 2e-323]]))
+    x = x[np.abs(x) <= 1.0]
+    y = mkte(1.0, dom, x)
+    assert np.array_equal(dom.subinterval_index(y), dom.subinterval_index(x))
+    assert np.all(np.diff(y) >= 0)
+    for c in cuts:
+        assert mkte(1.0, dom, c) == c
+
+
 def test_mkte_matches_bg_chebyshev_per_side():
     # equispaced nodes, pushed through the stretch, land on the
     # (beta, gamma)-Chebyshev family induced by each side's offsets

@@ -213,42 +213,30 @@ class MkteMap(_Atom):
         object.__setattr__(self, "_kte", KteMap(self.alpha))  # reads and checks alpha
         object.__setattr__(self, "alpha", self._kte.alpha)
         # the ends lo, hi of subinterval tau at index tau (entry 0 is unused),
-        # its half-width and the float just inside its open left end
+        # its half-width and the float just inside its open left end; a cell one
+        # subnormal ulp wide halves to zero, so the half-width is kept nonzero
         hi = np.array(self.domain.breakpoints)
         lo = np.append(hi[0], hi[:-1])
-        width = hi - lo
-        half = width / 2.0
+        half = np.maximum((hi - lo) / 2.0, np.finfo(float).smallest_subnormal)
         object.__setattr__(self, "_ends", (lo, half, hi, np.nextafter(lo, hi)))
-        # a width below twice the smallest normal float may halve inexactly, or
-        # to zero; such a domain scales by the width itself
-        exact = bool((half * 2.0 == width).all())
-        object.__setattr__(self, "_width", None if exact else width)
 
     def _apply(self, xs, idx, out):
         lo, half, hi, inside = self._ends
         t = lo.take(idx)  # the one per-point scratch array, refilled by take
         above = xs > t  # read before out, which may be xs, is written
         # u = (x - lo) / h - 1 with h = (hi - lo) / 2, clipped to [-1, 1], so
-        # the stretch needs no bounds check; then lo + (M(u) + 1) h.  Where halving
-        # is exact these round as 2 (x - lo) / (hi - lo) and (M(u) + 1)(hi - lo) / 2;
-        # elsewhere doubling (x - lo) / (hi - lo) is exact, and the image is
-        # clipped to its cell below
-        width = self._width
+        # the stretch needs no bounds check; then lo + (M(u) + 1) h.  Halving a
+        # normal width is exact, so these round as 2 (x - lo) / (hi - lo) and
+        # (M(u) + 1)(hi - lo) / 2; a subnormal cell's image is clipped to it below
         np.subtract(xs, t, out=out)
-        if width is None:
-            out /= half.take(idx, out=t, mode="clip")
-        else:
-            out /= width.take(idx, out=t, mode="clip")
-            out *= 2.0
+        out /= half.take(idx, out=t, mode="clip")
         out -= 1.0
         top, bottom = out >= 1.0, out <= -1.0
         np.maximum(out, -1.0, out=out)
         np.minimum(out, 1.0, out=out)
         self._kte._stretch(out, out)
         out += 1.0
-        out *= t  # h, or the width
-        if width is not None:
-            out /= 2.0
+        out *= t
         out += lo.take(idx, out=t, mode="clip")
         # Pin subinterval ends exactly, and keep every interior image strictly
         # inside its half-open source cell: the sine flattens quadratically at the

@@ -142,20 +142,25 @@ def test_mkte_preserves_membership():
         assert DOM3.subinterval_index(y) == DOM3.subinterval_index(x)
 
 
+@pytest.mark.parametrize("hi", [1.0, 1.7e308])
 @pytest.mark.parametrize("cuts", [(0.0, 5e-324), (0.0, 1.5e-323), (-5e-324, 0.0)])
-def test_mkte_subnormal_width_cell(cuts):
+def test_mkte_subnormal_width_cell(cuts, hi):
     # a cell a few subnormal ulps wide halves inexactly, or to zero; its points
-    # still map into their own cell, in order, with no division warning
-    dom = PiecewiseDomain(Interval(-1, 1), cuts)
+    # still map into their own cell, in order, with no division warning, and the
+    # cells beside it, however wide, map as they do without it
+    dom = PiecewiseDomain(Interval(-1, hi), cuts)
     bp = np.array(dom.breakpoints)
     x = np.unique(np.concatenate([bp, np.nextafter(bp, -2.0), np.nextafter(bp, 2.0),
-                                  np.linspace(-1, 1, 101), [1e-323, 2e-323]]))
-    x = x[np.abs(x) <= 1.0]
+                                  np.linspace(-1, hi, 101), [1e-323, 2e-323]]))
+    x = x[(x >= -1.0) & (x <= hi)]
     y = mkte(1.0, dom, x)
     assert np.array_equal(dom.subinterval_index(y), dom.subinterval_index(x))
     assert np.all(np.diff(y) >= 0)
     for c in cuts:
         assert mkte(1.0, dom, c) == c
+    last = x > cuts[-1]
+    alone = PiecewiseDomain(Interval(-1, hi), cuts[-1:])
+    assert np.array_equal(y[last], mkte(1.0, alone, x[last]))
 
 
 def test_mkte_matches_bg_chebyshev_per_side():

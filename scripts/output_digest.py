@@ -16,8 +16,9 @@ OUT_DIR receives:
 - cli/: the CSVs of the command-line calls in ``CLI_CALLS`` (the README's
   examples other than ``experiment``, bgcheb nodes, the KTE stretch of a
   grid and of nodes, calls with negative cut lists, an interval and a
-  lebesgue grid count, and tables large enough for the CSV float kernel
-  that reach each of its layouts), one subdirectory per call, since each
+  lebesgue grid count, tables large enough for the CSV float kernel that
+  reach each of its layouts, and the edges of the interpolant and
+  Lebesgue-function table builders), one subdirectory per call, since each
   command writes a fixed file name;
 - lebesgue_points.txt: the number of points passed to the Lebesgue
   evaluator ``graspa.stability._lebesgue_values`` by each figure id, each
@@ -74,6 +75,12 @@ CLI_CALLS = {
     "lagmatrix_classical_400": "lagmatrix --method classical --n 400 --grid 50",
     "map_sgibbs_huge_shift": "map --map sgibbs --kappa 1e150 --cuts 0 --grid 1000",
     "lebesgue_classical_51": "lebesgue --method classical --n 51",
+    # the edges of the interpolant and Lebesgue-function table builders: a
+    # one-row table, the node-corrected chain, and a grid of 1005 points,
+    # just above the 1000 that a Lebesgue table needs
+    "interp_one_row": "interp --function f1 --method graspa --n 23 --grid 1",
+    "interp_graspa_vn": "interp --function f1 --method graspa+vn --n 22 --grid 332",
+    "lebesgue_classical_1005": "lebesgue --method classical --n 9 --grid 996",
 }
 
 

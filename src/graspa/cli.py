@@ -40,11 +40,11 @@ from .domain import Interval, PiecewiseDomain, _cut_list, _integer, _interval_fr
     bg_chebyshev_nodes, equispaced_nodes, partition_nodes
 from .exceptions import EvaluationError
 from .experiments import DEFAULT_KAPPA, FIGURE_IDS, FLOAT_FORMAT, FUNCTIONS, METHODS, \
-    ExperimentConfig, FigureOutput, _chain_name, build_figure, matrix_table, \
-    method_chain, run_comparison, sweep_table
-from .interpolation import build_interpolant
+    RMAE_GRID_SIZE, ExperimentConfig, FigureOutput, _chain_name, build_figure, \
+    interpolant_table, lebesgue_table, matrix_table, method_chain, run_comparison, \
+    sweep_table
 from .maps import _CHAINS, CHAIN_NAMES, named_chain
-from .stability import _grid_spec_from, lebesgue_constant
+from .stability import _grid_spec_from
 from .svgplot import write_line_svg
 
 
@@ -383,20 +383,18 @@ def _cmd_map(args) -> int:
 def _cmd_interp(args) -> int:
     fn, default_cuts = FUNCTIONS[args.function]
     nodes, chain = _method_setup(args, _domain(args, default_cuts))
-    interp = build_interpolant(nodes, fn(nodes.nodes), chain)
     grid = np.linspace(-1.0, 1.0, args.grid)
-    rows = np.column_stack([grid, fn(grid), interp(grid)])
-    _write_figure_outputs(args, (FigureOutput("interp", ("x", "f", "r"), rows),))
+    table = interpolant_table("interp", fn, nodes, {"r": chain}, grid)
+    _write_figure_outputs(args, (table,))
     return 0
 
 
 def _cmd_lebesgue(args) -> int:
     domain = _domain(args)
     nodes, chain = _method_setup(args, domain)
-    report = lebesgue_constant(nodes, chain, domain, args.grid)
-    rows = np.column_stack([report.grid, report.lebesgue_values])
-    _write_figure_outputs(args, (FigureOutput("lebesgue", ("x", "lambda"), rows),))
-    print(f"lebesgue_constant = {FLOAT_FORMAT % report.lebesgue_constant}")
+    table = lebesgue_table("lebesgue", domain, nodes, {"lambda": chain}, args.grid)
+    _write_figure_outputs(args, (table,))
+    print(f"lebesgue_constant = {FLOAT_FORMAT % table.rows[:, 1].max()}")
     return 0
 
 
@@ -491,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=degree, required=True)
     _add_domain(p, interval=False,
                 cuts_help="comma list; defaults to the function's jumps")
-    p.add_argument("--grid", type=count, default=332)
+    p.add_argument("--grid", type=count, default=RMAE_GRID_SIZE)
     _add_common(p, _cmd_interp)
 
     p = sub.add_parser("lebesgue", help="Lebesgue function and constant")

@@ -6,10 +6,16 @@ a kink.  ``run_comparison`` sweeps (method, degree) cells -- plain
 interpolation, the bare S-Gibbs shift, and the GRASPA map with or without the
 even-split node correction, each a chain from :func:`maps.named_chain` --
 collecting the relative maximum absolute error and the Lebesgue constant for
-each cell, or only the one of them a table writes.  :func:`sweep_table`
-turns a sweep into the one CSV-able table that both the figures and
-JSON-config runs write, and :func:`matrix_table` is the basis-matrix table of
-both fig4 and ``graspa lagmatrix``.  Everything is deterministic.
+each cell, or only the one of them a table writes.  Four builders make the
+tables that the figures share with the command line, each the one
+definition of its layout: :func:`sweep_table` turns a sweep into the table
+that both the figures and JSON-config runs write, :func:`matrix_table` is the
+basis-matrix table of fig4 and ``graspa lagmatrix``,
+:func:`interpolant_table` the interpolant table of fig3, fig7 and ``graspa
+interp``, and :func:`lebesgue_table` the Lebesgue-function table of fig1,
+fig6 and ``graspa lebesgue``.  The last two take their columns as a
+``{header: chain}`` mapping, one method per column in a figure and one
+column on the command line.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .domain import Interval, PiecewiseDomain, _integer, _vector, equispaced_nod
 from .exceptions import EvaluationError, NodeCollisionError
 from .interpolation import _interpolant, build_interpolant, mapped_basis
 from .maps import MapChain, _kappa, named_chain
-from .stability import (_cell_search_max, _constant_grid, _grid_spec_from,
+from .stability import (_cell_search_max, _constant_grid, _dense_enough, _grid_spec_from,
                         lebesgue_function, lebesgue_grid, lagrange_matrix)
 
 __all__ = [
@@ -43,6 +49,8 @@ __all__ = [
     "FLOAT_FORMAT",
     "sweep_table",
     "matrix_table",
+    "interpolant_table",
+    "lebesgue_table",
     "build_figure",
 ]
 
@@ -295,20 +303,6 @@ _COLUMN_TAG = {"classical": "classical", "sgibbs": "sgibbs", "graspa": "graspa",
                "graspa+vn": "graspa_vn"}
 
 
-def _lambda_function_table(name, function, n, methods):
-    fn, cuts = FUNCTIONS[function]
-    domain = PiecewiseDomain(Interval(-1.0, 1.0), cuts)
-    nodes = equispaced_nodes(n)
-    grid = lebesgue_grid(domain, nodes)
-    cols = [grid]
-    header = ["x"]
-    for m in methods:
-        chain = method_chain(m, domain, DEFAULT_KAPPA, n)
-        cols.append(lebesgue_function(nodes, chain, grid))
-        header.append(f"lambda_{_COLUMN_TAG[m]}")
-    return FigureOutput(name, tuple(header), np.column_stack(cols), logy=True)
-
-
 def sweep_table(name: str, result: ExperimentResult, fields) -> FigureOutput:
     """One row per degree: ``n``, then for each field ("rmae" or "lebesgue")
     one column per method, in the config's order."""
@@ -330,31 +324,50 @@ def matrix_table(name: str, nodes, chain: MapChain | None, grid) -> FigureOutput
                         lagrange_matrix(nodes, chain, grid), kind="matrix")
 
 
+def interpolant_table(name: str, fn, nodes, chains: dict, grid) -> FigureOutput:
+    """Columns ``x`` (the grid), ``f`` (fn there), then, headed by each key of
+    ``chains``, the interpolant of fn at the nodes through that key's chain."""
+    fvals = fn(nodes.nodes)
+    cols = [grid, fn(grid)]
+    cols += [build_interpolant(nodes, fvals, chain)(grid) for chain in chains.values()]
+    return FigureOutput(name, ("x", "f", *chains), np.column_stack(cols))
+
+
+def lebesgue_table(name: str, domain: PiecewiseDomain, nodes, chains: dict,
+                   grid_spec="auto") -> FigureOutput:
+    """Columns ``x`` (:func:`stability.lebesgue_grid` of the nodes on the
+    domain), then, headed by each key of ``chains``, the Lebesgue function
+    through that key's chain there.  A grid of fewer than 1000 points raises
+    ValueError, as :func:`stability.lebesgue_constant` does."""
+    grid = _dense_enough(lebesgue_grid(domain, nodes, grid_spec))
+    cols = [grid] + [lebesgue_function(nodes, chain, grid) for chain in chains.values()]
+    return FigureOutput(name, ("x", *chains), np.column_stack(cols), logy=True)
+
+
 def _sweep_figure(name, function, n_list, methods, fields):
     config = ExperimentConfig(function=function, n_values=tuple(n_list),
                               methods=tuple(methods))
     return sweep_table(name, run_comparison(config, fields), fields)
 
 
-def _interpolant_table(name, function, n, methods):
-    fn, cuts = FUNCTIONS[function]
-    domain = PiecewiseDomain(Interval(-1.0, 1.0), cuts)
-    nodes = equispaced_nodes(n)
-    grid = np.linspace(-1.0, 1.0, RMAE_GRID_SIZE)
-    fvals = fn(nodes.nodes)
-    cols = [grid, fn(grid)]
-    header = ["x", "f"]
-    for m in methods:
-        chain = method_chain(m, domain, DEFAULT_KAPPA, n)
-        cols.append(build_interpolant(nodes, fvals, chain)(grid))
-        header.append(f"r_{_COLUMN_TAG[m]}")
-    return FigureOutput(name, tuple(header), np.column_stack(cols))
+def _figure_setup(function, n, methods, prefix=""):
+    """[-1, 1] cut at the function's jumps, its n + 1 equispaced nodes, and
+    each method's chain at the default shift, headed prefix + its tag."""
+    domain = PiecewiseDomain(Interval(-1.0, 1.0), FUNCTIONS[function][1])
+    chains = {prefix + _COLUMN_TAG[m]: method_chain(m, domain, DEFAULT_KAPPA, n)
+              for m in methods}
+    return domain, equispaced_nodes(n), chains
+
+
+def _interpolant_figure(name, function, n, methods):
+    _, nodes, chains = _figure_setup(function, n, methods, "r_")
+    return interpolant_table(name, FUNCTIONS[function][0], nodes, chains,
+                             np.linspace(-1.0, 1.0, RMAE_GRID_SIZE))
 
 
 def _matrix_figure(name, function, n, method):
-    domain = PiecewiseDomain(Interval(-1.0, 1.0), FUNCTIONS[function][1])
-    return matrix_table(name, equispaced_nodes(n),
-                        method_chain(method, domain, DEFAULT_KAPPA, n),
+    _, nodes, chains = _figure_setup(function, n, (method,))
+    return matrix_table(name, nodes, *chains.values(),
                         np.linspace(-1.0, 1.0, MATRIX_GRID_SIZE))
 
 
@@ -362,17 +375,19 @@ _THREE = ("classical", "sgibbs", "graspa")
 
 # figure id -> builder of its tables from the id (the first table's name)
 _FIGURES = {
-    "fig1": lambda name: (_lambda_function_table(name, "f1", 23, _THREE),),
+    "fig1": lambda name: (lebesgue_table(name, *_figure_setup("f1", 23, _THREE,
+                                                              "lambda_")),),
     "fig2": lambda name: (_sweep_figure(name, "f1", ODD_SWEEP, _THREE, ("lebesgue",)),),
-    "fig3": lambda name: (_interpolant_table(name, "f1", 23, _THREE),),
+    "fig3": lambda name: (_interpolant_figure(name, "f1", 23, _THREE),),
     "fig3bis": lambda name: (_sweep_figure(name, "f1", ODD_SWEEP, _THREE, ("rmae",)),),
     "fig4": lambda name: (_matrix_figure(name, "f1", 50, "graspa"),
                           _matrix_figure(name + "_vn", "f1", 50, "graspa+vn")),
     "fig5": lambda name: (_sweep_figure(name, "f1", EVEN_SWEEP,
                                         ("classical", "sgibbs", "graspa+vn"),
                                         ("lebesgue", "rmae")),),
-    "fig6": lambda name: (_lambda_function_table(name, "f2", 29, _THREE),),
-    "fig7": lambda name: (_interpolant_table(name, "f2", 29, _THREE),),
+    "fig6": lambda name: (lebesgue_table(name, *_figure_setup("f2", 29, _THREE,
+                                                              "lambda_")),),
+    "fig7": lambda name: (_interpolant_figure(name, "f2", 29, _THREE),),
     "fig8": lambda name: (_sweep_figure(name, "f2", F2_SWEEP, _THREE, ("lebesgue",)),),
     "fig8bis": lambda name: (_sweep_figure(name, "f2", F2_SWEEP, _THREE, ("rmae",)),),
     "fig9": lambda name: (_sweep_figure(name, "f2", F2_LONG_SWEEP, ("graspa",),

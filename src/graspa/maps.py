@@ -238,10 +238,20 @@ class MkteMap(_Atom):
         out += 1.0
         out *= t
         out += lo.take(idx, out=t, mode="clip")
-        # Pin subinterval ends exactly, and keep every interior image strictly
-        # inside its half-open source cell: the sine flattens quadratically at the
-        # ends, and an image rounded onto the open left edge would flip the
-        # piecewise dispatch of any shift applied next.
+        # The pins keep mkte's contract: each end maps to itself, and every other
+        # image lies strictly inside its point's half-open cell.  A chain's shift
+        # reads each point's own cell index, so none of them serves its dispatch.
+        # - the upper clamp: an image just left of hi can round above it, into
+        #   the next cell;
+        # - top: lo + (hi - lo) can round below hi, so hi would miss itself;
+        # - stuck: the sine flattens quadratically at lo, so a point just right
+        #   of lo would take lo's image, which belongs to the cell before or to
+        #   the closed end (test_mkte_preserves_membership); the public sgibbs
+        #   would then shift that image as the cell before's
+        #   (test_chain_is_its_atoms_composed);
+        # - the lower clamp and bottom change no bit while M(-1) is exactly -1
+        #   and M(u) >= -1; they keep lo's image from depending on the sine
+        #   being odd and monotone to the last bit.
         np.maximum(out, t, out=out)
         np.minimum(out, hi.take(idx, out=t, mode="clip"), out=out)
         np.copyto(out, t, where=top)

@@ -317,7 +317,11 @@ def _points(grid) -> np.ndarray:
 
 def _constant_grid(domain: PiecewiseDomain, nodes, grid_spec, describe=True):
     """:func:`_search_grid`, refused when too coarse for a Lebesgue constant."""
-    grid = _search_grid(domain, nodes, grid_spec, describe)
+    return _dense_enough(_search_grid(domain, nodes, grid_spec, describe))
+
+
+def _dense_enough(grid):
+    """The grid, refused (ValueError) when too coarse for a Lebesgue constant."""
     if grid.size < _MIN_GRID_POINTS:
         raise ValueError(f"grid resolves to {grid.size} points; "
                          f"need at least {_MIN_GRID_POINTS}")

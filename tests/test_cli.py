@@ -71,6 +71,43 @@ def test_lebesgue_golden(tmp_path, capsys):
     assert abs(value - GOLDEN_EQUISPACED_N10) <= 1e-3 * GOLDEN_EQUISPACED_N10
 
 
+def _csv_columns(path, names):
+    """The named columns of a CSV file, each as the list of its texts."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return [[row[header.index(name)] for row in rows] for name in names]
+
+
+def test_commands_write_the_columns_of_the_figures(tmp_path, capsys):
+    # interp and lebesgue write one method's columns of fig3 and fig1, byte
+    # for byte, and lebesgue refuses the grids that a constant is refused on
+    for fig in ("fig1", "fig3"):
+        assert main(["experiment", fig, "--out-dir", str(tmp_path)]) == 0
+    assert main(["interp", "--function", "f1", "--method", "graspa", "--n", "23",
+                 "--grid", "332", "--out-dir", str(tmp_path)]) == 0
+    assert _csv_columns(tmp_path / "interp.csv", ("x", "f", "r")) \
+        == _csv_columns(tmp_path / "fig3.csv", ("x", "f", "r_graspa"))
+    capsys.readouterr()
+    assert main(["lebesgue", "--method", "graspa", "--n", "23", "--cuts", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+    x, lam = _csv_columns(tmp_path / "lebesgue.csv", ("x", "lambda"))
+    assert [x, lam] == _csv_columns(tmp_path / "fig1.csv", ("x", "lambda_graspa"))
+    printed = capsys.readouterr().out.splitlines()[-1]
+    assert printed == f"lebesgue_constant = {max(lam, key=float)}"
+    # 990 and 996 points on [-1, 1] and the 9 midpoints of 10 nodes
+    domain = PiecewiseDomain(Interval(-1.0, 1.0), ())
+    for grid, points, code in (("990", 999, 2), ("996", 1005, 0)):
+        assert lebesgue_grid(domain, equispaced_nodes(9), int(grid)).size == points
+        out = tmp_path / grid
+        assert main(["lebesgue", "--method", "classical", "--n", "9", "--grid", grid,
+                     "--out-dir", str(out)]) == code
+        if code:
+            assert "need at least 1000" in capsys.readouterr().err
+            assert not (out / "lebesgue.csv").exists()
+        else:
+            assert len(read_csv(out / "lebesgue.csv")[1]) == points
+
+
 def test_lagmatrix_shape(tmp_path):
     assert main(["lagmatrix", "--n", "51", "--grid", "100", "--method", "graspa",
                  "--cuts", "0", "--out-dir", str(tmp_path)]) == 0
